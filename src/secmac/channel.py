@@ -8,6 +8,7 @@ Gaussian noise.  All gains are fixed and known everywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -62,6 +63,9 @@ class NormalizedGains:
             raise ParameterError("empty gain vector")
         if self.g[-1] != 1:
             raise ParameterError(f"last normalized gain must be 1, got {self.g[-1]}")
+        floats = [x for x in self.g if not isinstance(x, (Fraction, int))] + [self.scale]
+        if not all(math.isfinite(x) for x in floats):
+            raise ParameterError(f"gains must be finite, got {self.g} with scale {self.scale}")
 
     @property
     def K(self) -> int:

@@ -4,7 +4,8 @@ Commands: params, dmin, sweep, block, kg, region, entropy, leakage,
 check.  Configs are 'key = value' text files with '#' comments.  Every
 command accepts --seed and --out; with --out the CSV goes to the file
 and a metadata sidecar to '<out>.meta', otherwise both print to stdout.
-Exit codes: 0 success, 2 validation error, 3 computational cap.
+Exit codes: 0 success, 2 validation error (including gains whose
+constellation is not uniquely decodable), 3 computational cap.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from . import __version__
 from .channel import ChannelGains, NormalizedGains, effective_power
 from .constellation import ENUMERATION_CAP, received_constellation, select_params
 from .diophantine import kg_profile
-from .errors import ParameterError, SizeCapError
+from .errors import AmbiguityError, ParameterError, SizeCapError
 from .secrecy import achievable_region, load_mac_spec, subset_mask, sum_entropy
 from .simulate import SimConfig, fmt, run_block_trials, run_leakage, run_symbol_sweep
 
@@ -385,7 +386,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParameterError as exc:
+    except (ParameterError, AmbiguityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SizeCapError as exc:

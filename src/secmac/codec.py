@@ -14,13 +14,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .constellation import ReceivedConstellation
-from .errors import (
-    AmbiguityError,
-    ParameterError,
-    RateInfeasibleError,
-    SizeCapError,
-)
+from .constellation import ReceivedConstellation, mixed_radix_digits
+from .errors import AmbiguityError, ParameterError, RateInfeasibleError
 from .rng import stream
 
 OVERSAMPLING_FACTOR = 16
@@ -129,16 +124,14 @@ def hard_decode(y: np.ndarray, rc: ReceivedConstellation) -> np.ndarray:
         raise AmbiguityError(
             f"cannot hard-decode: gamma status is {rc.gamma.value}"
         )
-    if rc.decomposition is None:
-        raise SizeCapError("constellation decompositions were not materialized")
     y = np.atleast_1d(np.asarray(y, dtype=float))
     pts = rc.points
     if pts.size == 1:
-        return np.tile(rc.decomposition[0], (y.size, 1))
+        return mixed_radix_digits(np.repeat(rc.index, y.size), rc.K, rc.Q)
     idx = np.clip(np.searchsorted(pts, y), 1, pts.size - 1)
     take_left = (y - pts[idx - 1]) <= (pts[idx] - y)
     sel = np.where(take_left, idx - 1, idx)
-    return rc.decomposition[sel]
+    return mixed_radix_digits(rc.index[sel], rc.K, rc.Q)
 
 
 def decode_messages(

@@ -23,7 +23,6 @@ from .channel import NormalizedGains
 from .errors import AmbiguityError, NotInConstellationError, ParameterError, SizeCapError
 
 ENUMERATION_CAP = 10_000_000
-MATERIALIZE_CAP = 1_000_000
 SUSPECT_REL_GAP = 1e-9
 
 
@@ -71,17 +70,17 @@ class ReceivedConstellation:
     """Sorted distinct receiver points with their symbol decompositions.
 
     ``points`` holds the distinct values A * sum_k g_k v_k in increasing
-    order.  ``decomposition`` is an (n_points, K) integer array aligned
-    with ``points`` (None when the constellation was too large to
-    materialize per-point tuples).  ``d_min`` is the minimum adjacent gap,
-    0.0 when exact collisions exist and +inf for a single-point set.
+    order.  ``index`` is aligned with ``points`` and holds, per point, the
+    mixed-radix index of its first symbol tuple (``mixed_radix_digits``
+    expands it).  ``d_min`` is the minimum adjacent gap, 0.0 when exact
+    collisions exist and +inf for a single-point set.
     """
 
     K: int
     Q: int
     A: float
     points: np.ndarray
-    decomposition: np.ndarray | None
+    index: np.ndarray
     gamma: GammaStatus
     d_min: float
 
@@ -95,138 +94,84 @@ class ReceivedConstellation:
         return (2 * self.Q + 1) ** self.K
 
 
-def _symbol_values_float(g: np.ndarray, Q: int) -> np.ndarray:
-    """All sums sum_k g_k v_k over v in [-Q, Q]^K, mixed-radix order."""
-    K = len(g)
+def mixed_radix_digits(index, K: int, Q: int) -> np.ndarray:
+    """Symbol tuples in [-Q, Q]^K of mixed-radix indices, shape (..., K).
+
+    Index 0 is (-Q, ..., -Q) and the first coordinate is most significant,
+    so ``np.arange((2Q+1)**K)`` enumerates the grid in lexicographic order.
+    """
+    rem = np.asarray(index, dtype=np.int64)
     base = 2 * Q + 1
-    M = base**K
-    vals = np.zeros(M, dtype=float)
-    idx = np.arange(M)
-    for k in range(K):
-        digits = (idx // base ** (K - 1 - k)) % base - Q
-        vals += g[k] * digits
+    out = np.empty((K,) + rem.shape, dtype=np.int64)  # one contiguous row per user
+    for k in range(K - 1, -1, -1):
+        rem, out[k] = np.divmod(rem, base)
+    out -= Q
+    return np.moveaxis(out, 0, -1)
+
+
+def tuple_sums(coefs, Q: int, dtype=float) -> np.ndarray:
+    """sum_k coefs[k] * v_k for every v in [-Q, Q]^K, in mixed-radix order.
+
+    Users are added one at a time, first user first, in ``dtype``
+    arithmetic (``object`` gives exact Python ints).
+    """
+    K = len(coefs)
+    digits = mixed_radix_digits(np.arange((2 * Q + 1) ** K), K, Q)
+    vals = np.zeros(digits.shape[0], dtype=dtype)
+    for k, c in enumerate(coefs):
+        vals += c * digits[:, k].astype(dtype, copy=False)
     return vals
 
 
-def _digits_for(order: np.ndarray, K: int, Q: int) -> np.ndarray:
-    """Symbol tuples for the given mixed-radix indices, shape (len, K)."""
-    base = 2 * Q + 1
-    out = np.empty((order.size, K), dtype=np.int64)
-    for k in range(K):
-        out[:, k] = (order // base ** (K - 1 - k)) % base - Q
-    return out
-
-
 def received_constellation(
-    g: NormalizedGains,
-    Q: int,
-    A: float,
-    cap: int = ENUMERATION_CAP,
-    materialize_cap: int = MATERIALIZE_CAP,
+    g: NormalizedGains, Q: int, A: float, cap: int = ENUMERATION_CAP
 ) -> ReceivedConstellation:
     """Enumerate the received point set for symbol bound Q and amplitude A.
 
-    Rational gain ratios are handled exactly, so collisions there are
-    proofs; float ratios get exact duplicate detection plus a "suspect"
-    verdict when two points land within 1e-9 * A of each other.
+    Rational gain ratios are scaled by their common denominator D and
+    summed as integers (int64, or Python ints once D or K*Q*max|coef|
+    reaches 2^53), so collisions there are proofs.  Float ratios get
+    exact duplicate detection plus a "suspect" verdict when two points
+    land within 1e-9 * A of each other.
     """
     if Q < 0:
         raise ParameterError(f"Q must be >= 0, got {Q}")
-    if A <= 0:
-        raise ParameterError(f"A must be positive, got {A}")
+    if not (math.isfinite(A) and A > 0):
+        raise ParameterError(f"A must be positive and finite, got {A}")
     K = g.K
     M = (2 * Q + 1) ** K
     if M > cap:
         raise SizeCapError(f"constellation needs {M} points, cap is {cap}")
 
-    if Q == 0:
-        return ReceivedConstellation(
-            K=K,
-            Q=0,
-            A=A,
-            points=np.zeros(1),
-            decomposition=np.zeros((1, K), dtype=np.int64),
-            gamma=GammaStatus.HOLDS,
-            d_min=math.inf,
-        )
-
     if g.exact:
-        return _build_exact(g, Q, A, M)
-    return _build_float(g, Q, A, M, materialize_cap)
+        ratios = [Fraction(x) for x in g.g]
+        D = math.lcm(*(r.denominator for r in ratios))
+        coefs = [int(r * D) for r in ratios]
+        wide = max(D, K * max(Q, 1) * max(abs(c) for c in coefs)) >= 2**53
+        sums = tuple_sums(coefs, Q, object if wide else np.int64)
+    else:
+        D = 1
+        sums = tuple_sums(g.as_floats(), Q)
+    order = np.argsort(sums, kind="stable")
+    sv = sums[order]
+    keep = np.concatenate(([True], sv[1:] != sv[:-1]))
+    points = A * np.asarray(sv[keep] / D, dtype=float)
+    if not (np.isfinite(points[0]) and np.isfinite(points[-1])):
+        raise ParameterError("received points overflow float64")
 
-
-def _build_exact(g: NormalizedGains, Q: int, A: float, M: int) -> ReceivedConstellation:
-    gains = [Fraction(x) for x in g.g]
-    K = len(gains)
-    base = 2 * Q + 1
-    entries: list[tuple[Fraction, int]] = []
-    for idx in range(M):
-        rem = idx
-        total = Fraction(0)
-        for k in range(K - 1, -1, -1):
-            total += gains[k] * (rem % base - Q)
-            rem //= base
-        entries.append((total, idx))
-    entries.sort(key=lambda t: t[0])
-
-    collision = any(entries[i][0] == entries[i + 1][0] for i in range(M - 1))
-    unique_vals: list[Fraction] = []
-    unique_idx: list[int] = []
-    for val, idx in entries:
-        if not unique_vals or val != unique_vals[-1]:
-            unique_vals.append(val)
-            unique_idx.append(idx)
-    points = A * np.array([float(v) for v in unique_vals])
-    decomposition = _digits_for(np.array(unique_idx, dtype=np.int64), K, Q)
-    if collision:
-        d_min = 0.0
-    elif len(unique_vals) < 2:
+    gamma = GammaStatus.HOLDS
+    if not keep.all():
+        gamma, d_min = GammaStatus.VIOLATED, 0.0
+    elif M < 2:
         d_min = math.inf
+    elif g.exact:
+        d_min = float(A * (np.diff(sv).min() / D))
     else:
-        d_min = float(min(A * float(b - a) for a, b in zip(unique_vals, unique_vals[1:])))
+        d_min = float(np.diff(points).min())
+        if d_min < SUSPECT_REL_GAP * A:
+            gamma = GammaStatus.SUSPECT
     return ReceivedConstellation(
-        K=K,
-        Q=Q,
-        A=A,
-        points=points,
-        decomposition=decomposition,
-        gamma=GammaStatus.VIOLATED if collision else GammaStatus.HOLDS,
-        d_min=d_min,
-    )
-
-
-def _build_float(
-    g: NormalizedGains, Q: int, A: float, M: int, materialize_cap: int
-) -> ReceivedConstellation:
-    vals = _symbol_values_float(g.as_floats(), Q)
-    if M <= materialize_cap:
-        order = np.argsort(vals, kind="stable")
-        sv = vals[order]
-    else:
-        order = None
-        sv = np.sort(vals, kind="stable")
-
-    diffs = np.diff(sv)
-    collision = bool(np.any(diffs == 0.0))
-    keep = np.concatenate(([True], diffs > 0.0))
-    unique_vals = sv[keep]
-    points = A * unique_vals
-    decomposition = _digits_for(order[keep], g.K, Q) if order is not None else None
-
-    if collision:
-        gamma = GammaStatus.VIOLATED
-        d_min = 0.0
-    else:
-        gamma = GammaStatus.HOLDS
-        if points.size < 2:
-            d_min = math.inf
-        else:
-            gaps = np.diff(points)
-            d_min = float(gaps.min())
-            if d_min < SUSPECT_REL_GAP * A:
-                gamma = GammaStatus.SUSPECT
-    return ReceivedConstellation(
-        K=g.K, Q=Q, A=A, points=points, decomposition=decomposition, gamma=gamma, d_min=d_min
+        K=K, Q=Q, A=A, points=points, index=order[keep], gamma=gamma, d_min=d_min
     )
 
 
@@ -246,12 +191,10 @@ def decompose(rc: ReceivedConstellation, point: float) -> tuple[int, ...]:
     """Unique symbol tuple for a stored constellation point (exact match)."""
     if rc.gamma is not GammaStatus.HOLDS:
         raise AmbiguityError(f"decomposition not unique: gamma status is {rc.gamma.value}")
-    if rc.decomposition is None:
-        raise SizeCapError("decompositions were not materialized for this constellation")
     idx = int(np.searchsorted(rc.points, point))
     if idx >= rc.points.size or rc.points[idx] != point:
         raise NotInConstellationError(f"{point!r} is not a stored constellation point")
-    return tuple(int(v) for v in rc.decomposition[idx])
+    return tuple(mixed_radix_digits(rc.index[idx], rc.K, rc.Q).tolist())
 
 
 def pe_upper_bound(d_min: float) -> tuple[float, float]:

@@ -17,6 +17,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .constellation import mixed_radix_digits, tuple_sums
 from .errors import ParameterError, SizeCapError
 
 SEARCH_CAP = 100_000_000
@@ -71,12 +72,7 @@ def min_linear_form(g: Sequence[float], N: int) -> LinearFormResult:
     # coordinates before it zero and the rest free.
     for j in range(m):
         tail = g[j + 1 :]
-        if tail:
-            inner = _grid_values(tail, N)
-            inner_digits = len(tail)
-        else:
-            inner = np.zeros(1)
-            inner_digits = 0
+        inner = tuple_sums(tail, N)
         for qj in range(1, N + 1):
             s = qj * g[j] + inner
             vals = np.abs(s - np.rint(s))
@@ -84,7 +80,7 @@ def min_linear_form(g: Sequence[float], N: int) -> LinearFormResult:
             if v > best_val:
                 continue
             for idx in np.flatnonzero(vals == vals.min()):
-                q = (0,) * j + (qj,) + _digits(int(idx), inner_digits, N)
+                q = (0,) * j + (qj,) + tuple(mixed_radix_digits(idx, len(tail), N).tolist())
                 if v < best_val or q < best_q:
                     best_val = v
                     best_q = q
@@ -93,26 +89,6 @@ def min_linear_form(g: Sequence[float], N: int) -> LinearFormResult:
     assert best_q is not None
     p = int(np.rint(-best_s))
     return LinearFormResult(value=best_val, p=p, q=best_q, N=N)
-
-
-def _grid_values(g: Sequence[float], N: int) -> np.ndarray:
-    """q . g over the full grid q in [-N, N]^len(g), mixed-radix order."""
-    m = len(g)
-    base = 2 * N + 1
-    size = base**m
-    idx = np.arange(size)
-    vals = np.zeros(size)
-    for k in range(m):
-        vals += g[k] * ((idx // base ** (m - 1 - k)) % base - N)
-    return vals
-
-
-def _digits(idx: int, m: int, N: int) -> tuple[int, ...]:
-    base = 2 * N + 1
-    out = []
-    for k in range(m - 1, -1, -1):
-        out.append((idx // base**k) % base - N)
-    return tuple(out)
 
 
 def kg_profile(g: Sequence[float], epsilon: float, N_list: Sequence[int]) -> KGProfile:

@@ -1,7 +1,7 @@
 """Exception types shared across the toolkit.
 
-The CLI maps ParameterError (and subclasses) to exit code 2 and
-SizeCapError to exit code 3.
+The CLI maps ParameterError (and subclasses) and AmbiguityError to exit
+code 2 and SizeCapError to exit code 3.
 """
 
 

@@ -284,18 +284,22 @@ class LeakageReport:
 
 
 def leakage_estimate(
-    x_tuples: np.ndarray, z: np.ndarray, bin_width: float, min_samples: int = 1000
+    x_tuples: np.ndarray, z: np.ndarray, bin_width: float, Q: int, min_samples: int = 1000
 ) -> LeakageReport:
     """Plug-in mutual information between input tuples and quantized z.
 
-    ``x_tuples`` is (n, K) integers, ``z`` is (n,) reals quantized to bins
-    of the given width.  The estimator carries no bias correction; the
-    report includes the standard first-order bias bound instead.
+    ``x_tuples`` is (n, K) integers drawn from [-Q, Q]^K, ``z`` is (n,)
+    reals quantized to bins of the given width.  The entropy references
+    are those of uniform inputs on that alphabet, whether or not the
+    samples reach its edge.  The estimator carries no bias correction;
+    the report includes the standard first-order bias bound instead.
     """
     x_tuples = np.asarray(x_tuples)
     z = np.asarray(z, dtype=float)
     if x_tuples.ndim != 2 or z.ndim != 1 or x_tuples.shape[0] != z.size:
         raise ParameterError("need (n, K) tuples aligned with n observations")
+    if x_tuples.size and int(np.abs(x_tuples).max()) > Q:
+        raise ParameterError(f"input tuples leave the alphabet [-{Q}, {Q}]")
     n = z.size
     if n < min_samples:
         raise ParameterError(f"need at least {min_samples} samples, got {n}")
@@ -316,7 +320,6 @@ def leakage_estimate(
     mi = mutual_information(counts / n)
 
     K = x_tuples.shape[1]
-    Q = int(np.abs(x_tuples).max())
     h_sum = sum_entropy(K, Q)
     h_in = K * math.log2(2 * Q + 1)
     occupied = int(np.count_nonzero(counts))

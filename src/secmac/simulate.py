@@ -17,6 +17,7 @@ from .channel import ChannelGains, NoiseModel, effective_power, normalize_gains,
 from .codec import build_codebook, decode_messages, encode, hard_decode, scale_to_channel
 from .constellation import (
     ENUMERATION_CAP,
+    mixed_radix_digits,
     pe_upper_bound,
     received_constellation,
     select_params,
@@ -466,8 +467,7 @@ def run_leakage(cfg: SimConfig) -> LeakageRunReport:
 
     exhaustive = cfg.variance == 0 and M <= cfg.leakage_samples
     if exhaustive:
-        grids = np.meshgrid(*[np.arange(-Q, Q + 1)] * cfg.K, indexing="ij")
-        tuples = np.stack([gr.ravel() for gr in grids], axis=1)
+        tuples = mixed_radix_digits(np.arange(M), cfg.K, Q)
         z = A * tuples.sum(axis=1).astype(float)
         # pad by repeating the exhaustive block so the estimator's sample
         # floor is met without changing the empirical distribution
@@ -490,7 +490,7 @@ def run_leakage(cfg: SimConfig) -> LeakageRunReport:
             tuples[b0 : b0 + bs] = v
             z[b0 : b0 + bs] = A * v.sum(axis=1) + sd * w
 
-    est = leakage_estimate(tuples, z, width)
+    est = leakage_estimate(tuples, z, width, Q)
     return LeakageRunReport(
         P=P,
         P_tilde=P_t,

@@ -205,7 +205,7 @@ def test_ac7_equivocation_arithmetic():
     grids = np.meshgrid(np.arange(-1, 2), np.arange(-1, 2), indexing="ij")
     tuples = np.tile(np.stack([g.ravel() for g in grids], axis=1), (112, 1))
     z = 100.0 * tuples.sum(axis=1).astype(float)
-    est = leakage_estimate(tuples, z, 10.0)
+    est = leakage_estimate(tuples, z, 10.0, 1)
     leak_ok = abs(est.mi_bits - sum_entropy(2, 1)) <= 0.01
 
     ok = entropy_ok and residual_ok and leak_ok

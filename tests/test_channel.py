@@ -6,6 +6,7 @@ import pytest
 from secmac import (
     ChannelGains,
     NoiseModel,
+    NormalizedGains,
     ParameterError,
     effective_power,
     normalize_gains,
@@ -38,6 +39,19 @@ class TestNormalizeGains:
     def test_zero_last_main_gain(self):
         with pytest.raises(ParameterError, match=r"h\[1\]"):
             normalize_gains(ChannelGains(h=(1, 0), h_e=(1, 1)))
+
+    @pytest.mark.parametrize(
+        "g,scale",
+        [((math.nan, 1.0), 1.0), ((-math.inf, 1.0), 1.0), ((0.5, 1.0), math.inf)],
+        ids=["nan", "-inf", "inf-scale"],
+    )
+    def test_non_finite_rejected(self, g, scale):
+        with pytest.raises(ParameterError, match="finite"):
+            NormalizedGains(g=g, scale=scale)
+
+    def test_non_finite_main_gain_rejected(self):
+        with pytest.raises(ParameterError, match="finite"):
+            normalize_gains(ChannelGains(h=(math.nan, 1), h_e=(1, 1)))
 
     def test_reconstruction(self):
         # multiplying back by scale and h_e recovers h

@@ -91,6 +91,16 @@ class TestDmin:
         code, _, err = run(capsys, "dmin", "--gains", "x,y", "--q", "1", "--a", "1")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "gains,a",
+        [("nan,1", "1"), ("1.5,1", "nan"), ("inf,1", "1")],
+    )
+    def test_non_finite_input_exits_2(self, capsys, gains, a):
+        code, out, err = run(capsys, "dmin", "--gains", gains, "--q", "2", "--a", a)
+        assert code == 2
+        assert "finite" in err
+        assert "gamma" not in out
+
 
 class TestSweep:
     def test_noiseless_all_zero(self, tmp_path, capsys):
@@ -120,6 +130,13 @@ class TestSweep:
         code, _, err = run(capsys, "sweep", "--config", str(cfg))
         assert code == 2
         assert "wibble" in err
+
+    def test_ambiguous_gains_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(SWEEP_CONFIG.replace("h = 1.4142135623730951,1", "h = 1,1"))
+        code, _, err = run(capsys, "sweep", "--config", str(cfg))
+        assert code == 2
+        assert "gamma status is violated" in err
 
     def test_seed_fixes_bytes(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"

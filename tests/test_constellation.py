@@ -4,6 +4,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from secmac import (
     AmbiguityError,
@@ -13,6 +15,8 @@ from secmac import (
     ParameterError,
     SizeCapError,
     decompose,
+    effective_power,
+    hard_decode,
     min_distance,
     pe_upper_bound,
     received_constellation,
@@ -20,7 +24,7 @@ from secmac import (
     normalize_gains,
     select_params,
 )
-from secmac.constellation import ReceivedConstellation
+from secmac.constellation import ReceivedConstellation, mixed_radix_digits
 
 S2 = math.sqrt(2)
 S3 = math.sqrt(3)
@@ -34,6 +38,23 @@ def brute_force_points(gains, Q, A):
         for v in product(range(-Q, Q + 1), repeat=len(gains))
     )
     return vals
+
+
+def brute_force_exact(gains, Q, A):
+    """Fraction oracle: (points, collision, d_min) of an exact constellation."""
+    sums = [
+        sum(Fraction(gk) * vk for gk, vk in zip(gains, v))
+        for v in product(range(-Q, Q + 1), repeat=len(gains))
+    ]
+    vals = sorted(set(sums))
+    collision = len(vals) < len(sums)
+    if collision:
+        d_min = 0.0
+    elif len(vals) < 2:
+        d_min = math.inf
+    else:
+        d_min = min(A * float(b - a) for a, b in zip(vals, vals[1:]))
+    return [A * float(v) for v in vals], collision, d_min
 
 
 def brute_force_min_gap(points):
@@ -122,6 +143,15 @@ class TestReceivedConstellation:
         assert rc.gamma is GammaStatus.HOLDS
         assert rc.points.size == (2 * Q + 1) ** len(gains)
 
+    @pytest.mark.parametrize("A", [math.nan, math.inf, 0.0])
+    def test_bad_amplitude_rejected(self, A):
+        with pytest.raises(ParameterError, match="A must be"):
+            received_constellation(G_S2, 2, A)
+
+    def test_float_overflow_rejected(self):
+        with pytest.raises(ParameterError, match="overflow"), np.errstate(over="ignore"):
+            received_constellation(NormalizedGains(g=(1e308, 1.0)), 2, 1.0)
+
     def test_cap_reports_required_count(self):
         with pytest.raises(SizeCapError, match="125"):
             received_constellation(NormalizedGains(g=(S2, S3, 1.0)), 2, 1.0, cap=100)
@@ -131,14 +161,58 @@ class TestReceivedConstellation:
         oracle = brute_force_points((S2, 1.0), 2, 3.0)
         assert np.allclose(rc.points, oracle, rtol=1e-12)
 
-    def test_streaming_path_matches_materialized(self):
-        g = NormalizedGains(g=(S2, S3, 1.0))
-        small = received_constellation(g, 3, 1.0)
-        big = received_constellation(g, 3, 1.0, materialize_cap=10)
-        assert big.decomposition is None
-        assert np.array_equal(small.points, big.points)
-        assert small.d_min == big.d_min
-        assert small.gamma is big.gamma
+    def test_index_digits_rebuild_every_point(self):
+        gains = (S2, S3, 1.0)
+        rc = received_constellation(NormalizedGains(g=gains), 3, 2.5)
+        digits = mixed_radix_digits(rc.index, 3, 3)
+        assert digits.shape == (rc.points.size, 3)
+        rebuilt = 2.5 * sum(gk * digits[:, k] for k, gk in enumerate(gains))
+        assert np.array_equal(rebuilt, rc.points)
+
+    def test_index_digits_rebuild_every_exact_point(self):
+        gains = (Fraction(2, 7), Fraction(-5, 3), 1)
+        rc = received_constellation(NormalizedGains(g=gains), 2, 1.5)
+        digits = mixed_radix_digits(rc.index, 3, 2)
+        rebuilt = [1.5 * float(sum(gk * int(d) for gk, d in zip(gains, row))) for row in digits]
+        assert rebuilt == rc.points.tolist()
+
+    def test_mixed_radix_digits_order(self):
+        digits = mixed_radix_digits(np.arange(27), 3, 1)
+        assert digits.tolist() == [list(v) for v in product(range(-1, 2), repeat=3)]
+        assert mixed_radix_digits(13, 3, 1).tolist() == [0, 0, 0]
+
+    @settings(max_examples=150, deadline=None)
+    @example(
+        gains=(Fraction(7, 10**12 - 11), Fraction(-3, 10**12 - 39), Fraction(1)), Q=2, A=1.0
+    )
+    @given(
+        gains=st.lists(
+            st.fractions(max_denominator=10**12) | st.fractions(-2, 2, max_denominator=4),
+            min_size=1,
+            max_size=2,
+        ).map(lambda head: tuple(head) + (Fraction(1),)),
+        Q=st.integers(0, 3),
+        A=st.floats(0.01, 100.0),
+    )
+    def test_exact_builder_matches_fraction_oracle(self, gains, Q, A):
+        rc = received_constellation(NormalizedGains(g=gains), Q, A)
+        points, collision, d_min = brute_force_exact(gains, Q, A)
+        assert rc.points.tolist() == points
+        assert rc.gamma is (GammaStatus.VIOLATED if collision else GammaStatus.HOLDS)
+        assert rc.d_min == d_min
+
+    def test_high_power_k4_builds_and_decodes(self):
+        # K=4, eps=0.01 at P=1e10: more than a million tuples
+        gains = sample_gains(0, 4)
+        g = normalize_gains(gains)
+        Q, A = select_params(effective_power(gains, 1e10), 4, 0.01)
+        amp = A * abs(g.scale)
+        rc = received_constellation(g, Q, amp)
+        assert rc.full_size > 1_000_000
+        assert rc.gamma is GammaStatus.HOLDS
+        v = np.random.default_rng(0).integers(-Q, Q + 1, size=(5, 4))
+        y = amp * sum(gk * v[:, k] for k, gk in enumerate(g.as_floats()))
+        assert np.array_equal(hard_decode(y, rc), v)
 
 
 class TestMinDistance:
@@ -148,7 +222,7 @@ class TestMinDistance:
             Q=1,
             A=1.0,
             points=np.array([0.0, 1.0, 3.0]),
-            decomposition=None,
+            index=np.array([0, 1, 2]),
             gamma=GammaStatus.HOLDS,
             d_min=1.0,
         )

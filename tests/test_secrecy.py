@@ -314,7 +314,7 @@ class TestLeakageEstimate:
         A = 100.0
         tuples = self.exhaustive_tuples(2, 1, 112)  # 1008 samples
         z = A * tuples.sum(axis=1).astype(float)
-        rep = leakage_estimate(tuples, z, A / 10)
+        rep = leakage_estimate(tuples, z, A / 10, 1)
         assert rep.mi_bits == pytest.approx(sum_entropy(2, 1), abs=1e-12)
         assert rep.sum_entropy_bits == pytest.approx(2.197159723424149, abs=1e-9)
         # conditional entropy of the tuple given z
@@ -326,13 +326,13 @@ class TestLeakageEstimate:
         rng = np.random.default_rng(0)
         tuples = rng.integers(-1, 2, size=(100_000, 2))
         z = rng.normal(size=100_000)
-        rep = leakage_estimate(tuples, z, 0.5)
+        rep = leakage_estimate(tuples, z, 0.5, 1)
         assert rep.mi_bits < 0.05
 
     def test_single_bin(self):
         tuples = self.exhaustive_tuples(2, 1, 120)
         z = tuples.sum(axis=1).astype(float)
-        rep = leakage_estimate(tuples, z, math.inf)
+        rep = leakage_estimate(tuples, z, math.inf, 1)
         assert rep.mi_bits == 0.0
         assert rep.n_bins == 1
 
@@ -340,18 +340,35 @@ class TestLeakageEstimate:
         tuples = self.exhaustive_tuples(2, 1, 1)
         z = tuples.sum(axis=1).astype(float)
         with pytest.raises(ParameterError, match="1000"):
-            leakage_estimate(tuples, z, 1.0)
+            leakage_estimate(tuples, z, 1.0, 1)
 
     def test_bad_bin_width(self):
         tuples = self.exhaustive_tuples(2, 1, 120)
         z = tuples.sum(axis=1).astype(float)
         with pytest.raises(ParameterError):
-            leakage_estimate(tuples, z, 0.0)
+            leakage_estimate(tuples, z, 0.0, 1)
+
+    def test_entropy_references_use_callers_q(self):
+        # inputs never reach the alphabet edge: the references still
+        # describe uniform inputs on [-3, 3], not on [-2, 2]
+        tuples = self.exhaustive_tuples(2, 2, 40)
+        z = tuples.sum(axis=1).astype(float)
+        rep = leakage_estimate(tuples, z, 0.5, 3)
+        assert rep.Q == 3
+        assert rep.sum_entropy_bits == sum_entropy(2, 3)
+        assert rep.sum_entropy_bits == pytest.approx(3.505, abs=1e-3)
+        assert rep.input_entropy_bits == pytest.approx(2 * math.log2(7), rel=1e-12)
+
+    def test_tuples_outside_alphabet(self):
+        tuples = self.exhaustive_tuples(2, 2, 40)
+        z = tuples.sum(axis=1).astype(float)
+        with pytest.raises(ParameterError, match="alphabet"):
+            leakage_estimate(tuples, z, 0.5, 1)
 
     def test_bias_bound_formula(self):
         tuples = self.exhaustive_tuples(2, 1, 112)
         z = tuples.sum(axis=1).astype(float)
-        rep = leakage_estimate(tuples, z, 0.1)
+        rep = leakage_estimate(tuples, z, 0.1, 1)
         occupied = 9  # nine tuple classes, each in exactly one z bin
         want = (occupied - 1) / (2 * rep.n_samples * math.log(2))
         assert rep.bias_bound_bits == pytest.approx(want, rel=1e-12)
