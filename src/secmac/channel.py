@@ -147,8 +147,8 @@ def effective_power(gains: ChannelGains, P: float) -> float:
     The minimum over users is the single value that keeps every per-user
     constraint E[X_k^2] <= P satisfied simultaneously.
     """
-    if P <= 0:
-        raise ParameterError(f"P must be positive, got {P}")
+    if not 0 < P < math.inf:
+        raise ParameterError(f"P must be positive and finite, got {P}")
     return min(he * he for he in gains.h_e) * P
 
 

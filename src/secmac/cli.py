@@ -169,11 +169,15 @@ def _normalized_from_tokens(tokens: list[float | Fraction]) -> NormalizedGains:
     last = tokens[-1]
     if last == 0:
         raise ParameterError("last gain is zero; cannot normalize")
-    if all(isinstance(t, (Fraction, int)) for t in tokens):
-        g = tuple(Fraction(t) / Fraction(last) for t in tokens)
-    else:
-        g = tuple(float(t) / float(last) for t in tokens[:-1]) + (1.0,)
-    return NormalizedGains(g=g, scale=float(last))
+    try:
+        if all(isinstance(t, (Fraction, int)) for t in tokens):
+            g = tuple(Fraction(t) / Fraction(last) for t in tokens)
+        else:
+            g = tuple(float(t) / float(last) for t in tokens[:-1]) + (1.0,)
+        scale = float(last)
+    except OverflowError:
+        raise ParameterError("a gain lies beyond the float64 range") from None
+    return NormalizedGains(g=g, scale=scale)
 
 
 def cmd_dmin(args) -> int:

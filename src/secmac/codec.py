@@ -27,9 +27,23 @@ class DuplicateStats(NamedTuple):
     cross_bin_duplicates: int  # distinct sequences present in more than one bin
 
 
+def _row_keys(rows) -> np.ndarray:
+    """Exact fixed-width byte key of each length-n row: (..., n) -> (...).
+
+    The key is the row's int64 bytes, so it is exact for every n and Q,
+    including sequence spaces past 2^63 that no packed integer could hold.
+    """
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    return rows.view(np.dtype((np.void, rows.shape[-1] * rows.itemsize)))[..., 0]
+
+
 @dataclass(frozen=True)
 class Codebook:
-    """Binned random code for one user: table has shape (B, L, n)."""
+    """Binned random code for one user: table has shape (B, L, n).
+
+    On construction the B*L rows are sorted once, stably, by exact row
+    key; lookups and duplicate counts both read that one index.
+    """
 
     n: int
     Q: int
@@ -38,41 +52,50 @@ class Codebook:
     seed: int
     user_k: int
     table: np.ndarray
-    _lookup: dict = field(repr=False, compare=False, default=None)
+    _keys: np.ndarray = field(repr=False, compare=False, default=None)  # sorted row keys
+    _rows: np.ndarray = field(repr=False, compare=False, default=None)  # flat row of each key
 
     def __post_init__(self):
+        if min(self.n, self.B, self.L) < 1:
+            raise ParameterError(f"need n, B, L >= 1, got {(self.n, self.B, self.L)}")
         if self.table.shape != (self.B, self.L, self.n):
             raise ParameterError(f"table shape {self.table.shape} != (B, L, n)")
         if np.any(np.abs(self.table) > self.Q):
             raise ParameterError(f"table contains symbols outside [-{self.Q}, {self.Q}]")
-        # first-match lookup: scan bins in order, slots in order within a bin
-        lookup: dict[bytes, int] = {}
-        for b in range(self.B):
-            for l in range(self.L):
-                key = self.table[b, l].tobytes()
-                lookup.setdefault(key, b)
-        object.__setattr__(self, "_lookup", lookup)
+        # flat rows run bins in order, then slots in order, so the stable sort
+        # puts the first match of a sequence leftmost among its equal keys
+        keys = _row_keys(self.table.reshape(self.B * self.L, self.n))
+        rows = np.argsort(keys, kind="stable")
+        object.__setattr__(self, "_keys", keys[rows])
+        object.__setattr__(self, "_rows", rows)
 
-    def bin_of(self, sequence: np.ndarray) -> int | None:
-        """Bin of the first exact table match, or None if absent."""
-        seq = np.ascontiguousarray(sequence, dtype=self.table.dtype)
-        if seq.shape != (self.n,):
-            raise ParameterError(f"sequence length {seq.shape} != ({self.n},)")
-        return self._lookup.get(seq.tobytes())
+    def bin_of(self, sequence: np.ndarray) -> int | None | np.ndarray:
+        """Bin of the first exact table match of each length-n row.
+
+        One row gives an int, or None if it is absent; an (..., n) batch
+        gives an int64 array of shape (...) with -1 where a row is absent.
+        """
+        seq = np.asarray(sequence)
+        if seq.ndim < 1 or seq.shape[-1] != self.n:
+            raise ParameterError(f"sequence shape {seq.shape} does not end in ({self.n},)")
+        key = _row_keys(seq)
+        pos = np.minimum(np.searchsorted(self._keys, key), self._keys.size - 1)
+        bins = np.where(self._keys[pos] == key, self._rows[pos] // self.L, -1)
+        if seq.ndim == 1:
+            return int(bins) if bins >= 0 else None
+        return bins
 
     def duplicate_stats(self) -> DuplicateStats:
-        flat = self.table.reshape(self.B * self.L, self.n)
-        uniq, inverse = np.unique(flat, axis=0, return_inverse=True)
-        bins = np.repeat(np.arange(self.B), self.L)
-        cross = 0
-        for u in range(uniq.shape[0]):
-            owners = np.unique(bins[inverse == u])
-            if owners.size > 1:
-                cross += 1
+        """Counts over runs of equal sorted keys: each run is one distinct
+        sequence, and a cross-bin duplicate when its first and last rows
+        (whose bins ascend along the run) lie in different bins."""
+        keys, bins = self._keys, self._rows // self.L
+        starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        ends = np.append(starts[1:], keys.size) - 1
         return DuplicateStats(
             total_sequences=self.B * self.L,
-            distinct_sequences=uniq.shape[0],
-            cross_bin_duplicates=cross,
+            distinct_sequences=starts.size,
+            cross_bin_duplicates=int(np.count_nonzero(bins[starts] != bins[ends])),
         )
 
 
@@ -97,21 +120,31 @@ def build_codebook(n: int, Q: int, B: int, L: int, seed, user_k: int = 0) -> Cod
     return Codebook(n=n, Q=Q, B=B, L=L, seed=entropy, user_k=user_k, table=table)
 
 
-def encode(cb: Codebook, w: int, seed) -> np.ndarray:
-    """Transmit sequence for message w: a uniform draw from bin w."""
-    if not 0 <= w < cb.B:
+def encode(cb: Codebook, w, seed) -> np.ndarray:
+    """Transmit sequences for messages w, each a uniform draw from its bin.
+
+    ``w`` is one message or an array of them; the result has shape
+    ``np.shape(w) + (n,)``.  All slots come from one draw on the
+    (seed, "encode", user) stream, and no draw is made when L = 1.
+    """
+    w = np.asarray(w)
+    if np.any((w < 0) | (w >= cb.B)):
         raise ParameterError(f"message {w} out of range [0, {cb.B})")
     if cb.L == 1:
-        return cb.table[w, 0].copy()
-    slot = int(stream(seed, "encode", cb.user_k, w).integers(0, cb.L))
-    return cb.table[w, slot].copy()
+        return cb.table[w, 0]
+    slot = stream(seed, "encode", cb.user_k).integers(0, cb.L, size=w.shape)
+    return cb.table[w, slot]
 
 
-def scale_to_channel(x_tilde: np.ndarray, A: float, h_e_k: float) -> np.ndarray:
-    """Channel input A * x_tilde / h_e_k (pre-inverts the eavesdropper gain)."""
-    if h_e_k == 0:
+def scale_to_channel(x_tilde: np.ndarray, A: float, h_e_k) -> np.ndarray:
+    """Channel input A * x_tilde / h_e_k (pre-inverts the eavesdropper gain).
+
+    ``h_e_k`` is one user's gain, or one gain per user along the last axis.
+    """
+    h_e_k = np.asarray(h_e_k, dtype=float)
+    if np.any(h_e_k == 0):
         raise ParameterError("eavesdropper gain is zero")
-    return A * np.asarray(x_tilde, dtype=float) / h_e_k
+    return A * np.asarray(x_tilde) / h_e_k
 
 
 def hard_decode(y: np.ndarray, rc: ReceivedConstellation) -> np.ndarray:
@@ -136,11 +169,13 @@ def hard_decode(y: np.ndarray, rc: ReceivedConstellation) -> np.ndarray:
 
 def decode_messages(
     decoded: Sequence[np.ndarray], codebooks: Sequence[Codebook]
-) -> list[int | None]:
+) -> list[int | None | np.ndarray]:
     """Bin indices recovered from hard-decoded sequences, one per user.
 
-    A sequence absent from its user's table yields None (a block decoding
-    failure to be counted by the caller, not an exception).
+    Each entry is one sequence or an (..., n) batch, looked up with
+    ``Codebook.bin_of``.  A sequence absent from its user's table yields
+    None, or -1 in a batch (a block decoding failure to be counted by the
+    caller, not an exception).
     """
     if len(decoded) != len(codebooks):
         raise ParameterError(

@@ -50,6 +50,8 @@ def select_params(P_tilde: float, K: int, epsilon: float) -> SelectedParams:
         raise ParameterError(f"K must be >= 2, got {K}")
     if not 0 < epsilon < 1:
         raise ParameterError(f"epsilon must be in (0,1), got {epsilon}")
+    if not math.isfinite(P_tilde):
+        raise ParameterError(f"P_tilde must be finite, got {P_tilde}")
     if P_tilde < 1:
         raise ParameterError(
             f"infeasible power P_tilde={P_tilde}: constellation bound Q would be 0"
@@ -155,7 +157,10 @@ def received_constellation(
     order = np.argsort(sums, kind="stable")
     sv = sums[order]
     keep = np.concatenate(([True], sv[1:] != sv[:-1]))
-    points = A * np.asarray(sv[keep] / D, dtype=float)
+    try:
+        points = A * np.asarray(sv[keep] / D, dtype=float)
+    except OverflowError:  # an exact point past the float range
+        raise ParameterError("received points overflow float64") from None
     if not (np.isfinite(points[0]) and np.isfinite(points[-1])):
         raise ParameterError("received points overflow float64")
 

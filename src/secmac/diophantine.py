@@ -58,6 +58,8 @@ def min_linear_form(g: Sequence[float], N: int) -> LinearFormResult:
     m = len(g)
     if m < 1:
         raise ParameterError("empty gain tuple")
+    if not all(math.isfinite(x) for x in g):
+        raise ParameterError(f"gains must be finite, got {tuple(g)}")
     if N < 1:
         raise ParameterError(f"N must be >= 1, got {N}")
     space = (2 * N + 1) ** m

@@ -1,22 +1,27 @@
 """Seeded Monte Carlo engine: power sweeps, block trials, leakage runs.
 
 Every random draw is keyed by (master seed, purpose, grid index, batch
-index) with a fixed batch size, so reports are bit-identical across runs
-and do not depend on how trials might be distributed over workers.
+index) with a fixed batch size of ``TRIAL_BATCH``, so reports are
+bit-identical across runs and do not depend on how trials might be
+distributed over workers.  Sweep and block batches share one channel
+step: symbol tuples -> A*v/h_e -> transmit -> hard decode.  Each
+report's ``.meta`` names its ``stream_layout`` version.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .channel import ChannelGains, NoiseModel, effective_power, normalize_gains, sample_gains, transmit
-from .codec import build_codebook, decode_messages, encode, hard_decode, scale_to_channel
+from .codec import Codebook, build_codebook, decode_messages, encode, hard_decode, scale_to_channel
 from .constellation import (
     ENUMERATION_CAP,
+    ReceivedConstellation,
     mixed_radix_digits,
     pe_upper_bound,
     received_constellation,
@@ -28,6 +33,15 @@ from .secrecy import LeakageReport, leakage_estimate, sdof_fit, sum_rate_lower_b
 
 TRIAL_BATCH = 8192
 WILSON_Z = 1.959963984540054  # two-sided 95%
+# Version of each command's random stream layout, recorded in .meta; it
+# changes whenever a stream key, a draw order or a batch shape changes.
+STREAM_LAYOUT = {"sweep": 1, "block": 2, "leakage": 1}
+
+
+def _batches(total: int):
+    """(batch index, batch size) pairs that cover ``total`` draws."""
+    for b0 in range(0, total, TRIAL_BATCH):
+        yield b0 // TRIAL_BATCH, min(TRIAL_BATCH, total - b0)
 
 
 def wilson_interval(errors: int, trials: int, z: float = WILSON_Z) -> tuple[float, float]:
@@ -77,16 +91,18 @@ class SimConfig:
             raise ParameterError(f"epsilon must be in (0,1), got {self.epsilon}")
         if not self.P_grid:
             raise ParameterError("P grid is empty")
+        if not all(0 < p < math.inf for p in self.P_grid):
+            raise ParameterError(f"P grid values must be positive and finite, got {self.P_grid}")
         if any(b <= a for a, b in zip(self.P_grid, self.P_grid[1:])):
             raise ParameterError("P grid must be strictly increasing")
-        if any(p <= 0 for p in self.P_grid):
-            raise ParameterError("P grid values must be positive")
         if self.trials < 1:
             raise ParameterError(f"trials must be >= 1, got {self.trials}")
         if self.n < 1:
             raise ParameterError(f"block length must be >= 1, got {self.n}")
-        if self.variance < 0:
-            raise ParameterError(f"variance must be >= 0, got {self.variance}")
+        if not 0 <= self.variance < math.inf:
+            raise ParameterError(f"variance must be >= 0 and finite, got {self.variance}")
+        if self.master_seed < 0 or (self.gains_seed is not None and self.gains_seed < 0):
+            raise ParameterError("seeds must be >= 0")
         if (self.h is None) != (self.h_e is None):
             raise ParameterError("give both h and h_e, or neither")
         if self.h is not None and (len(self.h) != self.K or len(self.h_e) != self.K):
@@ -169,29 +185,46 @@ class SweepReport:
             "slope": fmt(self.slope),
             "intercept": fmt(self.intercept),
             "fit_residual": fmt(self.residual),
+            "stream_layout": STREAM_LAYOUT["sweep"],
         }
 
 
-def _sweep_point(cfg: SimConfig, gains: ChannelGains, g, pi: int, P: float) -> SweepRow:
+class _Link(NamedTuple):
+    """One grid point's channel: gains, noise, received constellation, the
+    amplitude A and the sign of the normalisation scale."""
+
+    gains: ChannelGains
+    noise: NoiseModel
+    rc: ReceivedConstellation
+    A: float
+    sgn: float
+
+    def decode(self, v: np.ndarray, seed) -> np.ndarray:
+        """Symbol tuples (m, K) -> A*v/h_e -> transmit -> hard-decoded (m, K)."""
+        x = scale_to_channel(v, self.A, self.gains.h_e).T
+        y, _ = transmit(x, self.gains, self.noise, seed)
+        return hard_decode(self.sgn * y, self.rc)
+
+
+def _grid_point(cfg: SimConfig, gains: ChannelGains, g, P: float) -> tuple[float, int, _Link]:
+    """(P_tilde, Q, link) at power P."""
     P_t = effective_power(gains, P)
     Q, A = select_params(P_t, cfg.K, cfg.epsilon)
-    amp = A * abs(g.scale)
-    rc = received_constellation(g, Q, amp, cap=cfg.cap)
-    tail, expb = pe_upper_bound(rc.d_min)
+    rc = received_constellation(g, Q, A * abs(g.scale), cap=cfg.cap)
     sgn = 1.0 if g.scale >= 0 else -1.0
-    h_e = np.asarray(gains.h_e)
+    return P_t, Q, _Link(gains, NoiseModel(cfg.variance), rc, A, sgn)
+
+
+def _sweep_point(cfg: SimConfig, gains: ChannelGains, g, pi: int, P: float) -> SweepRow:
+    P_t, Q, link = _grid_point(cfg, gains, g, P)
+    tail, expb = pe_upper_bound(link.rc.d_min)
 
     errors = 0
-    noise = NoiseModel(cfg.variance)
-    for b0 in range(0, cfg.trials, TRIAL_BATCH):
-        bs = min(TRIAL_BATCH, cfg.trials - b0)
-        bi = b0 // TRIAL_BATCH
+    for bi, bs in _batches(cfg.trials):
         v = stream(cfg.master_seed, "sweep/input", pi, bi).integers(
             -Q, Q + 1, size=(bs, cfg.K)
         )
-        x = (A * v / h_e).T  # shape (K, bs)
-        y, _ = transmit(x, gains, noise, substream(cfg.master_seed, "sweep/noise", pi, bi))
-        dec = hard_decode(sgn * y, rc)
+        dec = link.decode(v, substream(cfg.master_seed, "sweep/noise", pi, bi))
         errors += int(np.count_nonzero(np.any(dec != v, axis=1)))
 
     pe_mc = errors / cfg.trials
@@ -202,8 +235,8 @@ def _sweep_point(cfg: SimConfig, gains: ChannelGains, g, pi: int, P: float) -> S
         P=P,
         P_tilde=P_t,
         Q=Q,
-        A=A,
-        d_min=rc.d_min,
+        A=link.A,
+        d_min=link.rc.d_min,
         pe_tail_bound=tail,
         pe_exp_bound=expb,
         pe_mc=pe_mc,
@@ -300,6 +333,7 @@ class BlockReport:
             "master_seed": self.master_seed,
             "h": ",".join(fmt(x) for x in self.gains.h),
             "h_e": ",".join(fmt(x) for x in self.gains.h_e),
+            "stream_layout": STREAM_LAYOUT["block"],
         }
 
 
@@ -322,55 +356,76 @@ def derive_code_sizes(cfg: SimConfig, Q: int) -> tuple[int, int]:
     return B, L
 
 
+class _BlockRun(NamedTuple):
+    """The fixed parts of a block run: its config, the top grid point and
+    one codebook per user."""
+
+    cfg: SimConfig
+    P_tilde: float
+    Q: int
+    link: _Link
+    codebooks: tuple[Codebook, ...]
+
+
+def _block_setup(cfg: SimConfig) -> _BlockRun:
+    """Link and codebooks for a block run at the top of the power grid."""
+    gains = cfg.resolve_gains()
+    P_t, Q, link = _grid_point(cfg, gains, normalize_gains(gains), cfg.P_grid[-1])
+    B, L = derive_code_sizes(cfg, Q)
+    codebooks = tuple(
+        build_codebook(cfg.n, Q, B, L, substream(cfg.master_seed, "block/codebook"), user_k=k)
+        for k in range(cfg.K)
+    )
+    return _BlockRun(cfg, P_t, Q, link, codebooks)
+
+
+def _block_batch(run: _BlockRun, bi: int, bs: int) -> tuple[np.ndarray, np.ndarray]:
+    """(error, decode-failure) flags of the ``bs`` trials of batch ``bi``.
+
+    The batch draws its (bs, K) messages from (seed, "block/messages", bi),
+    one slot per trial and user from the (seed, "block/encode", bi) encode
+    streams, and its noise from (seed, "block/noise", bi) in one transmit
+    of the (K, bs*n) symbols laid out trial-major.  Every draw is a prefix
+    of the full batch's, so a trial's flags never depend on the trial count.
+    """
+    seed, K, n = run.cfg.master_seed, run.cfg.K, run.cfg.n
+    msgs = stream(seed, "block/messages", bi).integers(0, run.codebooks[0].B, size=(bs, K))
+    enc_seed = substream(seed, "block/encode", bi)
+    v = np.stack([encode(cb, msgs[:, k], enc_seed) for k, cb in enumerate(run.codebooks)], axis=-1)
+    dec = run.link.decode(v.reshape(bs * n, K), substream(seed, "block/noise", bi))
+    dec = dec.reshape(bs, n, K)
+    recovered = np.stack(decode_messages([dec[..., k] for k in range(K)], run.codebooks), axis=-1)
+    return np.any(recovered != msgs, axis=1), np.any(recovered < 0, axis=1)
+
+
 def run_block_trials(cfg: SimConfig) -> BlockReport:
     """Full encode/transmit/decode pipeline at the top of the power grid.
 
     A trial errs when any user's recovered bin differs from its message
-    (a sequence missing from the table counts as an error too).
+    (a sequence missing from the table counts as an error too).  Trials
+    run in batches of ``TRIAL_BATCH``; each batch draws from its own
+    message, encode and noise streams (``_block_batch``), so no stream is
+    derived per trial.
     """
-    gains = cfg.resolve_gains()
-    g = normalize_gains(gains)
-    P = cfg.P_grid[-1]
-    P_t = effective_power(gains, P)
-    Q, A = select_params(P_t, cfg.K, cfg.epsilon)
-    B, L = derive_code_sizes(cfg, Q)
-    codebooks = [
-        build_codebook(cfg.n, Q, B, L, substream(cfg.master_seed, "block/codebook"), user_k=k)
-        for k in range(cfg.K)
-    ]
-    amp = A * abs(g.scale)
-    rc = received_constellation(g, Q, amp, cap=cfg.cap)
-    sgn = 1.0 if g.scale >= 0 else -1.0
-    noise = NoiseModel(cfg.variance)
+    run = _block_setup(cfg)
+    errors = failures = 0
+    for bi, bs in _batches(cfg.trials):
+        err, fail = _block_batch(run, bi, bs)
+        errors += int(np.count_nonzero(err))
+        failures += int(np.count_nonzero(fail))
 
-    errors = 0
-    failures = 0
-    for t in range(cfg.trials):
-        msgs = stream(cfg.master_seed, "block/messages", t).integers(0, B, size=cfg.K)
-        enc_seed = substream(cfg.master_seed, "block/encode", t)
-        x = np.empty((cfg.K, cfg.n))
-        for k in range(cfg.K):
-            xt = encode(codebooks[k], int(msgs[k]), enc_seed)
-            x[k] = scale_to_channel(xt, A, gains.h_e[k])
-        y, _ = transmit(x, gains, noise, substream(cfg.master_seed, "block/noise", t))
-        dec = hard_decode(sgn * y, rc)  # (n, K)
-        recovered = decode_messages([dec[:, k] for k in range(cfg.K)], codebooks)
-        trial_fail = any(r is None for r in recovered)
-        failures += int(trial_fail)
-        if trial_fail or any(r != int(w) for r, w in zip(recovered, msgs)):
-            errors += 1
-
+    cb0 = run.codebooks[0]
     ci_low, ci_high = wilson_interval(errors, cfg.trials)
-    cross = sum(cb.duplicate_stats().cross_bin_duplicates for cb in codebooks)
+    cross = sum(cb.duplicate_stats().cross_bin_duplicates for cb in run.codebooks)
     return BlockReport(
-        P=P,
-        P_tilde=P_t,
-        Q=Q,
-        A=A,
+        P=cfg.P_grid[-1],
+        P_tilde=run.P_tilde,
+        Q=run.Q,
+        A=run.link.A,
         n=cfg.n,
-        B=B,
-        L=L,
-        rate_bits_per_user=math.log2(B) / cfg.n,
+        B=cb0.B,
+        L=cb0.L,
+        rate_bits_per_user=math.log2(cb0.B) / cfg.n,
         trials=cfg.trials,
         block_errors=errors,
         bler=errors / cfg.trials,
@@ -378,7 +433,7 @@ def run_block_trials(cfg: SimConfig) -> BlockReport:
         bler_ci_high=ci_high,
         decode_failures=failures,
         cross_bin_duplicates=cross,
-        gains=gains,
+        gains=run.link.gains,
         master_seed=cfg.master_seed,
     )
 
@@ -441,6 +496,7 @@ class LeakageRunReport:
             "master_seed": self.master_seed,
             "h": ",".join(fmt(x) for x in self.gains.h),
             "h_e": ",".join(fmt(x) for x in self.gains.h_e),
+            "stream_layout": STREAM_LAYOUT["leakage"],
         }
 
 
@@ -480,9 +536,8 @@ def run_leakage(cfg: SimConfig) -> LeakageRunReport:
         tuples = np.empty((n, cfg.K), dtype=np.int64)
         z = np.empty(n)
         sd = math.sqrt(cfg.variance)
-        for b0 in range(0, n, TRIAL_BATCH):
-            bs = min(TRIAL_BATCH, n - b0)
-            bi = b0 // TRIAL_BATCH
+        for bi, bs in _batches(n):
+            b0 = bi * TRIAL_BATCH
             v = stream(cfg.master_seed, "leakage/input", bi).integers(
                 -Q, Q + 1, size=(bs, cfg.K)
             )

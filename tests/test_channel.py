@@ -98,6 +98,12 @@ class TestEffectivePower:
             with pytest.raises(ParameterError):
                 effective_power(gains, bad)
 
+    def test_non_finite_power(self):
+        gains = ChannelGains(h=(1, 1), h_e=(1, 1))
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ParameterError):
+                effective_power(gains, bad)
+
     def test_monotone(self):
         gains = ChannelGains(h=(1, 1), h_e=(0.8, 1.7))
         powers = [effective_power(gains, p) for p in (1, 2, 5, 10)]

@@ -172,6 +172,16 @@ class TestBlockAndLeakage:
         assert float(row["mi_bits"]) == pytest.approx(float(row["sum_entropy_bits"]))
 
 
+    @pytest.mark.parametrize("command,layout", [("sweep", 1), ("block", 2), ("leakage", 1)])
+    def test_meta_records_stream_layout(self, tmp_path, capsys, command, layout):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SWEEP_CONFIG + "n = 4\n")
+        out_path = tmp_path / "run.csv"
+        assert run(capsys, command, "--config", str(cfg), "--out", str(out_path))[0] == 0
+        meta = (tmp_path / "run.csv.meta").read_text().splitlines()
+        assert f"stream_layout = {layout}" in meta
+
+
 class TestKgRegionEntropy:
     def test_kg_profile(self, tmp_path, capsys):
         out_path = tmp_path / "kg.csv"
@@ -253,3 +263,34 @@ class TestCheck:
     def test_missing_file_exits_2(self, capsys):
         code, _, _ = run(capsys, "check", "/nonexistent/file.csv")
         assert code == 2
+
+
+class TestNonFiniteAndNegativeInputs:
+    """Inputs with no finite value, or a negative seed, exit 2 with one line."""
+
+    def check_exit_2(self, capsys, *argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("grid", ["1e2,nan", "1e2,inf"])
+    def test_sweep_power_grid(self, tmp_path, capsys, grid):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(SWEEP_CONFIG.replace("p_grid = 1e2,1e4", f"p_grid = {grid}"))
+        self.check_exit_2(capsys, "sweep", "--config", str(cfg))
+
+    @pytest.mark.parametrize("p_tilde", ["nan", "inf"])
+    def test_params_p_tilde(self, capsys, p_tilde):
+        self.check_exit_2(capsys, "params", "--p-tilde", p_tilde, "--k", "2", "--eps", "0.1")
+
+    def test_kg_nan_gain(self, capsys):
+        self.check_exit_2(capsys, "kg", "--gains", "nan", "--eps", "0.5", "--n-list", "2,4")
+
+    def test_block_negative_seed(self, tmp_path, capsys):
+        cfg = tmp_path / "block.cfg"
+        cfg.write_text(SWEEP_CONFIG + "n = 4\n")
+        self.check_exit_2(capsys, "block", "--config", str(cfg), "--seed", "-1")
+
+    @pytest.mark.parametrize("gains", [f"{10**400}/1,1", f"{10**400}/1,1/1"])
+    def test_dmin_exact_gain_past_float_range(self, capsys, gains):
+        self.check_exit_2(capsys, "dmin", "--gains", gains, "--q", "1", "--a", "1")

@@ -22,6 +22,8 @@ from secmac import (
     select_params,
     transmit,
 )
+from secmac.codec import Codebook, DuplicateStats
+from secmac.constellation import mixed_radix_digits
 from secmac.rng import stream
 
 S2 = math.sqrt(2)
@@ -82,6 +84,16 @@ class TestEncode:
                     break
         freqs = counts / 10_000
         assert np.all(np.abs(freqs - 0.25) < 0.02)
+
+    def test_batch_encode(self):
+        cb = build_codebook(n=3, Q=2, B=4, L=3, seed=5)
+        w = np.array([[0, 3], [2, 2]])
+        x = encode(cb, w, seed=1)
+        assert x.shape == (2, 2, 3)
+        assert cb.bin_of(x).tolist() == w.tolist()
+        assert np.array_equal(encode(cb, w, seed=1), x)
+        with pytest.raises(ParameterError):
+            encode(cb, np.array([0, 4]), seed=1)
 
     def test_message_range(self):
         cb = build_codebook(n=2, Q=1, B=3, L=2, seed=0)
@@ -191,6 +203,59 @@ class TestDecodeMessages:
         cb = build_codebook(n=3, Q=1, B=2, L=1, seed=0)
         with pytest.raises(ParameterError):
             decode_messages([np.zeros(2, dtype=int)], [cb])
+
+
+def brute_duplicate_stats(cb):
+    owners = {}
+    for b in range(cb.B):
+        for l in range(cb.L):
+            owners.setdefault(tuple(cb.table[b, l]), set()).add(b)
+    cross = sum(len(bins) > 1 for bins in owners.values())
+    return DuplicateStats(cb.B * cb.L, len(owners), cross)
+
+
+def brute_first_bin(cb, seq):
+    for b in range(cb.B):
+        for l in range(cb.L):
+            if np.array_equal(cb.table[b, l], seq):
+                return b
+    return -1
+
+
+class TestSortedIndex:
+    CASES = [(1, 1, 1, 5), (2, 1, 6, 1), (2, 1, 3, 3), (3, 2, 4, 4), (1, 2, 7, 2), (2, 1, 1, 1)]
+
+    @pytest.mark.parametrize("n,Q,B,L", CASES)
+    def test_duplicate_stats_match_brute_force(self, n, Q, B, L):
+        cross = 0
+        for seed in range(25):
+            cb = build_codebook(n, Q, B, L, seed=seed)
+            stats = cb.duplicate_stats()
+            assert stats == brute_duplicate_stats(cb)
+            cross += stats.cross_bin_duplicates
+        # B = 1 cannot duplicate across bins; the other cases must, sometimes
+        assert (cross == 0) == (B == 1)
+
+    @pytest.mark.parametrize("n,Q,B,L", CASES)
+    def test_batch_lookup_is_first_match(self, n, Q, B, L):
+        # every sequence of the space, once as a batch and once row by row
+        space = mixed_radix_digits(np.arange((2 * Q + 1) ** n), n, Q)
+        for seed in range(5):
+            cb = build_codebook(n, Q, B, L, seed=seed)
+            want = [brute_first_bin(cb, seq) for seq in space]
+            assert cb.bin_of(space).tolist() == want
+            assert [cb.bin_of(seq) for seq in space] == [None if w < 0 else w for w in want]
+            assert cb.bin_of(space.reshape(-1, 1, n)).shape == (space.shape[0], 1)
+
+    def test_empty_table_rejected(self):
+        with pytest.raises(ParameterError):
+            Codebook(n=2, Q=1, B=0, L=2, seed=0, user_k=0, table=np.zeros((0, 2, 2), dtype=int))
+
+    def test_bad_shape(self):
+        cb = build_codebook(n=3, Q=1, B=2, L=2, seed=0)
+        for bad in (np.zeros((4, 2), dtype=int), np.int64(1)):
+            with pytest.raises(ParameterError):
+                cb.bin_of(bad)
 
 
 class TestSerialization:

@@ -86,6 +86,11 @@ class TestSelectParams:
         with pytest.raises(ParameterError, match="infeasible"):
             select_params(0.5, 2, 0.1)
 
+    def test_non_finite_power(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ParameterError, match="finite"):
+                select_params(bad, 2, 0.1)
+
     @pytest.mark.parametrize("K", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("eps", [0.01, 0.1, 0.5])
     def test_power_feasibility(self, K, eps):

@@ -104,6 +104,9 @@ class TestMinLinearForm:
             min_linear_form([], 4)
         with pytest.raises(ParameterError):
             min_linear_form([S2], 0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ParameterError):
+                min_linear_form([S2, bad], 4)
 
 
 class TestKGProfile:

@@ -15,12 +15,28 @@ from secmac import (
     sum_rate_lower_bound,
     wilson_interval,
 )
+from secmac.simulate import TRIAL_BATCH, _batches, _block_batch, _block_setup
 
 S2 = math.sqrt(2)
+S3 = math.sqrt(3)
 
 SWEEP_CFG = dict(
     K=2, epsilon=0.5, P_grid=(1e2, 1e4, 1e6), h=(S2, 1.0), h_e=(1.0, 1.0), master_seed=7
 )
+
+
+# Block-vs-sweep oracle configs: K=2, K=3 and a variance other than 1, each
+# with symbol errors frequent enough to bound the BLER from both sides and
+# with no cross-bin duplicates in its codebooks.
+ORACLE_CFGS = (
+    dict(K=2, epsilon=0.3, P_grid=(1e4,), h=(S2, 1.0), h_e=(1.0, 1.0), n=5, master_seed=11),
+    dict(K=3, epsilon=0.3, P_grid=(1e6,), h=(S2, S3, 1.0), h_e=(1.0,) * 3, n=5, master_seed=11),
+    dict(
+        K=3, epsilon=0.3, P_grid=(1e5,), h=(S2, S3, 1.0), h_e=(1.0,) * 3, n=4, master_seed=3,
+        variance=4.0,
+    ),
+)
+ORACLE_Z = 4.0
 
 
 class TestWilson:
@@ -53,6 +69,21 @@ class TestSimConfig:
     def test_gains_come_in_pairs(self):
         with pytest.raises(ParameterError):
             SimConfig(K=2, epsilon=0.5, P_grid=(1e2,), h=(1.0, 2.0))
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            dict(P_grid=(1e2, math.nan)),
+            dict(P_grid=(1e2, math.inf)),
+            dict(variance=math.nan),
+            dict(variance=math.inf),
+            dict(master_seed=-1),
+            dict(gains_seed=-1),
+        ],
+    )
+    def test_non_finite_or_negative(self, change):
+        with pytest.raises(ParameterError):
+            SimConfig(**{**dict(K=2, epsilon=0.5, P_grid=(1e2,)), **change})
 
     def test_sampled_gains_deterministic(self):
         a = SimConfig(K=2, epsilon=0.5, P_grid=(1e2,), master_seed=3).resolve_gains()
@@ -170,15 +201,60 @@ class TestBlockTrials:
         assert rep.rate_bits_per_user == math.log2(rep.B) / rep.n
 
     def test_consistency_with_symbol_sweep(self):
-        # block errors at the top grid point should stay within the
-        # union/independence envelope of the per-symbol error rate
-        cfg = SimConfig(**SWEEP_CFG, trials=10_000, n=4)
-        sweep = run_symbol_sweep(SimConfig(**SWEEP_CFG, trials=100_000))
-        pe_symbol = sweep.rows[-1].pe_mc
-        rep = run_block_trials(cfg)
-        union = 1 - (1 - pe_symbol) ** rep.n
-        sigma = math.sqrt(max(rep.bler, 1e-6) * (1 - rep.bler) / rep.trials)
-        assert rep.bler <= union + 2 * sigma + 3e-4
+        # codebook symbols are i.i.d. uniform like the sweep's, so without
+        # cross-bin duplicates a block errs when one of its n symbol tuples
+        # does (a wrong sequence landing in the sent bin is rare in these
+        # sparse tables): BLER = 1 - (1 - p_sym)^n from both sides, within
+        # the Wilson margins of both runs
+        for c in ORACLE_CFGS:
+            sweep = run_symbol_sweep(SimConfig(**c, trials=100_000)).rows[-1]
+            rep = run_block_trials(SimConfig(**c, trials=20_000))
+            assert rep.cross_bin_duplicates == 0
+            sym_lo, sym_hi = wilson_interval(round(sweep.pe_mc * 100_000), 100_000, ORACLE_Z)
+            lo, hi = wilson_interval(rep.block_errors, rep.trials, ORACLE_Z)
+            assert hi >= 1 - (1 - sym_lo) ** rep.n, c
+            assert lo <= 1 - (1 - sym_hi) ** rep.n, c
+
+    def test_flags_do_not_depend_on_trial_count(self):
+        # the first T trials of a run with T + TRIAL_BATCH trials are the
+        # trials of a run with T, across a batch boundary
+        cfg = SimConfig(**ORACLE_CFGS[0], trials=1)
+        run = _block_setup(cfg)
+        assert run.codebooks[0].L > 1  # the slot draws take part
+
+        def flags(trials):
+            parts = [_block_batch(run, bi, bs) for bi, bs in _batches(trials)]
+            return [np.concatenate([p[i] for p in parts]) for i in (0, 1)]
+
+        T = TRIAL_BATCH + 300
+        err, fail = flags(T)
+        err_long, fail_long = flags(T + TRIAL_BATCH)
+        assert np.array_equal(err, err_long[:T])
+        assert np.array_equal(fail, fail_long[:T])
+        assert 0 < fail.sum() <= err.sum() < T
+        rep = run_block_trials(SimConfig(**ORACLE_CFGS[0], trials=T))
+        assert (rep.block_errors, rep.decode_failures) == (err.sum(), fail.sum())
+
+    def test_block_length_past_int64_keys(self):
+        # n = 40, Q = 2: 5^40 sequences, more than 2^63
+        c = dict(K=2, epsilon=0.5, P_grid=(1e4,), h=(S2, 1.0), h_e=(1.0, 1.0), n=40)
+        noiseless = run_block_trials(SimConfig(**c, trials=200, variance=0.0))
+        assert noiseless.Q == 2 and 5**40 > 2**63
+        assert (noiseless.block_errors, noiseless.decode_failures) == (0, 0)
+        assert noiseless.cross_bin_duplicates == 0
+        rep = run_block_trials(SimConfig(**c, trials=2000))
+        assert 0 < rep.block_errors < rep.trials
+
+        cb = _block_setup(SimConfig(**c)).codebooks[0]
+        rng = np.random.default_rng(0)
+        rows = cb.table.reshape(-1, cb.n)[rng.integers(0, cb.B * cb.L, 100)]
+        near = rows.copy()
+        near[:, -1] = np.where(near[:, -1] < cb.Q, near[:, -1] + 1, -cb.Q)
+        batch = np.concatenate([rows, near, rng.integers(-cb.Q, cb.Q + 1, size=(100, cb.n))])
+        got = cb.bin_of(batch)
+        want = [cb.bin_of(r) for r in batch]
+        assert got.tolist() == [-1 if w is None else w for w in want]
+        assert all(w is not None for w in want[:100])
 
 
 class TestLeakageRun:
@@ -235,3 +311,4 @@ class TestLeakageRun:
             master_seed=5,
         )
         assert run_leakage(cfg) == run_leakage(cfg)
+
