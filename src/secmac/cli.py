@@ -11,6 +11,7 @@ constellation is not uniquely decodable), 3 computational cap.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from fractions import Fraction
@@ -315,7 +316,9 @@ def cmd_check(args) -> int:
     return 2
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parsing does not change it)."""
     parser = argparse.ArgumentParser(
         prog="secmac",
         description="Secure integer-constellation coding toolkit for the Gaussian MAC",

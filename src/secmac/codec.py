@@ -167,6 +167,33 @@ def hard_decode(y: np.ndarray, rc: ReceivedConstellation) -> np.ndarray:
     return mixed_radix_digits(rc.index[sel], rc.K, rc.Q)
 
 
+def point_ranks(rc: ReceivedConstellation) -> np.ndarray:
+    """Sorted position of each symbol tuple's point, by mixed-radix index.
+
+    Needs gamma to hold, so that every tuple has a point of its own.
+    """
+    if not rc.gamma_holds:
+        raise AmbiguityError(f"cannot hard-decode: gamma status is {rc.gamma.value}")
+    ranks = np.empty(rc.points.size, dtype=np.int64)
+    ranks[rc.index] = np.arange(rc.points.size)
+    return ranks
+
+
+def nearest_is(y: np.ndarray, rc: ReceivedConstellation, pos: np.ndarray) -> np.ndarray:
+    """Whether ``hard_decode`` would pick the point at sorted position
+    ``pos`` for each sample of ``y``.
+
+    Each sample is tested against its own decision cell only, with the
+    same float expressions and tie rule as ``hard_decode``: O(1) per
+    sample, with no search and no digit expansion.
+    """
+    pts = rc.points
+    p = pts[pos]
+    upper_ok = (y - p <= pts.take(pos + 1, mode="clip") - y) | (pos == pts.size - 1)
+    lower_ok = (y - pts.take(pos - 1, mode="clip") > p - y) | (pos == 0)
+    return np.where(y >= p, upper_ok, lower_ok)
+
+
 def decode_messages(
     decoded: Sequence[np.ndarray], codebooks: Sequence[Codebook]
 ) -> list[int | None | np.ndarray]:

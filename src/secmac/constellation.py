@@ -111,17 +111,33 @@ def mixed_radix_digits(index, K: int, Q: int) -> np.ndarray:
     return np.moveaxis(out, 0, -1)
 
 
+def mixed_radix_index(digits, K: int, Q: int) -> np.ndarray:
+    """Mixed-radix indices of symbol tuples in [-Q, Q]^K, shape (..., K) -> (...).
+
+    The inverse of ``mixed_radix_digits``.  Raises ``SizeCapError`` when
+    (2Q+1)^K does not fit in int64, so an index never wraps around.
+    """
+    base = 2 * Q + 1
+    if base**K > 2**63:
+        raise SizeCapError(f"(2Q+1)^K = {base}^{K} does not fit an int64 index")
+    digits = np.asarray(digits, dtype=np.int64)
+    index = np.zeros(digits.shape[:-1], dtype=np.int64)
+    for k in range(K):
+        index = index * base + (digits[..., k] + Q)
+    return index
+
+
 def tuple_sums(coefs, Q: int, dtype=float) -> np.ndarray:
     """sum_k coefs[k] * v_k for every v in [-Q, Q]^K, in mixed-radix order.
 
     Users are added one at a time, first user first, in ``dtype``
-    arithmetic (``object`` gives exact Python ints).
+    arithmetic (``object`` gives exact Python ints); each step is an
+    outer sum, so no digit table is built.
     """
-    K = len(coefs)
-    digits = mixed_radix_digits(np.arange((2 * Q + 1) ** K), K, Q)
-    vals = np.zeros(digits.shape[0], dtype=dtype)
-    for k, c in enumerate(coefs):
-        vals += c * digits[:, k].astype(dtype, copy=False)
+    sym = np.arange(-Q, Q + 1).astype(dtype)
+    vals = np.zeros(1, dtype=dtype)
+    for c in coefs:
+        vals = np.add.outer(vals, c * sym).ravel()
     return vals
 
 
@@ -154,9 +170,12 @@ def received_constellation(
     else:
         D = 1
         sums = tuple_sums(g.as_floats(), Q)
-    order = np.argsort(sums, kind="stable")
+    order = np.argsort(sums)
     sv = sums[order]
     keep = np.concatenate(([True], sv[1:] != sv[:-1]))
+    if not keep.all():  # distinct sums sort one way; ties need the stable order
+        order = np.argsort(sums, kind="stable")
+        sv = sums[order]
     try:
         points = A * np.asarray(sv[keep] / D, dtype=float)
     except OverflowError:  # an exact point past the float range

@@ -16,6 +16,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .constellation import mixed_radix_index
 from .errors import ParameterError, SizeCapError
 
 JOINT_TABLE_CAP = 10_000_000
@@ -311,18 +312,25 @@ def leakage_estimate(
     else:
         bins = np.floor(z / bin_width).astype(np.int64)
 
-    _, tuple_ids = np.unique(x_tuples, axis=0, return_inverse=True)
-    _, bin_ids = np.unique(bins, return_inverse=True)
-    n_inputs = int(tuple_ids.max()) + 1
-    n_bins = int(bin_ids.max()) + 1
-    counts = np.zeros((n_inputs, n_bins))
-    np.add.at(counts, (tuple_ids, bin_ids), 1.0)
-    mi = mutual_information(counts / n)
-
     K = x_tuples.shape[1]
+    if (2 * Q + 1) ** K < 2**63:
+        _, tuple_ids = np.unique(mixed_radix_index(x_tuples, K, Q), return_inverse=True)
+    else:  # no int64 key for this alphabet: compare whole rows
+        _, tuple_ids = np.unique(x_tuples, axis=0, return_inverse=True)
+    _, bin_ids, bin_counts = np.unique(bins, return_inverse=True, return_counts=True)
+    # only occupied cells are counted: joint keys stay below n^2
+    joint = tuple_ids * bin_counts.size + bin_ids
+    _, joint_counts = np.unique(joint, return_counts=True)
+    mi = max(
+        0.0,
+        entropy_bits(np.bincount(tuple_ids) / n)
+        + entropy_bits(bin_counts / n)
+        - entropy_bits(joint_counts / n),
+    )
+
     h_sum = sum_entropy(K, Q)
     h_in = K * math.log2(2 * Q + 1)
-    occupied = int(np.count_nonzero(counts))
+    occupied = joint_counts.size
     return LeakageReport(
         mi_bits=mi,
         sum_entropy_bits=h_sum,
@@ -330,7 +338,7 @@ def leakage_estimate(
         residual_bits=h_in - h_sum,
         bias_bound_bits=(occupied - 1) / (2.0 * n * math.log(2.0)),
         n_samples=n,
-        n_bins=n_bins,
+        n_bins=bin_counts.size,
         K=K,
         Q=Q,
     )

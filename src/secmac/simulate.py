@@ -4,8 +4,9 @@ Every random draw is keyed by (master seed, purpose, grid index, batch
 index) with a fixed batch size of ``TRIAL_BATCH``, so reports are
 bit-identical across runs and do not depend on how trials might be
 distributed over workers.  Sweep and block batches share one channel
-step: symbol tuples -> A*v/h_e -> transmit -> hard decode.  Each
-report's ``.meta`` names its ``stream_layout`` version.
+step: symbol tuples -> A*v/h_e -> transmit.  Block hard-decodes the
+samples; the sweep only tests each one against its sent point's decision
+cell.  Each report's ``.meta`` names its ``stream_layout`` version.
 """
 
 from __future__ import annotations
@@ -18,11 +19,21 @@ import numpy as np
 
 from . import __version__
 from .channel import ChannelGains, NoiseModel, effective_power, normalize_gains, sample_gains, transmit
-from .codec import Codebook, build_codebook, decode_messages, encode, hard_decode, scale_to_channel
+from .codec import (
+    Codebook,
+    build_codebook,
+    decode_messages,
+    encode,
+    hard_decode,
+    nearest_is,
+    point_ranks,
+    scale_to_channel,
+)
 from .constellation import (
     ENUMERATION_CAP,
     ReceivedConstellation,
     mixed_radix_digits,
+    mixed_radix_index,
     pe_upper_bound,
     received_constellation,
     select_params,
@@ -199,11 +210,16 @@ class _Link(NamedTuple):
     A: float
     sgn: float
 
-    def decode(self, v: np.ndarray, seed) -> np.ndarray:
-        """Symbol tuples (m, K) -> A*v/h_e -> transmit -> hard-decoded (m, K)."""
+    def receive(self, v: np.ndarray, seed) -> np.ndarray:
+        """Symbol tuples (m, K) -> A*v/h_e -> transmit -> (m,) samples, in
+        the sign of the received constellation."""
         x = scale_to_channel(v, self.A, self.gains.h_e).T
         y, _ = transmit(x, self.gains, self.noise, seed)
-        return hard_decode(self.sgn * y, self.rc)
+        return self.sgn * y
+
+    def decode(self, v: np.ndarray, seed) -> np.ndarray:
+        """Symbol tuples (m, K) -> received samples -> hard-decoded (m, K)."""
+        return hard_decode(self.receive(v, seed), self.rc)
 
 
 def _grid_point(cfg: SimConfig, gains: ChannelGains, g, P: float) -> tuple[float, int, _Link]:
@@ -219,13 +235,16 @@ def _sweep_point(cfg: SimConfig, gains: ChannelGains, g, pi: int, P: float) -> S
     P_t, Q, link = _grid_point(cfg, gains, g, P)
     tail, expb = pe_upper_bound(link.rc.d_min)
 
+    # a trial is correct iff the nearest point is the sent tuple's own
+    ranks = point_ranks(link.rc)
     errors = 0
     for bi, bs in _batches(cfg.trials):
         v = stream(cfg.master_seed, "sweep/input", pi, bi).integers(
             -Q, Q + 1, size=(bs, cfg.K)
         )
-        dec = link.decode(v, substream(cfg.master_seed, "sweep/noise", pi, bi))
-        errors += int(np.count_nonzero(np.any(dec != v, axis=1)))
+        y = link.receive(v, substream(cfg.master_seed, "sweep/noise", pi, bi))
+        sent = ranks[mixed_radix_index(v, cfg.K, Q)]
+        errors += bs - int(np.count_nonzero(nearest_is(y, link.rc, sent)))
 
     pe_mc = errors / cfg.trials
     ci_low, ci_high = wilson_interval(errors, cfg.trials)
@@ -251,9 +270,10 @@ def run_symbol_sweep(cfg: SimConfig) -> SweepReport:
     """Per-power-point symbol error simulation against the analytic bounds.
 
     Each grid point builds its received constellation, draws uniform
-    symbol tuples, sends them through the channel, hard-decodes, and
-    counts tuple errors with a Wilson 95% interval.  Any failing grid
-    point aborts the sweep with the offending P in the message.
+    symbol tuples, sends them through the channel, counts the samples
+    that hard decoding would not map back to the sent tuple, and gives
+    a Wilson 95% interval.  Any failing grid point aborts the sweep with
+    the offending P in the message.
     """
     gains = cfg.resolve_gains()
     g = normalize_gains(gains)
@@ -345,6 +365,7 @@ def derive_code_sizes(cfg: SimConfig, Q: int) -> tuple[int, int]:
     Exact-match decoding turns a sequence duplicated across bins into an
     ambiguity, so the table is kept under 1/256 of the sequence space;
     at block lengths where even that is impossible L degenerates to 1.
+    B itself is not capped here; ``_block_setup`` refuses B > table_cap.
     """
     r_user = sum_rate_lower_bound(cfg.K, Q, 0.0) / cfg.K
     B = 2 ** math.ceil(cfg.n * r_user)
@@ -372,6 +393,8 @@ def _block_setup(cfg: SimConfig) -> _BlockRun:
     gains = cfg.resolve_gains()
     P_t, Q, link = _grid_point(cfg, gains, normalize_gains(gains), cfg.P_grid[-1])
     B, L = derive_code_sizes(cfg, Q)
+    if B > cfg.table_cap:  # refused before any table is drawn
+        raise SizeCapError(f"codebook needs B = {B} bins per user, cap is {cfg.table_cap}")
     codebooks = tuple(
         build_codebook(cfg.n, Q, B, L, substream(cfg.master_seed, "block/codebook"), user_k=k)
         for k in range(cfg.K)

@@ -182,6 +182,45 @@ class TestBlockAndLeakage:
         assert f"stream_layout = {layout}" in meta
 
 
+    @pytest.mark.parametrize("k,eps,p,n", [(3, 0.3, "1e6", 20), (2, 0.5, "1e8", 40)])
+    def test_block_table_past_cap_exits_3(self, tmp_path, capsys, k, eps, p, n):
+        cfg = tmp_path / "block.cfg"
+        ones = ",".join(["1"] * k)
+        cfg.write_text(
+            f"k = {k}\nepsilon = {eps}\np_grid = {p}\ntrials = 10\nn = {n}\n"
+            f"h = {ones}\nh_e = {ones}\n"
+        )
+        code, _, err = run(capsys, "block", "--config", str(cfg))
+        assert code == 3
+        assert err.startswith("error: codebook needs B = ") and err.count("\n") == 1
+
+
+class TestParserReuse:
+    """The parser is built once per process; each call parses afresh."""
+
+    def test_repeated_calls_give_identical_output(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(SWEEP_CONFIG)
+        out_path = tmp_path / "sweep.csv"
+        argv = ("sweep", "--config", str(cfg), "--seed", "3", "--out", str(out_path))
+        csvs = []
+        for _ in range(2):
+            assert run(capsys, *argv)[0] == 0
+            csvs.append(out_path.read_text())
+        assert csvs[0] == csvs[1]
+        assert run(capsys, "entropy", "--k", "2", "--q", "1") == run(
+            capsys, "entropy", "--k", "2", "--q", "1"
+        )
+
+    def test_bad_argv_after_good_exits_2(self, capsys):
+        assert run(capsys, "entropy", "--k", "2", "--q", "1")[0] == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["entropy", "--k", "2"])
+        assert exc.value.code == 2
+        assert "--q" in capsys.readouterr().err
+        assert run(capsys, "entropy", "--k", "2", "--q", "1")[0] == 0
+
+
 class TestKgRegionEntropy:
     def test_kg_profile(self, tmp_path, capsys):
         out_path = tmp_path / "kg.csv"

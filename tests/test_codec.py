@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secmac import (
     AmbiguityError,
@@ -22,8 +25,8 @@ from secmac import (
     select_params,
     transmit,
 )
-from secmac.codec import Codebook, DuplicateStats
-from secmac.constellation import mixed_radix_digits
+from secmac.codec import Codebook, DuplicateStats, nearest_is, point_ranks
+from secmac.constellation import mixed_radix_digits, mixed_radix_index
 from secmac.rng import stream
 
 S2 = math.sqrt(2)
@@ -155,6 +158,67 @@ class TestHardDecode:
         rc = received_constellation(NormalizedGains(g=(0.5, 1.0)), 2, 1.0)
         with pytest.raises(AmbiguityError):
             hard_decode(np.zeros(1), rc)
+
+
+def picked_positions(y, rc):
+    """Sorted position of the point hard_decode picks for each sample."""
+    position = {int(i): pos for pos, i in enumerate(rc.index)}
+    picked = mixed_radix_index(hard_decode(y, rc), rc.K, rc.Q)
+    return np.array([position[int(i)] for i in picked])
+
+
+CELL_GAINS = (
+    (S2, 1.0),
+    (-S2, 1.0),
+    (S2, S3, 1.0),
+    (Fraction(3, 11), Fraction(-5, 13), 1),
+    (Fraction(2, 7), 1),
+)
+
+
+class TestDecisionCell:
+    """``nearest_is`` against ``hard_decode`` as the oracle."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        gains=st.sampled_from(CELL_GAINS),
+        Q=st.integers(0, 3),
+        A=st.floats(0.01, 1e4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_agrees_with_hard_decode(self, gains, Q, A, seed):
+        rc = received_constellation(NormalizedGains(g=gains), Q, A)
+        pts = rc.points
+        mids = 0.5 * (pts[:-1] + pts[1:])
+        span = pts[-1] - pts[0] + A
+        rng = np.random.default_rng(seed)
+        y = np.concatenate([
+            pts,
+            mids,
+            np.nextafter(mids, -np.inf),
+            np.nextafter(mids, np.inf),
+            rng.uniform(pts[0] - span, pts[-1] + span, size=200),
+            [pts[0] - 1e3 * span, pts[-1] + 1e3 * span, -np.inf, np.inf],
+        ])
+        want = picked_positions(y, rc)
+        assert nearest_is(y, rc, want).all()
+        for other in (want - 1, want + 1, rng.integers(0, pts.size, size=y.size)):
+            other = np.clip(other, 0, pts.size - 1)
+            assert np.array_equal(nearest_is(y, rc, other), other == want)
+
+    @pytest.mark.parametrize("gains", CELL_GAINS)
+    def test_ranks_place_every_tuple(self, gains):
+        rc = received_constellation(NormalizedGains(g=gains), 2, 3.0)
+        ranks = point_ranks(rc)
+        assert np.array_equal(ranks[rc.index], np.arange(rc.points.size))
+        assert np.array_equal(
+            picked_positions(rc.points, rc), np.arange(rc.points.size)
+        )
+
+    def test_gamma_violation_rejected(self):
+        rc = received_constellation(NormalizedGains(g=(0.5, 1.0)), 2, 1.0)
+        with pytest.raises(AmbiguityError, match="violated"):
+            point_ranks(rc)
 
 
 class TestDecodeMessages:

@@ -24,7 +24,12 @@ from secmac import (
     normalize_gains,
     select_params,
 )
-from secmac.constellation import ReceivedConstellation, mixed_radix_digits
+from secmac.constellation import (
+    ReceivedConstellation,
+    mixed_radix_digits,
+    mixed_radix_index,
+    tuple_sums,
+)
 
 S2 = math.sqrt(2)
 S3 = math.sqrt(3)
@@ -185,6 +190,74 @@ class TestReceivedConstellation:
         digits = mixed_radix_digits(np.arange(27), 3, 1)
         assert digits.tolist() == [list(v) for v in product(range(-1, 2), repeat=3)]
         assert mixed_radix_digits(13, 3, 1).tolist() == [0, 0, 0]
+
+    @settings(max_examples=100, deadline=None)
+    @given(K=st.integers(1, 5), Q=st.integers(0, 4), data=st.data())
+    def test_mixed_radix_index_inverts_digits(self, K, Q, data):
+        M = (2 * Q + 1) ** K
+        index = np.array(data.draw(st.lists(st.integers(0, M - 1), min_size=1, max_size=50)))
+        digits = mixed_radix_digits(index, K, Q)
+        assert np.array_equal(mixed_radix_index(digits, K, Q), index)
+        assert np.array_equal(mixed_radix_index(mixed_radix_digits(np.arange(M), K, Q), K, Q),
+                              np.arange(M))
+
+    def test_mixed_radix_index_refuses_to_wrap(self):
+        # (2Q+1)^2 is just below 2^63 at the first Q and just above at the
+        # second, whose largest index would wrap around in int64
+        Q = 1518500249
+        assert mixed_radix_index([[Q, Q]], 2, Q)[0] == (2 * Q + 1) ** 2 - 1
+        with pytest.raises(SizeCapError):
+            mixed_radix_index([[0, 0]], 2, Q + 1)
+        with pytest.raises(SizeCapError):
+            mixed_radix_index(np.zeros((1, 12), dtype=np.int64), 12, 77)
+
+    @staticmethod
+    def digit_table_sums(coefs, Q, dtype):
+        """The sums as built from the full (M, K) digit table."""
+        K = len(coefs)
+        digits = mixed_radix_digits(np.arange((2 * Q + 1) ** K), K, Q)
+        vals = np.zeros(digits.shape[0], dtype=dtype)
+        for k, c in enumerate(coefs):
+            vals += c * digits[:, k].astype(dtype, copy=False)
+        return vals
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        coefs=st.lists(st.floats(-1e6, 1e6, allow_subnormal=False), min_size=1, max_size=4),
+        Q=st.integers(0, 4),
+    )
+    def test_tuple_sums_match_digit_table_bit_for_bit(self, coefs, Q):
+        got = tuple_sums(coefs, Q)
+        want = self.digit_table_sums(coefs, Q, float)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))  # signed zeros too
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        coefs=st.lists(st.integers(-(10**30), 10**30), min_size=1, max_size=3),
+        Q=st.integers(0, 3),
+    )
+    def test_tuple_sums_match_digit_table_exactly(self, coefs, Q):
+        got = tuple_sums(coefs, Q, object)
+        assert got.tolist() == self.digit_table_sums(coefs, Q, object).tolist()
+        assert all(type(v) is int for v in got.tolist())
+        small = [c % 1000 - 500 for c in coefs]
+        assert np.array_equal(tuple_sums(small, Q, np.int64),
+                              self.digit_table_sums(small, Q, np.int64))
+
+    @pytest.mark.parametrize("gains", [(0.5, 1.0), (Fraction(1, 2), 1), (0.25, 0.5, 1.0)])
+    def test_collided_points_keep_their_first_tuple(self, gains):
+        # tied sums fall back to the stable order: each point keeps the
+        # first tuple, in mixed-radix order, that lands on it
+        Q = 2
+        rc = received_constellation(NormalizedGains(g=gains), Q, 1.0)
+        assert rc.gamma is GammaStatus.VIOLATED
+        tuples = mixed_radix_digits(np.arange(rc.full_size), len(gains), Q)
+        sums = [sum(Fraction(g) * int(v) for g, v in zip(gains, row)) for row in tuples]
+        first = {}
+        for i, s in enumerate(sums):
+            first.setdefault(s, i)
+        assert rc.index.tolist() == [first[s] for s in sorted(first)]
 
     @settings(max_examples=150, deadline=None)
     @example(

@@ -3,6 +3,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secmac import (
     DiscreteMACSpec,
@@ -364,6 +366,55 @@ class TestLeakageEstimate:
         z = tuples.sum(axis=1).astype(float)
         with pytest.raises(ParameterError, match="alphabet"):
             leakage_estimate(tuples, z, 0.5, 1)
+
+    @staticmethod
+    def dense_reference(tuples, z, bin_width):
+        """(mi_bits, n_bins, occupied) from the full (tuples x bins) table."""
+        bins = np.floor(z / bin_width).astype(np.int64) if math.isfinite(bin_width) else 0 * z
+        rows = sorted(set(map(tuple, tuples.tolist())))
+        cols = sorted(set(bins.tolist()))
+        table = np.zeros((len(rows), len(cols)))
+        r_of, c_of = {r: i for i, r in enumerate(rows)}, {c: j for j, c in enumerate(cols)}
+        for t, b in zip(map(tuple, tuples.tolist()), bins.tolist()):
+            table[r_of[t], c_of[b]] += 1
+        return mutual_information(table / len(z)), len(cols), int(np.count_nonzero(table))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        K=st.integers(1, 3),
+        Q=st.integers(0, 3),
+        sd=st.sampled_from([0.0, 0.3, 2.0]),
+        bin_width=st.sampled_from([0.25, 1.0, 7.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_sparse_counts_match_dense_table(self, K, Q, sd, bin_width, seed):
+        rng = np.random.default_rng(seed)
+        tuples = rng.integers(-Q, Q + 1, size=(1500, K))
+        z = tuples.sum(axis=1) + sd * rng.standard_normal(1500)
+        rep = leakage_estimate(tuples, z, bin_width, Q)
+        mi, n_bins, occupied = self.dense_reference(tuples, z, bin_width)
+        assert rep.mi_bits == pytest.approx(mi, abs=1e-12)
+        assert rep.n_bins == n_bins
+        assert rep.bias_bound_bits == (occupied - 1) / (2 * rep.n_samples * math.log(2))
+
+    def test_infinite_bin_width_is_exactly_zero(self):
+        rng = np.random.default_rng(5)
+        tuples = rng.integers(-4, 5, size=(5000, 3))
+        rep = leakage_estimate(tuples, rng.standard_normal(5000), math.inf, 4)
+        assert rep.mi_bits == 0.0 and rep.n_bins == 1
+
+    def test_alphabet_past_int64_falls_back_to_rows(self):
+        # (2*77 + 1)^12 > 2^63: tuple ids come from the rows themselves
+        assert 155**12 > 2**63
+        rng = np.random.default_rng(1)
+        tuples = rng.integers(-77, 78, size=(1200, 12))
+        tuples[600:] = tuples[:600]  # every tuple seen twice
+        z = rng.standard_normal(1200)
+        rep = leakage_estimate(tuples, z, 0.5, 77)
+        mi, n_bins, occupied = self.dense_reference(tuples, z, 0.5)
+        assert rep.mi_bits == pytest.approx(mi, abs=1e-12)
+        assert (rep.n_bins, rep.K, rep.Q) == (n_bins, 12, 77)
+        assert rep.bias_bound_bits == (occupied - 1) / (2 * 1200 * math.log(2))
 
     def test_bias_bound_formula(self):
         tuples = self.exhaustive_tuples(2, 1, 112)

@@ -6,6 +6,7 @@ import pytest
 from secmac import (
     ParameterError,
     SimConfig,
+    SizeCapError,
     run_block_trials,
     run_leakage,
     run_symbol_sweep,
@@ -15,7 +16,16 @@ from secmac import (
     sum_rate_lower_bound,
     wilson_interval,
 )
-from secmac.simulate import TRIAL_BATCH, _batches, _block_batch, _block_setup
+from secmac.channel import normalize_gains
+from secmac.rng import stream, substream
+from secmac.simulate import (
+    TRIAL_BATCH,
+    _batches,
+    _block_batch,
+    _block_setup,
+    _grid_point,
+    derive_code_sizes,
+)
 
 S2 = math.sqrt(2)
 S3 = math.sqrt(3)
@@ -170,6 +180,36 @@ class TestSymbolSweep:
         rep = run_symbol_sweep(cfg)
         assert rep.rows[0].pe_mc == 0.0
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            dict(SWEEP_CFG, variance=4.0),
+            dict(SWEEP_CFG, variance=0.0),
+            # negative normalisation scale: the samples are sign-flipped
+            dict(K=2, epsilon=0.5, P_grid=(1e2, 1e4), h=(1.3, -0.9), h_e=(1.0, 1.1)),
+            dict(K=3, epsilon=0.3, P_grid=(1e3, 1e5), master_seed=4, variance=2.0),
+        ],
+    )
+    def test_error_counts_match_hard_decoding(self, cfg):
+        # the decision-cell count against a full hard decode of the same draws
+        cfg = SimConfig(**cfg, trials=TRIAL_BATCH + 500)
+        gains = cfg.resolve_gains()
+        g = normalize_gains(gains)
+        want = []
+        for pi, P in enumerate(cfg.P_grid):
+            _, Q, link = _grid_point(cfg, gains, g, P)
+            errors = 0
+            for bi, bs in _batches(cfg.trials):
+                v = stream(cfg.master_seed, "sweep/input", pi, bi).integers(
+                    -Q, Q + 1, size=(bs, cfg.K)
+                )
+                dec = link.decode(v, substream(cfg.master_seed, "sweep/noise", pi, bi))
+                errors += int(np.count_nonzero(np.any(dec != v, axis=1)))
+            want.append(errors)
+        got = [round(r.pe_mc * cfg.trials) for r in run_symbol_sweep(cfg).rows]
+        assert got == want
+        assert cfg.variance == 0 or sum(want) > 0
+
     def test_failing_grid_point_names_p(self):
         cfg = SimConfig(
             K=2,
@@ -214,6 +254,19 @@ class TestBlockTrials:
             lo, hi = wilson_interval(rep.block_errors, rep.trials, ORACLE_Z)
             assert hi >= 1 - (1 - sym_lo) ** rep.n, c
             assert lo <= 1 - (1 - sym_hi) ** rep.n, c
+
+    @pytest.mark.parametrize("K,eps,P,n,B", [(3, 0.3, 1e6, 20, 2**26), (2, 0.5, 1e8, 40, 2**36)])
+    def test_bin_count_past_table_cap_is_refused(self, K, eps, P, n, B, monkeypatch):
+        # refused before any table is drawn (the first would need 10.7 GB)
+        cfg = SimConfig(K=K, epsilon=eps, P_grid=(P,), n=n, h=(1.0,) * K, h_e=(1.0,) * K)
+        assert derive_code_sizes(cfg, select_params(P, K, eps).Q)[0] == B > cfg.table_cap
+
+        def no_table(*args, **kwargs):
+            raise AssertionError("a codebook was drawn")
+
+        monkeypatch.setattr("secmac.simulate.build_codebook", no_table)
+        with pytest.raises(SizeCapError, match=f"B = {B} bins per user, cap is 65536"):
+            run_block_trials(cfg)
 
     def test_flags_do_not_depend_on_trial_count(self):
         # the first T trials of a run with T + TRIAL_BATCH trials are the
