@@ -59,6 +59,7 @@ from .secrecy import (
     LeakageReport,
     RateRegion,
     achievable_region,
+    composition_counts,
     leakage_estimate,
     load_mac_spec,
     mutual_information,

@@ -53,7 +53,10 @@ def _float_list(text: str) -> tuple[float, ...]:
 
 
 def _gain_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in parse_gain_list(text))
+    try:
+        return tuple(float(v) for v in parse_gain_list(text))
+    except OverflowError:
+        raise ParameterError("a gain lies outside the float64 range") from None
 
 
 CONFIG_KEYS = {
@@ -176,8 +179,8 @@ def _normalized_from_tokens(tokens: list[float | Fraction]) -> NormalizedGains:
         else:
             g = tuple(float(t) / float(last) for t in tokens[:-1]) + (1.0,)
         scale = float(last)
-    except OverflowError:
-        raise ParameterError("a gain lies beyond the float64 range") from None
+    except (OverflowError, ZeroDivisionError):  # a float past the range, or one that underflows to 0
+        raise ParameterError("a gain lies outside the float64 range") from None
     return NormalizedGains(g=g, scale=scale)
 
 
@@ -238,8 +241,11 @@ def cmd_leakage(args) -> int:
 
 def cmd_kg(args) -> int:
     t0 = time.monotonic()
-    gains = [float(v) for v in parse_gain_list(args.gains)]
-    n_list = [int(t) for t in args.n_list.split(",") if t.strip()]
+    gains = _gain_floats(args.gains)
+    try:
+        n_list = [int(t) for t in args.n_list.split(",") if t.strip()]
+    except ValueError:
+        raise ParameterError(f"bad N list {args.n_list!r}: need comma-separated integers") from None
     profile = kg_profile(gains, args.eps, n_list)
     lines = ["N,m,m_scaled"]
     for N, m, scaled in profile.rows:

@@ -56,8 +56,11 @@ def select_params(P_tilde: float, K: int, epsilon: float) -> SelectedParams:
         raise ParameterError(
             f"infeasible power P_tilde={P_tilde}: constellation bound Q would be 0"
         )
-    q_exp = (1.0 - epsilon) / (2.0 * (K + epsilon))
-    a_exp = (K - 1.0 + 2.0 * epsilon) / (2.0 * (K + epsilon))
+    try:
+        q_exp = (1.0 - epsilon) / (2.0 * (K + epsilon))
+        a_exp = (K - 1.0 + 2.0 * epsilon) / (2.0 * (K + epsilon))
+    except OverflowError:
+        raise ParameterError(f"K = {K} lies beyond the float64 range") from None
     Q = int(math.floor(P_tilde**q_exp))
     A = float(P_tilde**a_exp)
     # the closed forms satisfy A^2 Q^2 <= P_tilde exactly; nudge A down by

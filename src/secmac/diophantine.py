@@ -21,6 +21,7 @@ from .constellation import mixed_radix_digits, tuple_sums
 from .errors import ParameterError, SizeCapError
 
 SEARCH_CAP = 100_000_000
+_BLOCK_CELLS = 1 << 20  # floats per evaluated block of q_j rows
 
 
 @dataclass(frozen=True)
@@ -71,22 +72,32 @@ def min_linear_form(g: Sequence[float], N: int) -> LinearFormResult:
     best_s = 0.0
 
     # Canonical region: q_j > 0 for the first nonzero coordinate j, the
-    # coordinates before it zero and the rest free.
+    # coordinates before it zero and the rest free.  A block holds the rows
+    # of consecutive q_j; row-major order over (q_j, tail index) is
+    # lexicographic order of q, so argmin's first hit is the block's
+    # smallest tied q.
     for j in range(m):
         tail = g[j + 1 :]
         inner = tuple_sums(tail, N)
-        for qj in range(1, N + 1):
-            s = qj * g[j] + inner
-            vals = np.abs(s - np.rint(s))
-            v = float(vals.min())
-            if v > best_val:
+        rows = max(1, _BLOCK_CELLS // inner.size)
+        for lo in range(1, N + 1, rows):
+            qs = np.arange(lo, min(lo + rows, N + 1))
+            with np.errstate(over="ignore", invalid="ignore"):
+                s = (qs * g[j])[:, None] + inner
+                vals = np.abs(s - np.rint(s))
+            k = int(vals.argmin())
+            if math.isnan(vals.flat[k]):  # a row with an overflowed s is skipped whole
+                vals[np.isnan(vals).any(axis=1)] = math.inf
+                k = int(vals.argmin())
+            v = float(vals.flat[k])
+            if v > best_val or v == math.inf:
                 continue
-            for idx in np.flatnonzero(vals == vals.min()):
-                q = (0,) * j + (qj,) + tuple(mixed_radix_digits(idx, len(tail), N).tolist())
-                if v < best_val or q < best_q:
-                    best_val = v
-                    best_q = q
-                    best_s = float(s[idx])
+            row, idx = divmod(k, inner.size)
+            q = (0,) * j + (int(qs[row]),) + tuple(mixed_radix_digits(idx, len(tail), N).tolist())
+            if v < best_val or q < best_q:
+                best_val = v
+                best_q = q
+                best_s = float(s[row, idx])
 
     assert best_q is not None
     p = int(np.rint(-best_s))
@@ -100,11 +111,17 @@ def kg_profile(g: Sequence[float], epsilon: float, N_list: Sequence[int]) -> KGP
         raise ParameterError("empty N list")
     if any(b <= a for a, b in zip(N_list, N_list[1:])):
         raise ParameterError(f"N list must be strictly increasing, got {N_list}")
+    if not math.isfinite(epsilon):
+        raise ParameterError(f"epsilon must be finite, got {epsilon}")
     exponent = len(g) + epsilon
     rows = []
     for N in N_list:
         m_val = min_linear_form(g, N).value
-        rows.append((N, m_val, m_val * float(N) ** exponent))
+        try:
+            scale = float(N) ** exponent
+        except OverflowError:
+            raise ParameterError(f"N^(m+eps) = {N}^{exponent} overflows float64") from None
+        rows.append((N, m_val, m_val * scale))
     return KGProfile(
         epsilon=epsilon, rows=tuple(rows), c_hat=min(r[2] for r in rows)
     )

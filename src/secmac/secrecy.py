@@ -188,11 +188,12 @@ def region_contains(region: RateRegion, rates: Sequence[float], slack: float = 1
     return sum(rates) <= region.sum_bound + slack
 
 
-def sum_entropy(K: int, Q: int) -> float:
-    """Exact entropy in bits of the sum of K i.i.d. uniforms on [-Q, Q].
+def composition_counts(K: int, Q: int) -> list[int]:
+    """Exact counts of the tuples in [-Q, Q]^K by their sum, from -KQ to KQ.
 
-    Composition counts come from K-1 exact integer convolutions, so the
-    only rounding is in the final log2.
+    Each added user convolves the counts with the (2Q+1)-wide box, taken
+    as a window sum: a shifted difference of prefix sums over Python ints,
+    so no count is ever rounded.
     """
     if K < 1:
         raise ParameterError(f"K must be >= 1, got {K}")
@@ -202,18 +203,24 @@ def sum_entropy(K: int, Q: int) -> float:
     if support > JOINT_TABLE_CAP:
         raise SizeCapError(f"sum support {support} exceeds cap {JOINT_TABLE_CAP}")
     if Q == 0:
-        return 0.0
+        return [1]
     width = 2 * Q + 1
-    counts = [1] * width
+    counts = np.ones(width, dtype=object)
+    pad = np.zeros(width, dtype=object)
     for _ in range(K - 1):
-        new = [0] * (len(counts) + width - 1)
-        for i, c in enumerate(counts):
-            for j in range(width):
-                new[i + j] += c
-        counts = new
-    total = width**K
-    log_total = math.log2(total)
-    return log_total - sum(c * math.log2(c) for c in counts if c > 1) / total
+        prefix = np.cumsum(np.concatenate((pad, counts, pad[1:])))
+        counts = prefix[width:] - prefix[:-width]
+    return counts.tolist()
+
+
+def sum_entropy(K: int, Q: int) -> float:
+    """Exact entropy in bits of the sum of K i.i.d. uniforms on [-Q, Q].
+
+    The only rounding is in the final log2 of the exact composition counts.
+    """
+    counts = composition_counts(K, Q)
+    total = (2 * Q + 1) ** K
+    return math.log2(total) - sum(c * math.log2(c) for c in counts if c > 1) / total
 
 
 def sum_rate_lower_bound(K: int, Q: int, P_e: float) -> float:

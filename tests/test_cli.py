@@ -1,6 +1,10 @@
+import contextlib
+import io
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secmac.cli import main
 
@@ -325,6 +329,26 @@ class TestNonFiniteAndNegativeInputs:
     def test_kg_nan_gain(self, capsys):
         self.check_exit_2(capsys, "kg", "--gains", "nan", "--eps", "0.5", "--n-list", "2,4")
 
+    @pytest.mark.parametrize("eps", ["nan", "inf", "1e11"])
+    def test_kg_epsilon(self, capsys, eps):
+        self.check_exit_2(capsys, "kg", "--gains", "1.5", "--eps", eps, "--n-list", "2,4")
+
+    @pytest.mark.parametrize("n_list", ["2,x", "2,1/2", "nan", "2,4.0"])
+    def test_kg_malformed_n_token(self, capsys, n_list):
+        self.check_exit_2(capsys, "kg", "--gains", "1.5", "--eps", "0.5", "--n-list", n_list)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("kg", "--gains", f"{10**400}/1,1", "--eps", "0.5", "--n-list", "2"),
+            ("params", "--p", "10", "--h-e", f"{10**400}/1,1", "--k", "2", "--eps", "0.1"),
+            ("dmin", "--gains", f"0,1/{10**400}", "--q", "1", "--a", "1"),  # last gain -> 0.0
+            ("params", "--p-tilde", "10", "--k", str(10**400), "--eps", "0.1"),
+        ],
+    )
+    def test_value_outside_float_range(self, capsys, argv):
+        self.check_exit_2(capsys, *argv)
+
     def test_block_negative_seed(self, tmp_path, capsys):
         cfg = tmp_path / "block.cfg"
         cfg.write_text(SWEEP_CONFIG + "n = 4\n")
@@ -333,3 +357,66 @@ class TestNonFiniteAndNegativeInputs:
     @pytest.mark.parametrize("gains", [f"{10**400}/1,1", f"{10**400}/1,1/1"])
     def test_dmin_exact_gain_past_float_range(self, capsys, gains):
         self.check_exit_2(capsys, "dmin", "--gains", gains, "--q", "1", "--a", "1")
+
+
+# Tokens for the argv grammar.  Integer tokens are either small or far past
+# every cap, so no drawn command starts a large search.
+BAD = ["nan", "inf", "-inf", "", "abc", "1/0", "x/2", "1e400", str(10**400)]
+
+
+def pick(good):
+    """Mostly well-formed tokens, sometimes a malformed one."""
+    return st.one_of(st.sampled_from(good), st.sampled_from(good), st.sampled_from(BAD))
+
+
+def listed(good):
+    return st.lists(pick(good), min_size=1, max_size=3).map(",".join)
+
+
+SMALL_OR_HUGE = ["-1", "0", "1", "2", "3", "5", str(10**30), str(10**400)]
+INTS = pick(SMALL_OR_HUGE)
+REALS = pick(["-1", "0", "0.1", "0.5", "0.999", "1.5", "10", "1e6", "1e11", "3/4"])
+GAINS = listed(["0", "-1", "1", "0.5", "1.4142135623730951", "2.5", "3/4", "-2/3", "7/1",
+                "1e308", f"{10**400}/1", f"1/{10**400}"])
+OPTIONS = {
+    "kg": {"--gains": GAINS, "--eps": REALS, "--n-list": listed(SMALL_OR_HUGE)},
+    "entropy": {"--k": INTS, "--q": INTS},
+    "dmin": {"--gains": GAINS, "--q": INTS, "--a": REALS},
+    "params": {"--p-tilde": REALS, "--p": REALS, "--h-e": GAINS, "--k": INTS, "--eps": REALS},
+}
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(OPTIONS)))
+    options = dict(OPTIONS[command])
+    if command == "params" and draw(st.integers(0, 3)):  # usually one power source
+        for flag in draw(st.sampled_from([("--p-tilde",), ("--p", "--h-e")])):
+            del options[flag]
+    argv = [command]
+    for flag, tokens in options.items():
+        if draw(st.integers(0, 5)):  # sometimes leave an option out
+            argv += [flag, draw(tokens)]
+    if draw(st.booleans()):
+        argv += ["--seed", draw(INTS)]
+    return argv
+
+
+class TestArgvGrammar:
+    """Any argv for the exact commands exits 0, 2 or 3 and raises nothing."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(argv=argvs())
+    def test_exit_code_contract(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the argv itself
+                code = exc.code
+        assert code in (0, 2, 3), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            assert "nan" not in out.getvalue().split("# secmac metadata")[0].lower()
+        elif not err.getvalue().startswith("usage:"):
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

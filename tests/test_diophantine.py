@@ -2,8 +2,12 @@ import math
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from secmac import diophantine
 from secmac import (
     ParameterError,
     SizeCapError,
@@ -15,6 +19,7 @@ from secmac import (
     sample_gains,
     suspected_relation,
 )
+from secmac.constellation import mixed_radix_digits, tuple_sums
 
 S2 = math.sqrt(2)
 S3 = math.sqrt(3)
@@ -29,6 +34,36 @@ def brute_min_form(gains, N):
         s = sum(qk * gk for qk, gk in zip(q, gains))
         best = min(best, abs(s - round(s)))
     return best
+
+
+def loop_min_form(g, N):
+    """The search one q_j at a time, as min_linear_form did before blocks."""
+    g = [float(x) for x in g]
+    best_val, best_q, best_s = math.inf, None, 0.0
+    for j in range(len(g)):
+        tail = g[j + 1 :]
+        inner = tuple_sums(tail, N)
+        for qj in range(1, N + 1):
+            s = qj * g[j] + inner
+            vals = np.abs(s - np.rint(s))
+            v = float(vals.min())
+            if v > best_val:
+                continue
+            for idx in np.flatnonzero(vals == vals.min()):
+                q = (0,) * j + (qj,) + tuple(mixed_radix_digits(idx, len(tail), N).tolist())
+                if v < best_val or q < best_q:
+                    best_val, best_q, best_s = v, q, float(s[idx])
+    return best_val.hex(), int(np.rint(-best_s)), best_q, N
+
+
+def as_tuple(res):
+    return res.value.hex(), res.p, res.q, res.N
+
+
+TIE_GAINS = (0.5, 0.25, 2.0, 1 / 3, 0.0, -0.5, 1.0)
+gain = st.one_of(
+    st.sampled_from(TIE_GAINS), st.floats(-4, 4, allow_nan=False, allow_infinity=False)
+)
 
 
 def sqrt2_convergents(count):
@@ -66,6 +101,33 @@ class TestMinLinearForm:
             assert min_linear_form(g, 3).value == pytest.approx(
                 brute_min_form(g, 3), abs=1e-15
             )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        g=st.lists(gain, min_size=1, max_size=3),
+        N=st.integers(1, 40),
+        cells=st.sampled_from([1, 2, 3, 7, 64, diophantine._BLOCK_CELLS]),
+    )
+    @example(g=[0.5, 0.25], N=40, cells=5)
+    @example(g=[1 / 3], N=40, cells=4)
+    @example(g=[2.0, 0.5, 0.25], N=9, cells=100)
+    def test_whole_result_matches_loop(self, g, N, cells):
+        # small block sizes split the q_j range at arbitrary rows; at m = 3
+        # the loop reference walks every tied cell, so N stays small there
+        N = min(N, 12) if len(g) == 3 else N
+        want = loop_min_form(g, N)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(diophantine, "_BLOCK_CELLS", cells)
+            assert as_tuple(min_linear_form(g, N)) == want
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("g", [[1e308], [1e308, 0.3], [0.3, 1e308], [1e308, 1e308]])
+    @pytest.mark.parametrize("cells", [1, 4, diophantine._BLOCK_CELLS])
+    def test_overflowed_rows_skipped_as_before(self, g, cells):
+        # rows whose q_j * g_j overflows hold NaN values; they never win
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(diophantine, "_BLOCK_CELLS", cells)
+            assert as_tuple(min_linear_form(g, 3)) == loop_min_form(g, 3)
 
     def test_canonical_sign(self):
         for seed in range(8):
@@ -136,6 +198,24 @@ class TestKGProfile:
         # for sqrt(2), |q*sqrt(2) - p| * q >= 1/(2 + 2*sqrt(2)) minus rounding
         prof = kg_profile([S2], 0.0, tuple(range(1, 65)))
         assert prof.c_hat > 1 / (2 + 2 * S2) - 1e-9
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+    def test_non_finite_epsilon_rejected(self, eps):
+        with pytest.raises(ParameterError):
+            kg_profile([S2], eps, (2, 4))
+
+    def test_overflowing_scale_rejected(self):
+        with pytest.raises(ParameterError):
+            kg_profile([S2], 1e11, (2, 4))
+
+    def test_one_search_per_rung(self, monkeypatch):
+        calls = []
+        real = diophantine.min_linear_form
+        monkeypatch.setattr(
+            diophantine, "min_linear_form", lambda g, N: calls.append(N) or real(g, N)
+        )
+        kg_profile([S2], 0.5, (2, 4, 12))
+        assert calls == [2, 4, 12]
 
     def test_requires_increasing_n(self):
         with pytest.raises(ParameterError):

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from secmac import (
     DiscreteMACSpec,
     ParameterError,
+    SizeCapError,
     achievable_region,
+    composition_counts,
     leakage_estimate,
     load_mac_spec,
     mutual_information,
@@ -209,6 +211,56 @@ class TestRegionContains:
         region = achievable_region(adder_spec("constant"))
         with pytest.raises(ParameterError):
             region_contains(region, (-0.1, 0.2))
+
+
+def loop_counts(K, Q):
+    """Composition counts by the direct double-loop convolution."""
+    width = 2 * Q + 1
+    counts = [1] * width
+    for _ in range(K - 1):
+        new = [0] * (len(counts) + width - 1)
+        for i, c in enumerate(counts):
+            for j in range(width):
+                new[i + j] += c
+        counts = new
+    return counts
+
+
+def loop_sum_entropy(K, Q):
+    if Q == 0:
+        return 0.0
+    counts = loop_counts(K, Q)
+    total = (2 * Q + 1) ** K
+    return math.log2(total) - sum(c * math.log2(c) for c in counts if c > 1) / total
+
+
+class TestCompositionCounts:
+    @pytest.mark.parametrize("K", range(1, 7))
+    @pytest.mark.parametrize("Q", range(0, 9))
+    def test_matches_double_loop(self, K, Q):
+        counts = composition_counts(K, Q)
+        assert counts == loop_counts(K, Q)
+        assert all(type(c) is int for c in counts)
+        assert len(counts) == 2 * K * Q + 1
+        assert sum(counts) == (2 * Q + 1) ** K
+        assert counts == counts[::-1]
+
+    def test_bad_args(self):
+        for K, Q in ((0, 1), (2, -1)):
+            with pytest.raises(ParameterError):
+                composition_counts(K, Q)
+        with pytest.raises(SizeCapError):
+            composition_counts(2, 10**7)
+
+    def test_exact_past_int64(self):
+        counts = composition_counts(12, 77)
+        assert max(counts).bit_length() == 79
+        assert sum(counts) == 155**12
+        assert counts == counts[::-1]
+
+    @pytest.mark.parametrize("K, Q", [(12, 77), (16, 100), (3, 0), (1, 5)])
+    def test_sum_entropy_bit_identical(self, K, Q):
+        assert sum_entropy(K, Q).hex() == loop_sum_entropy(K, Q).hex()
 
 
 class TestSumEntropy:
