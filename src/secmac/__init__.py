@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .channel import (
     ChannelGains,
-    NoiseModel,
     NormalizedGains,
     PowerParams,
     effective_power,

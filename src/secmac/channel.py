@@ -101,17 +101,6 @@ class PowerParams:
         return cls(P=P, P_tilde=effective_power(gains, P), epsilon=epsilon)
 
 
-@dataclass(frozen=True)
-class NoiseModel:
-    """Receiver noise variance (1.0 unless stress-testing)."""
-
-    variance: float = 1.0
-
-    def __post_init__(self):
-        if self.variance < 0:
-            raise ParameterError(f"variance must be >= 0, got {self.variance}")
-
-
 def normalize_gains(gains: ChannelGains) -> NormalizedGains:
     """Reduce the channel to ratio form with the last ratio equal to 1.
 
@@ -134,8 +123,8 @@ def sample_gains(seed: int, K: int, low: float = 0.5, high: float = 2.0) -> Chan
     """
     if K < 2:
         raise ParameterError(f"K must be >= 2, got {K}")
-    if low <= 0 or low >= high:
-        raise ParameterError(f"need 0 < low < high, got [{low}, {high}]")
+    if not 0 < low < high < math.inf:
+        raise ParameterError(f"need 0 < low < high, both finite, got [{low}, {high}]")
     rng = stream(seed, "gains")
     vals = rng.uniform(low, high, size=2 * K)
     return ChannelGains(h=tuple(vals[:K]), h_e=tuple(vals[K:]))
@@ -155,15 +144,18 @@ def effective_power(gains: ChannelGains, P: float) -> float:
 def transmit(
     x: np.ndarray,
     gains: ChannelGains,
-    noise: NoiseModel = NoiseModel(),
+    variance: float = 1.0,
     seed: int | np.random.SeedSequence = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Send K blocks of n symbols; return (y, z) at receiver and eavesdropper.
 
     ``x`` has shape (K, n).  y_i = sum_k h[k] x[k,i] + noise and z_i uses
-    h_e with an independent noise stream.  Both noises are keyed off
-    ``seed`` so repeated calls are bit-identical.
+    h_e with an independent noise stream, both of the given ``variance``
+    (1.0 unless stress-testing).  Both noises are keyed off ``seed`` so
+    repeated calls are bit-identical.
     """
+    if not 0 <= variance < math.inf:
+        raise ParameterError(f"variance must be >= 0 and finite, got {variance}")
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise ParameterError(f"x must be (K, n), got shape {x.shape}")
@@ -174,8 +166,8 @@ def transmit(
         raise ParameterError("block length must be >= 1")
     y = np.asarray(gains.h, dtype=float) @ x
     z = np.asarray(gains.h_e, dtype=float) @ x
-    if noise.variance > 0:
-        sd = np.sqrt(noise.variance)
+    if variance > 0:
+        sd = np.sqrt(variance)
         y = y + sd * stream(seed, "transmit/main").standard_normal(n)
         z = z + sd * stream(seed, "transmit/eve").standard_normal(n)
     return y, z

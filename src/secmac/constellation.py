@@ -172,6 +172,9 @@ def received_constellation(
         sums = tuple_sums(coefs, Q, object if wide else np.int64)
     else:
         D = 1
+        # |sum| <= Q * sum|g|: both the sums and the points A * sum stay finite
+        if not math.isfinite(max(A, 1.0) * Q * float(np.abs(g.as_floats()).sum())):
+            raise ParameterError("received points overflow float64")
         sums = tuple_sums(g.as_floats(), Q)
     order = np.argsort(sums)
     sv = sums[order]

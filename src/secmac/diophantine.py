@@ -78,7 +78,8 @@ def min_linear_form(g: Sequence[float], N: int) -> LinearFormResult:
     # smallest tied q.
     for j in range(m):
         tail = g[j + 1 :]
-        inner = tuple_sums(tail, N)
+        with np.errstate(over="ignore", invalid="ignore"):  # overflowed rows are skipped below
+            inner = tuple_sums(tail, N)
         rows = max(1, _BLOCK_CELLS // inner.size)
         for lo in range(1, N + 1, rows):
             qs = np.arange(lo, min(lo + rows, N + 1))

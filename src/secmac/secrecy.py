@@ -18,12 +18,16 @@ import numpy as np
 
 from .constellation import mixed_radix_index
 from .errors import ParameterError, SizeCapError
+from .keyvalue import parse_value, read_key_values
 
 JOINT_TABLE_CAP = 10_000_000
 PMF_TOL = 1e-12
+MIN_LEAKAGE_SAMPLES = 1000  # fewest samples a plug-in leakage estimate takes
 
 
 def _check_pmf(arr: np.ndarray, name: str, axis: int = -1) -> None:
+    if not np.all(np.isfinite(arr)):
+        raise ParameterError(f"{name} has non-finite entries")
     if np.any(arr < 0):
         raise ParameterError(f"{name} has negative entries")
     sums = arr.sum(axis=axis)
@@ -193,15 +197,18 @@ def composition_counts(K: int, Q: int) -> list[int]:
 
     Each added user convolves the counts with the (2Q+1)-wide box, taken
     as a window sum: a shifted difference of prefix sums over Python ints,
-    so no count is ever rounded.
+    so no count is ever rounded.  The K window sums over the 2KQ+1 support
+    are capped at ``JOINT_TABLE_CAP`` cells together.
     """
     if K < 1:
         raise ParameterError(f"K must be >= 1, got {K}")
     if Q < 0:
         raise ParameterError(f"Q must be >= 0, got {Q}")
     support = 2 * K * Q + 1
-    if support > JOINT_TABLE_CAP:
-        raise SizeCapError(f"sum support {support} exceeds cap {JOINT_TABLE_CAP}")
+    if K * support > JOINT_TABLE_CAP:
+        raise SizeCapError(
+            f"composition counts need K * (2KQ+1) = {K * support} cells, cap {JOINT_TABLE_CAP}"
+        )
     if Q == 0:
         return [1]
     width = 2 * Q + 1
@@ -220,7 +227,11 @@ def sum_entropy(K: int, Q: int) -> float:
     """
     counts = composition_counts(K, Q)
     total = (2 * Q + 1) ** K
-    return math.log2(total) - sum(c * math.log2(c) for c in counts if c > 1) / total
+    if total.bit_length() <= 1000:
+        weighted = sum(c * math.log2(c) for c in counts if c > 1) / total
+    else:  # c log2 c would pass the float range: weight each count by its share
+        weighted = sum(c / total * math.log2(c) for c in counts if c > 1)
+    return math.log2(total) - weighted
 
 
 def sum_rate_lower_bound(K: int, Q: int, P_e: float) -> float:
@@ -292,7 +303,7 @@ class LeakageReport:
 
 
 def leakage_estimate(
-    x_tuples: np.ndarray, z: np.ndarray, bin_width: float, Q: int, min_samples: int = 1000
+    x_tuples: np.ndarray, z: np.ndarray, bin_width: float, Q: int
 ) -> LeakageReport:
     """Plug-in mutual information between input tuples and quantized z.
 
@@ -309,15 +320,21 @@ def leakage_estimate(
     if x_tuples.size and int(np.abs(x_tuples).max()) > Q:
         raise ParameterError(f"input tuples leave the alphabet [-{Q}, {Q}]")
     n = z.size
-    if n < min_samples:
-        raise ParameterError(f"need at least {min_samples} samples, got {n}")
+    if n < MIN_LEAKAGE_SAMPLES:
+        raise ParameterError(f"need at least {MIN_LEAKAGE_SAMPLES} samples, got {n}")
     if not bin_width > 0:
         raise ParameterError(f"bin width must be positive, got {bin_width}")
 
     if math.isinf(bin_width):
         bins = np.zeros(n, dtype=np.int64)
     else:
-        bins = np.floor(z / bin_width).astype(np.int64)
+        with np.errstate(over="ignore"):
+            cells = np.floor(z / bin_width)
+        if not np.all(np.abs(cells) < 2.0**63):  # NaN and inf fail too
+            raise ParameterError(
+                f"bin index z / bin_width leaves the int64 range (bin width {bin_width})"
+            )
+        bins = cells.astype(np.int64)
 
     K = x_tuples.shape[1]
     if (2 * Q + 1) ** K < 2**63:
@@ -351,48 +368,45 @@ def leakage_estimate(
     )
 
 
+def _positive_int(tok: str) -> int:
+    n = int(tok)
+    if n < 1:
+        raise ValueError(f"need an integer >= 1, got {n}")
+    return n
+
+
 def load_mac_spec(path: str) -> DiscreteMACSpec:
     """Read a DiscreteMACSpec from a key = value text file.
 
     Required keys: k, u_sizes, x_sizes, y_size, z_size, p_u_<k>,
     p_x_given_u_<k> (row-major over (u_k, x_k)) and p_yz_given_x
-    (row-major over (x_1, ..., x_K, y, z)).  '#' starts a comment.
+    (row-major over (x_1, ..., x_K, y, z)).  Values are separated by
+    whitespace.  '#' starts a comment.
     """
-    entries: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParameterError(f"{path}:{lineno}: expected 'key = value'")
-            key, val = line.split("=", 1)
-            key = key.strip()
-            if key in entries:
-                raise ParameterError(f"{path}:{lineno}: duplicate key {key!r}")
-            entries[key] = val.strip()
+    entries = read_key_values(path)
 
-    def take(key: str) -> str:
+    def take(key: str, count: int, parse=float) -> list:
+        """The ``count`` values of ``key``."""
         if key not in entries:
             raise ParameterError(f"{path}: missing required key {key!r}")
-        return entries.pop(key)
+        lineno, text = entries.pop(key)
+        vals = parse_value(path, key, lineno, lambda t: [parse(v) for v in t.split()], text)
+        if len(vals) != count:
+            raise ParameterError(f"{path}:{lineno}: {key!r} needs {count} values, got {len(vals)}")
+        return vals
 
-    K = int(take("k"))
-    u_sizes = [int(t) for t in take("u_sizes").split()]
-    x_sizes = [int(t) for t in take("x_sizes").split()]
-    y_size = int(take("y_size"))
-    z_size = int(take("z_size"))
-    if len(u_sizes) != K or len(x_sizes) != K:
-        raise ParameterError(f"{path}: u_sizes/x_sizes must list {K} sizes")
-
-    p_u = []
-    p_xu = []
-    for k in range(1, K + 1):
-        p_u.append(np.array([float(t) for t in take(f"p_u_{k}").split()]))
-        flat = np.array([float(t) for t in take(f"p_x_given_u_{k}").split()])
-        p_xu.append(flat.reshape(u_sizes[k - 1], x_sizes[k - 1]))
-    chan_flat = np.array([float(t) for t in take("p_yz_given_x").split()])
-    chan = chan_flat.reshape(tuple(x_sizes) + (y_size, z_size))
+    (K,) = take("k", 1, _positive_int)
+    u_sizes = take("u_sizes", K, _positive_int)
+    x_sizes = take("x_sizes", K, _positive_int)
+    (y_size,) = take("y_size", 1, _positive_int)
+    (z_size,) = take("z_size", 1, _positive_int)
+    p_u = tuple(np.array(take(f"p_u_{k + 1}", u_sizes[k])) for k in range(K))
+    p_xu = tuple(
+        np.reshape(take(f"p_x_given_u_{k + 1}", u_sizes[k] * x_sizes[k]), (u_sizes[k], x_sizes[k]))
+        for k in range(K)
+    )
+    shape = (*x_sizes, y_size, z_size)
+    chan = np.reshape(take("p_yz_given_x", math.prod(shape)), shape)
     if entries:
         raise ParameterError(f"{path}: unknown keys {sorted(entries)}")
-    return DiscreteMACSpec(K=K, p_u=tuple(p_u), p_x_given_u=tuple(p_xu), p_yz_given_x=chan)
+    return DiscreteMACSpec(K=K, p_u=p_u, p_x_given_u=p_xu, p_yz_given_x=chan)

@@ -12,13 +12,12 @@ cell.  Each report's ``.meta`` names its ``stream_layout`` version.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, field, fields
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from . import __version__
-from .channel import ChannelGains, NoiseModel, effective_power, normalize_gains, sample_gains, transmit
+from .channel import ChannelGains, effective_power, normalize_gains, sample_gains, transmit
 from .codec import (
     Codebook,
     build_codebook,
@@ -40,13 +39,20 @@ from .constellation import (
 )
 from .errors import ParameterError, SizeCapError
 from .rng import stream, substream
-from .secrecy import LeakageReport, leakage_estimate, sdof_fit, sum_rate_lower_bound
+from .secrecy import (
+    JOINT_TABLE_CAP,
+    MIN_LEAKAGE_SAMPLES,
+    leakage_estimate,
+    sdof_fit,
+    sum_rate_lower_bound,
+)
 
 TRIAL_BATCH = 8192
 WILSON_Z = 1.959963984540054  # two-sided 95%
 # Version of each command's random stream layout, recorded in .meta; it
 # changes whenever a stream key, a draw order or a batch shape changes.
 STREAM_LAYOUT = {"sweep": 1, "block": 2, "leakage": 1}
+TABLE_CAP = 65_536  # max codebook sequences per user in block runs
 
 
 def _batches(total: int):
@@ -92,7 +98,6 @@ class SimConfig:
     bin_width: float | None = None
     leakage_samples: int = 100_000
     cap: int = ENUMERATION_CAP
-    table_cap: int = 65_536  # max codebook sequences per user in block runs
 
     def __post_init__(self):
         object.__setattr__(self, "P_grid", tuple(float(p) for p in self.P_grid))
@@ -142,62 +147,78 @@ class SweepRow:
     eta_running: float
 
 
-SWEEP_COLUMNS = (
-    "P",
-    "P_tilde",
-    "Q",
-    "A",
-    "d_min",
-    "pe_tail_bound",
-    "pe_exp_bound",
-    "pe_mc",
-    "pe_mc_ci_low",
-    "pe_mc_ci_high",
-    "r_sum_bound_bits",
-    "eta_running",
-)
-
-
 def fmt(x) -> str:
-    """Lossless CSV cell: 17 significant digits for floats, plain ints."""
+    """Lossless CSV cell: 17 significant digits for floats, plain ints
+    (a bool as 0 or 1), strings as they are."""
+    if isinstance(x, str):
+        return x
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return format(float(x), ".17g")
 
 
-@dataclass(frozen=True)
-class SweepReport:
-    rows: tuple[SweepRow, ...]
-    slope: float
-    intercept: float
-    residual: float
-    gains: ChannelGains
-    master_seed: int
-    epsilon: float
-    variance: float
-    trials: int
-    version: str = __version__
+def csv_text(header: str, rows) -> str:
+    """A CSV: the header line, then one line of ``fmt`` cells per row."""
+    return "\n".join([header] + [",".join(map(fmt, row)) for row in rows]) + "\n"
+
+
+def _meta(render=lambda v: v):
+    """A report field that goes to the ``.meta`` sidecar as ``render(value)``
+    rather than to the CSV; a dict result gives one key per entry."""
+    return field(metadata={"meta": render})
+
+
+def _gain_lists(gains: ChannelGains) -> dict:
+    return {"h": ",".join(fmt(x) for x in gains.h), "h_e": ",".join(fmt(x) for x in gains.h_e)}
+
+
+class _Report:
+    """The CSV writer and ``.meta`` builder of the run reports.
+
+    A report with ``rows`` writes one CSV line per row, any other report
+    is its own single row.  The columns are the row's fields in order,
+    less those made with ``_meta``; those go to ``metadata`` in order,
+    followed by the command's ``stream_layout``.
+    """
+
+    command: ClassVar[str]
 
     def to_csv(self) -> str:
-        lines = [",".join(SWEEP_COLUMNS)]
-        for r in self.rows:
-            lines.append(",".join(fmt(getattr(r, c)) for c in SWEEP_COLUMNS))
-        return "\n".join(lines) + "\n"
+        rows = getattr(self, "rows", (self,))
+        cols = [f.name for f in fields(rows[0]) if "meta" not in f.metadata]
+        return csv_text(",".join(cols), ([getattr(r, c) for c in cols] for r in rows))
 
     def metadata(self) -> dict:
-        return {
-            "version": self.version,
-            "master_seed": self.master_seed,
-            "epsilon": self.epsilon,
-            "variance": self.variance,
-            "trials": self.trials,
-            "h": ",".join(fmt(x) for x in self.gains.h),
-            "h_e": ",".join(fmt(x) for x in self.gains.h_e),
-            "slope": fmt(self.slope),
-            "intercept": fmt(self.intercept),
-            "fit_residual": fmt(self.residual),
-            "stream_layout": STREAM_LAYOUT["sweep"],
-        }
+        meta = {}
+        for f in fields(self):
+            if "meta" in f.metadata:
+                val = f.metadata["meta"](getattr(self, f.name))
+                meta.update(val if isinstance(val, dict) else {f.name: val})
+        meta["stream_layout"] = STREAM_LAYOUT[self.command]
+        return meta
+
+
+@dataclass(frozen=True)
+class SweepReport(_Report):
+    command: ClassVar[str] = "sweep"
+    rows: tuple[SweepRow, ...]
+    master_seed: int = _meta()
+    epsilon: float = _meta()
+    variance: float = _meta()
+    trials: int = _meta()
+    gains: ChannelGains = _meta(_gain_lists)
+    slope: float = _meta(fmt)
+    intercept: float = _meta(fmt)
+    fit_residual: float = _meta(fmt)
+
+
+def _constellation_gains(cfg: SimConfig) -> ChannelGains:
+    """The gains of a sweep or block run, drawn only once its smallest
+    constellation fits the cap: Q >= 1, so M = (2Q+1)^K >= 3^K."""
+    # 3^K > 2^K >= 2^bit_length > cap, without forming 3^K for a huge K
+    if cfg.K >= cfg.cap.bit_length() or 3**cfg.K > cfg.cap:
+        raise SizeCapError(f"K = {cfg.K} users need at least 3^K points, cap is {cfg.cap}")
+    return cfg.resolve_gains()
 
 
 class _Link(NamedTuple):
@@ -205,7 +226,7 @@ class _Link(NamedTuple):
     amplitude A and the sign of the normalisation scale."""
 
     gains: ChannelGains
-    noise: NoiseModel
+    variance: float
     rc: ReceivedConstellation
     A: float
     sgn: float
@@ -214,7 +235,7 @@ class _Link(NamedTuple):
         """Symbol tuples (m, K) -> A*v/h_e -> transmit -> (m,) samples, in
         the sign of the received constellation."""
         x = scale_to_channel(v, self.A, self.gains.h_e).T
-        y, _ = transmit(x, self.gains, self.noise, seed)
+        y, _ = transmit(x, self.gains, self.variance, seed)
         return self.sgn * y
 
     def decode(self, v: np.ndarray, seed) -> np.ndarray:
@@ -228,7 +249,7 @@ def _grid_point(cfg: SimConfig, gains: ChannelGains, g, P: float) -> tuple[float
     Q, A = select_params(P_t, cfg.K, cfg.epsilon)
     rc = received_constellation(g, Q, A * abs(g.scale), cap=cfg.cap)
     sgn = 1.0 if g.scale >= 0 else -1.0
-    return P_t, Q, _Link(gains, NoiseModel(cfg.variance), rc, A, sgn)
+    return P_t, Q, _Link(gains, cfg.variance, rc, A, sgn)
 
 
 def _sweep_point(cfg: SimConfig, gains: ChannelGains, g, pi: int, P: float) -> SweepRow:
@@ -275,7 +296,7 @@ def run_symbol_sweep(cfg: SimConfig) -> SweepReport:
     a Wilson 95% interval.  Any failing grid point aborts the sweep with
     the offending P in the message.
     """
-    gains = cfg.resolve_gains()
+    gains = _constellation_gains(cfg)
     g = normalize_gains(gains)
     rows = []
     for pi, P in enumerate(cfg.P_grid):
@@ -293,7 +314,7 @@ def run_symbol_sweep(cfg: SimConfig) -> SweepReport:
         rows=tuple(rows),
         slope=slope,
         intercept=intercept,
-        residual=residual,
+        fit_residual=residual,
         gains=gains,
         master_seed=cfg.master_seed,
         epsilon=cfg.epsilon,
@@ -302,27 +323,9 @@ def run_symbol_sweep(cfg: SimConfig) -> SweepReport:
     )
 
 
-BLOCK_COLUMNS = (
-    "P",
-    "P_tilde",
-    "Q",
-    "A",
-    "n",
-    "B",
-    "L",
-    "rate_bits_per_user",
-    "trials",
-    "block_errors",
-    "bler",
-    "bler_ci_low",
-    "bler_ci_high",
-    "decode_failures",
-    "cross_bin_duplicates",
-)
-
-
 @dataclass(frozen=True)
-class BlockReport:
+class BlockReport(_Report):
+    command: ClassVar[str] = "block"
     P: float
     P_tilde: float
     Q: int
@@ -338,23 +341,8 @@ class BlockReport:
     bler_ci_high: float
     decode_failures: int
     cross_bin_duplicates: int
-    gains: ChannelGains
-    master_seed: int
-    version: str = __version__
-
-    def to_csv(self) -> str:
-        header = ",".join(BLOCK_COLUMNS)
-        row = ",".join(fmt(getattr(self, c)) for c in BLOCK_COLUMNS)
-        return f"{header}\n{row}\n"
-
-    def metadata(self) -> dict:
-        return {
-            "version": self.version,
-            "master_seed": self.master_seed,
-            "h": ",".join(fmt(x) for x in self.gains.h),
-            "h_e": ",".join(fmt(x) for x in self.gains.h_e),
-            "stream_layout": STREAM_LAYOUT["block"],
-        }
+    master_seed: int = _meta()
+    gains: ChannelGains = _meta(_gain_lists)
 
 
 def derive_code_sizes(cfg: SimConfig, Q: int) -> tuple[int, int]:
@@ -365,14 +353,14 @@ def derive_code_sizes(cfg: SimConfig, Q: int) -> tuple[int, int]:
     Exact-match decoding turns a sequence duplicated across bins into an
     ambiguity, so the table is kept under 1/256 of the sequence space;
     at block lengths where even that is impossible L degenerates to 1.
-    B itself is not capped here; ``_block_setup`` refuses B > table_cap.
+    B itself is not capped here; ``_block_setup`` refuses B > TABLE_CAP.
     """
     r_user = sum_rate_lower_bound(cfg.K, Q, 0.0) / cfg.K
     B = 2 ** math.ceil(cfg.n * r_user)
     budget_bits = cfg.n * (math.log2(2 * Q + 1) - r_user)
     L = 2 ** max(0, math.ceil(budget_bits))
     space = (2 * Q + 1) ** cfg.n
-    max_table = min(cfg.table_cap, space // 256)
+    max_table = min(TABLE_CAP, space // 256)
     L = max(1, min(L, max_table // B))
     return B, L
 
@@ -390,11 +378,11 @@ class _BlockRun(NamedTuple):
 
 def _block_setup(cfg: SimConfig) -> _BlockRun:
     """Link and codebooks for a block run at the top of the power grid."""
-    gains = cfg.resolve_gains()
+    gains = _constellation_gains(cfg)
     P_t, Q, link = _grid_point(cfg, gains, normalize_gains(gains), cfg.P_grid[-1])
     B, L = derive_code_sizes(cfg, Q)
-    if B > cfg.table_cap:  # refused before any table is drawn
-        raise SizeCapError(f"codebook needs B = {B} bins per user, cap is {cfg.table_cap}")
+    if B > TABLE_CAP:  # refused before any table is drawn
+        raise SizeCapError(f"codebook needs B = {B} bins per user, cap is {TABLE_CAP}")
     codebooks = tuple(
         build_codebook(cfg.n, Q, B, L, substream(cfg.master_seed, "block/codebook"), user_k=k)
         for k in range(cfg.K)
@@ -461,25 +449,11 @@ def run_block_trials(cfg: SimConfig) -> BlockReport:
     )
 
 
-LEAKAGE_COLUMNS = (
-    "P",
-    "P_tilde",
-    "Q",
-    "A",
-    "variance",
-    "bin_width",
-    "samples",
-    "exhaustive",
-    "mi_bits",
-    "sum_entropy_bits",
-    "input_entropy_bits",
-    "residual_bits",
-    "bias_bound_bits",
-)
-
-
 @dataclass(frozen=True)
-class LeakageRunReport:
+class LeakageRunReport(_Report):
+    """A leakage run's grid point and the columns of its ``LeakageReport``."""
+
+    command: ClassVar[str] = "leakage"
     P: float
     P_tilde: float
     Q: int
@@ -488,39 +462,13 @@ class LeakageRunReport:
     bin_width: float
     samples: int
     exhaustive: bool
-    estimate: LeakageReport
-    gains: ChannelGains
-    master_seed: int
-    version: str = __version__
-
-    def to_csv(self) -> str:
-        vals = {
-            "P": self.P,
-            "P_tilde": self.P_tilde,
-            "Q": self.Q,
-            "A": self.A,
-            "variance": self.variance,
-            "bin_width": self.bin_width,
-            "samples": self.samples,
-            "exhaustive": int(self.exhaustive),
-            "mi_bits": self.estimate.mi_bits,
-            "sum_entropy_bits": self.estimate.sum_entropy_bits,
-            "input_entropy_bits": self.estimate.input_entropy_bits,
-            "residual_bits": self.estimate.residual_bits,
-            "bias_bound_bits": self.estimate.bias_bound_bits,
-        }
-        header = ",".join(LEAKAGE_COLUMNS)
-        row = ",".join(fmt(vals[c]) for c in LEAKAGE_COLUMNS)
-        return f"{header}\n{row}\n"
-
-    def metadata(self) -> dict:
-        return {
-            "version": self.version,
-            "master_seed": self.master_seed,
-            "h": ",".join(fmt(x) for x in self.gains.h),
-            "h_e": ",".join(fmt(x) for x in self.gains.h_e),
-            "stream_layout": STREAM_LAYOUT["leakage"],
-        }
+    mi_bits: float
+    sum_entropy_bits: float
+    input_entropy_bits: float
+    residual_bits: float
+    bias_bound_bits: float
+    master_seed: int = _meta()
+    gains: ChannelGains = _meta(_gain_lists)
 
 
 def run_leakage(cfg: SimConfig) -> LeakageRunReport:
@@ -533,14 +481,20 @@ def run_leakage(cfg: SimConfig) -> LeakageRunReport:
     commensurate with the noise scale, or the plug-in bias (roughly
     occupied cells / (2 n ln 2) bits) dominates the estimate.
     """
-    if cfg.leakage_samples < 1000:
+    if cfg.leakage_samples < MIN_LEAKAGE_SAMPLES:
         raise ParameterError(
-            f"leakage sample budget must be >= 1000, got {cfg.leakage_samples}"
+            f"leakage sample budget must be >= {MIN_LEAKAGE_SAMPLES}, got {cfg.leakage_samples}"
+        )
+    if cfg.leakage_samples * cfg.K > JOINT_TABLE_CAP:  # refused before the tuples are drawn
+        raise SizeCapError(
+            f"{cfg.leakage_samples} samples of {cfg.K} inputs exceed cap {JOINT_TABLE_CAP}"
         )
     gains = cfg.resolve_gains()
     P = cfg.P_grid[-1]
     P_t = effective_power(gains, P)
     Q, A = select_params(P_t, cfg.K, cfg.epsilon)
+    if cfg.K * Q >= 2**63:  # the tuples and their sums are drawn in int64
+        raise SizeCapError(f"symbol bound Q = {Q} overflows the int64 input draw")
     width = cfg.bin_width if cfg.bin_width is not None else A / 10.0
     M = (2 * Q + 1) ** cfg.K
 
@@ -550,8 +504,8 @@ def run_leakage(cfg: SimConfig) -> LeakageRunReport:
         z = A * tuples.sum(axis=1).astype(float)
         # pad by repeating the exhaustive block so the estimator's sample
         # floor is met without changing the empirical distribution
-        if M < 1000:
-            reps = math.ceil(1000 / M)
+        if M < MIN_LEAKAGE_SAMPLES:
+            reps = math.ceil(MIN_LEAKAGE_SAMPLES / M)
             tuples = np.tile(tuples, (reps, 1))
             z = np.tile(z, reps)
     else:
@@ -578,7 +532,11 @@ def run_leakage(cfg: SimConfig) -> LeakageRunReport:
         bin_width=width,
         samples=int(tuples.shape[0]),
         exhaustive=exhaustive,
-        estimate=est,
+        mi_bits=est.mi_bits,
+        sum_entropy_bits=est.sum_entropy_bits,
+        input_entropy_bits=est.input_entropy_bits,
+        residual_bits=est.residual_bits,
+        bias_bound_bits=est.bias_bound_bits,
         gains=gains,
         master_seed=cfg.master_seed,
     )

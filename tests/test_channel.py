@@ -5,7 +5,6 @@ import pytest
 
 from secmac import (
     ChannelGains,
-    NoiseModel,
     NormalizedGains,
     ParameterError,
     effective_power,
@@ -85,6 +84,11 @@ class TestSampleGains:
         with pytest.raises(ParameterError):
             sample_gains(7, 2, low, high)
 
+    @pytest.mark.parametrize("low,high", [(math.nan, 2.0), (0.5, math.nan), (0.5, math.inf)])
+    def test_non_finite_bounds(self, low, high):
+        with pytest.raises(ParameterError, match="finite"):
+            sample_gains(7, 2, low, high)
+
 
 class TestEffectivePower:
     def test_examples(self):
@@ -132,37 +136,43 @@ class TestPowerParams:
 class TestTransmit:
     def test_zero_input_zero_noise(self):
         gains = ChannelGains(h=(1, 2), h_e=(1, 1))
-        y, z = transmit(np.zeros((2, 5)), gains, NoiseModel(0.0), seed=1)
+        y, z = transmit(np.zeros((2, 5)), gains, 0.0, seed=1)
         assert np.all(y == 0) and np.all(z == 0)
 
     def test_linear_combination(self):
         gains = ChannelGains(h=(2, 1), h_e=(1, 1))
-        y, _ = transmit(np.array([[3.0], [1.0]]), gains, NoiseModel(0.0), seed=1)
+        y, _ = transmit(np.array([[3.0], [1.0]]), gains, 0.0, seed=1)
         assert y[0] == 7.0
 
     def test_deterministic(self):
         gains = ChannelGains(h=(1, 1), h_e=(1, 2))
         x = np.ones((2, 100))
-        y1, z1 = transmit(x, gains, NoiseModel(1.0), seed=42)
-        y2, z2 = transmit(x, gains, NoiseModel(1.0), seed=42)
+        y1, z1 = transmit(x, gains, 1.0, seed=42)
+        y2, z2 = transmit(x, gains, 1.0, seed=42)
         assert np.array_equal(y1, y2) and np.array_equal(z1, z2)
 
     def test_noise_streams_independent(self):
         gains = ChannelGains(h=(1,), h_e=(1,))
-        y, z = transmit(np.zeros((1, 1000)), gains, NoiseModel(1.0), seed=0)
+        y, z = transmit(np.zeros((1, 1000)), gains, 1.0, seed=0)
         # identical streams would make y == z elementwise
         assert not np.array_equal(y, z)
         assert abs(np.corrcoef(y, z)[0, 1]) < 0.1
 
+    @pytest.mark.parametrize("variance", [-1.0, math.nan, math.inf])
+    def test_bad_variance_rejected(self, variance):
+        gains = ChannelGains(h=(1, 1), h_e=(1, 1))
+        with pytest.raises(ParameterError, match="variance"):
+            transmit(np.zeros((2, 3)), gains, variance, seed=0)
+
     def test_ragged_input_rejected(self):
         gains = ChannelGains(h=(1, 1), h_e=(1, 1))
         with pytest.raises(ParameterError):
-            transmit(np.array([[1.0, 2.0]]), gains, NoiseModel(0.0), seed=0)
+            transmit(np.array([[1.0, 2.0]]), gains, 0.0, seed=0)
 
     def test_noiseless_linearity(self):
         gains = ChannelGains(h=(1.3, -0.4, 2.2), h_e=(1, 1, 1))
         rng = np.random.default_rng(5)
         x = rng.normal(size=(3, 50))
-        y1, _ = transmit(2.5 * x, gains, NoiseModel(0.0), seed=0)
-        y2, _ = transmit(x, gains, NoiseModel(0.0), seed=0)
+        y1, _ = transmit(2.5 * x, gains, 0.0, seed=0)
+        y2, _ = transmit(x, gains, 0.0, seed=0)
         assert np.allclose(y1, 2.5 * y2, rtol=1e-12, atol=1e-12)

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import math
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -359,6 +360,76 @@ class TestNonFiniteAndNegativeInputs:
         self.check_exit_2(capsys, "dmin", "--gains", gains, "--q", "1", "--a", "1")
 
 
+class TestInputFileContract:
+    """Inputs that once raised, or answered silently, now exit 2 or 3 with
+    one error line and no RuntimeWarning."""
+
+    def check(self, argv, code):
+        got, _, err, caught = run_quietly(argv)
+        assert got == code, err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert RuntimeWarning not in caught
+
+    @pytest.mark.parametrize(
+        "old,new",
+        [
+            ("k = 2", "k = x"),
+            ("p_x_given_u_1 = 1 0 0 1", "p_x_given_u_1 = 1 0 0"),
+            ("p_yz_given_x = 1 0 0", "p_yz_given_x = nan 0 0"),
+            ("y_size = 3\nz_size = 1", "y_size = -3\nz_size = -1"),
+        ],
+    )
+    def test_region_spec(self, tmp_path, old, new):
+        spec = tmp_path / "bad.spec"
+        spec.write_text(ADDER_SPEC.replace(old, new))
+        self.check(["region", "--spec", str(spec)], 2)
+
+    def test_region_missing_spec(self, tmp_path):
+        self.check(["region", "--spec", str(tmp_path / "absent.spec")], 2)
+
+    @pytest.mark.parametrize("argv", [["sweep", "--config"], ["check"]])
+    def test_undecodable_file(self, tmp_path, argv):
+        path = tmp_path / "binary"
+        path.write_bytes(b"\xff\xfek = 2\n")
+        self.check(argv + [str(path)], 2)
+
+    @pytest.mark.parametrize("extra", ["bin_width = 1e-300", "variance = 1e308"])
+    def test_leakage_bin_index_overflow(self, tmp_path, extra):
+        cfg = tmp_path / "leak.cfg"
+        cfg.write_text(f"k = 2\nepsilon = 0.5\np_grid = 1e4\nleakage_samples = 1000\n{extra}\n")
+        self.check(["leakage", "--config", str(cfg)], 2)
+
+    @pytest.mark.parametrize("extra", ["gains_low = nan", "gains_high = inf"])
+    def test_non_finite_gain_range(self, tmp_path, extra):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(f"k = 2\nepsilon = 0.5\np_grid = 1e4\ntrials = 10\n{extra}\n")
+        self.check(["sweep", "--config", str(cfg)], 2)
+
+    @pytest.mark.parametrize("command", ["sweep", "block", "leakage"])
+    def test_k_no_run_can_finish(self, tmp_path, command):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"k = {10**30}\nepsilon = 0.5\np_grid = 1e4\ntrials = 10\nn = 2\n")
+        self.check([command, "--config", str(cfg)], 3)
+
+    def test_leakage_k40_still_runs(self, tmp_path, capsys):
+        cfg = tmp_path / "leak.cfg"
+        cfg.write_text("k = 40\nepsilon = 0.5\np_grid = 1e4\nleakage_samples = 1000\n")
+        assert run(capsys, "leakage", "--config", str(cfg))[0] == 0
+
+    def test_entropy_work_cap(self):
+        self.check(["entropy", "--k", "1000000", "--q", "1"], 3)
+
+    def test_leakage_symbol_bound_past_int64(self, tmp_path):
+        cfg = tmp_path / "leak.cfg"
+        cfg.write_text("k = 2\nepsilon = 0.1\np_grid = 1e308\nh = 1.5,1\nh_e = 1,1\n")
+        self.check(["leakage", "--config", str(cfg)], 3)
+
+    def test_float_sums_past_range_warn_nothing(self):
+        self.check(["dmin", "--gains", "0,1e308,2.5", "--q", "5", "--a", "0.1"], 2)
+        code, _, _, caught = run_quietly(["kg", "--gains", "0,1e308", "--eps", "0.5", "--n-list", "2"])
+        assert code == 0 and RuntimeWarning not in caught
+
+
 # Tokens for the argv grammar.  Integer tokens are either small or far past
 # every cap, so no drawn command starts a large search.
 BAD = ["nan", "inf", "-inf", "", "abc", "1/0", "x/2", "1e400", str(10**400)]
@@ -402,21 +473,118 @@ def argvs(draw):
     return argv
 
 
+def run_quietly(argv):
+    """(exit code, stdout, stderr, warnings) of one in-process run."""
+    out, err = io.StringIO(), io.StringIO()
+    with (
+        warnings.catch_warnings(record=True) as caught,
+        contextlib.redirect_stdout(out),
+        contextlib.redirect_stderr(err),
+    ):
+        warnings.simplefilter("always")
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the argv itself
+            code = exc.code
+    return code, out.getvalue(), err.getvalue(), [w.category for w in caught]
+
+
+def assert_contract(argv, code, err, caught):
+    assert code in (0, 2, 3), (argv, err)
+    assert "Traceback" not in err
+    assert RuntimeWarning not in caught, argv
+    if code and not err.startswith("usage:"):
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+# Config-file grammar: per key, (valid values, invalid values).  Huge
+# integers are drawn only for keys that stay cheap or are refused before any
+# work; trials, block lengths and caps stay small (a huge one is not refused
+# up front), so every drawn run is short.
+HUGE = str(10**30)
+FILE_BAD = ["nan", "inf", "-inf", "", "abc", "1e400", "1e-300"]
+CONFIG_VALUES = {
+    "k": (["2"], ["3", "0", "-1", "2.5", HUGE]),
+    "epsilon": (["0.1", "0.5"], ["0", "1"]),
+    "p_grid": (["1e2", "1e4", "1e2,1e4", "1e3,1e5,1e7"], ["1e4,1e2", "0.5", "1e308", "1e2,nan"]),
+    "trials": (["1", "40"], ["0", "-5"]),
+    "n": (["1", "2", "3"], ["0", "-2"]),
+    "master_seed": (["0", "7", HUGE], ["-1"]),
+    "variance": (["0", "1", "4", "1e308"], ["-1"]),
+    "h": (["1.4142135623730951,1", "3/4,1", "1e-300,1", "1e308,1"], ["1,1", "0,1", "0.5,1,2.5"]),
+    "h_e": (["1,1", "2,1", "1e-300,1", "1e308,1"], ["0,1", "1,0.5,1"]),
+    "gains_seed": (["0", "3", HUGE], ["-2"]),
+    "gains_low": (["0.5", "1e-300"], ["0", "-1", "2"]),
+    "gains_high": (["2", "1e308"], ["0.1"]),
+    "bin_width": (["0.1", "1", "1e-300"], ["0", "-1"]),
+    "leakage_samples": (["1000", "1500", HUGE], ["999"]),
+    "cap": (["10", "1000", "10000000"], ["0", "-1"]),
+}
+CONFIG_REQUIRED = ("k", "epsilon", "p_grid", "trials", "n")
+SPEC_P_U = (["0.5 0.5", "0.25 0.75"], ["1", "0.5 0.6", "-0.5 1.5", "0.5 nan"])
+SPEC_P_XU = (["1 0 0 1", "0.5 0.5 0.5 0.5"], ["1 0 0", "1 0", "1 0 0 inf"])
+SPEC_VALUES = {
+    "k": (["2"], ["1", "0", "x", HUGE]),
+    "u_sizes": (["2 2"], ["1 2", "2", "0 2", "-1 2", f"{HUGE} 2"]),
+    "x_sizes": (["2 2"], ["2 1", "2 2 2", "-2 2"]),
+    "y_size": (["3"], ["2", "0", "-3", HUGE]),
+    "z_size": (["1"], ["2", "-1"]),
+    "p_u_1": SPEC_P_U,
+    "p_u_2": SPEC_P_U,
+    "p_x_given_u_1": SPEC_P_XU,
+    "p_x_given_u_2": SPEC_P_XU,
+    "p_yz_given_x": (["1 0 0  0 1 0  0 1 0  0 0 1", "0.5 0.5 0  0 1 0  0 1 0  0 0 1"],
+                     ["1 0 0  0 1 0  0 1 0  0 0", "1 0 0  0 1 0  0 1 0  nan 0 1"]),
+}
+FAULTS = ("invalid", "bad token", "missing", "twice")
+
+
+@st.composite
+def key_value_files(draw, values, required):
+    """Text of a key = value file with at most two faults: a key given an
+    invalid or malformed value, left out or given twice.  Keys that are
+    not required are left out half the time, h_e together with h."""
+    faults = dict(draw(st.lists(st.tuples(st.sampled_from(list(values)), st.sampled_from(FAULTS)),
+                                max_size=2)))
+    lines, left_out = [], {}
+    for key, (valid, invalid) in values.items():
+        fault = faults.get(key)
+        if key not in required:
+            left_out[key] = left_out["h"] if key == "h_e" else draw(st.booleans())
+        if fault == "missing" or left_out.get(key):
+            continue
+        pool = {"invalid": invalid, "bad token": FILE_BAD}.get(fault, valid)
+        for _ in range(2 if fault == "twice" else 1):
+            lines.append(f"{key} = {draw(st.sampled_from(pool))}")
+    return "\n".join(draw(st.permutations(lines))) + "\n"
+
+
+@st.composite
+def file_argvs(draw):
+    """(argv without the path, file text) for sweep, block, leakage or region."""
+    command = draw(st.sampled_from(["sweep", "block", "leakage", "region"]))
+    if command == "region":
+        return ["region", "--spec"], draw(key_value_files(SPEC_VALUES, tuple(SPEC_VALUES)))
+    return [command, "--config"], draw(key_value_files(CONFIG_VALUES, CONFIG_REQUIRED))
+
+
 class TestArgvGrammar:
-    """Any argv for the exact commands exits 0, 2 or 3 and raises nothing."""
+    """Any argv for the exact commands, and any config or spec file for the
+    file commands, exits 0, 2 or 3 with no traceback and no RuntimeWarning."""
 
     @settings(max_examples=300, deadline=None)
     @given(argv=argvs())
     def test_exit_code_contract(self, argv):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse rejects the argv itself
-                code = exc.code
-        assert code in (0, 2, 3), (argv, err.getvalue())
-        assert "Traceback" not in err.getvalue()
+        code, out, err, caught = run_quietly(argv)
+        assert_contract(argv, code, err, caught)
         if code == 0:
-            assert "nan" not in out.getvalue().split("# secmac metadata")[0].lower()
-        elif not err.getvalue().startswith("usage:"):
-            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+            assert "nan" not in out.split("# secmac metadata")[0].lower()
+
+    @settings(max_examples=300, deadline=None)
+    @given(drawn=file_argvs())
+    def test_file_commands_exit_code_contract(self, tmp_path_factory, drawn):
+        argv, text = drawn
+        path = tmp_path_factory.mktemp("grammar") / "input.txt"
+        path.write_text(text)
+        code, out, err, caught = run_quietly(argv + [str(path)])
+        assert_contract((argv, text), code, err, caught)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from secmac import (
     AmbiguityError,
     ChannelGains,
-    NoiseModel,
     NormalizedGains,
     ParameterError,
     RateInfeasibleError,
@@ -368,7 +367,7 @@ class TestEndToEndNoiseless:
                     for k in range(K)
                 ]
             )
-            y, _ = transmit(x, ch, NoiseModel(0.0), seed=seed)
+            y, _ = transmit(x, ch, 0.0, seed=seed)
             dec = hard_decode(y, rc)
             got = decode_messages([dec[:, k] for k in range(K)], cbs)
             assert got == msgs

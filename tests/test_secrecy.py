@@ -1,4 +1,5 @@
 import math
+import warnings
 from itertools import product
 
 import numpy as np
@@ -252,6 +253,12 @@ class TestCompositionCounts:
         with pytest.raises(SizeCapError):
             composition_counts(2, 10**7)
 
+    @pytest.mark.parametrize("K,Q", [(2236, 1), (1000, 5), (10**6, 1)])
+    def test_work_past_cap_is_refused(self, K, Q):
+        # K window sums over a 2KQ+1 support: 2236 * 4473 passes 1e7 cells
+        with pytest.raises(SizeCapError, match="K \\* \\(2KQ\\+1\\)"):
+            composition_counts(K, Q)
+
     def test_exact_past_int64(self):
         counts = composition_counts(12, 77)
         assert max(counts).bit_length() == 79
@@ -280,6 +287,13 @@ class TestSumEntropy:
         for K in (2, 3, 4):
             for Q in (1, 2, 5):
                 assert sum_entropy(K, Q) < math.log2(2 * K * Q + 1)
+
+    @pytest.mark.parametrize("K", [646, 700])
+    def test_counts_past_the_float_range(self, K):
+        # 3^646 passes 2^1023: c log2 c no longer fits a float
+        h = sum_entropy(K, 1)
+        assert math.isfinite(h)
+        assert sum_entropy(K - 1, 1) < h < math.log2(2 * K + 1)
 
     def test_monotone_in_q_and_k(self):
         vals_q = [sum_entropy(2, Q) for Q in range(1, 8)]
@@ -395,6 +409,15 @@ class TestLeakageEstimate:
         z = tuples.sum(axis=1).astype(float)
         with pytest.raises(ParameterError, match="1000"):
             leakage_estimate(tuples, z, 1.0, 1)
+
+    @pytest.mark.parametrize("scale,bin_width", [(1.0, 1e-300), (1e154, 1e-10)])
+    def test_bin_index_past_int64_is_refused(self, scale, bin_width):
+        tuples = self.exhaustive_tuples(2, 1, 120)
+        z = scale * tuples.sum(axis=1).astype(float)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="int64"):
+                leakage_estimate(tuples, z, bin_width, 1)
 
     def test_bad_bin_width(self):
         tuples = self.exhaustive_tuples(2, 1, 120)
@@ -515,4 +538,23 @@ p_yz_given_x = 1 0 0  0 1 0  0 1 0  0 0 1
         path = tmp_path / "bad.spec"
         path.write_text(self.ADDER.replace("p_u_1 = 0.5 0.5", "p_u_1 = 0.5 0.6"))
         with pytest.raises(ParameterError):
+            load_mac_spec(str(path))
+
+    def test_bad_tokens_and_shapes_rejected(self, tmp_path):
+        path = tmp_path / "bad.spec"
+        for old, new in [("k = 2", "k = x"), ("p_x_given_u_1 = 1 0 0 1", "p_x_given_u_1 = 1 0 0"),
+                         ("y_size = 3", "y_size = -3"), ("x_sizes = 2 2", "x_sizes = 2")]:
+            path.write_text(self.ADDER.replace(old, new))
+            with pytest.raises(ParameterError, match=r"bad\.spec:\d+: "):
+                load_mac_spec(str(path))
+
+    def test_missing_file_rejected(self, tmp_path):
+        with pytest.raises(ParameterError, match="cannot read"):
+            load_mac_spec(str(tmp_path / "absent.spec"))
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_pmf_rejected(self, tmp_path, bad):
+        path = tmp_path / "bad.spec"
+        path.write_text(self.ADDER.replace("p_yz_given_x = 1 0 0", f"p_yz_given_x = {bad} 0 0"))
+        with pytest.raises(ParameterError, match="non-finite"):
             load_mac_spec(str(path))

@@ -19,6 +19,7 @@ from secmac import (
 from secmac.channel import normalize_gains
 from secmac.rng import stream, substream
 from secmac.simulate import (
+    TABLE_CAP,
     TRIAL_BATCH,
     _batches,
     _block_batch,
@@ -259,7 +260,7 @@ class TestBlockTrials:
     def test_bin_count_past_table_cap_is_refused(self, K, eps, P, n, B, monkeypatch):
         # refused before any table is drawn (the first would need 10.7 GB)
         cfg = SimConfig(K=K, epsilon=eps, P_grid=(P,), n=n, h=(1.0,) * K, h_e=(1.0,) * K)
-        assert derive_code_sizes(cfg, select_params(P, K, eps).Q)[0] == B > cfg.table_cap
+        assert derive_code_sizes(cfg, select_params(P, K, eps).Q)[0] == B > TABLE_CAP
 
         def no_table(*args, **kwargs):
             raise AssertionError("a codebook was drawn")
@@ -310,6 +311,36 @@ class TestBlockTrials:
         assert all(w is not None for w in want[:100])
 
 
+class TestUnfinishableK:
+    """A K that no run can finish is refused before any gain is drawn."""
+
+    @pytest.mark.parametrize("run", [run_symbol_sweep, run_block_trials])
+    @pytest.mark.parametrize("K,cap", [(10**30, 10**7), (15, 10**7), (3, 26)])
+    def test_constellation_runs(self, run, K, cap, monkeypatch):
+        # Q >= 1, so a run needs at least 3^K points: 3^15 > 1e7 and 3^3 > 26
+        def no_gains(*args, **kwargs):
+            raise AssertionError("gains were drawn")
+
+        monkeypatch.setattr("secmac.simulate.SimConfig.resolve_gains", no_gains)
+        cfg = SimConfig(K=K, epsilon=0.5, P_grid=(1e4,), trials=10, cap=cap)
+        with pytest.raises(SizeCapError, match="3\\^K"):
+            run(cfg)
+
+    @pytest.mark.parametrize("K,samples", [(10**30, 1000), (2, 10**30), (10_001, 1000)])
+    def test_leakage(self, K, samples, monkeypatch):
+        def no_gains(*args, **kwargs):
+            raise AssertionError("gains were drawn")
+
+        monkeypatch.setattr("secmac.simulate.SimConfig.resolve_gains", no_gains)
+        cfg = SimConfig(K=K, epsilon=0.5, P_grid=(1e4,), leakage_samples=samples)
+        with pytest.raises(SizeCapError, match="samples of"):
+            run_leakage(cfg)
+
+    def test_leakage_at_k40_still_runs(self):
+        rep = run_leakage(SimConfig(K=40, epsilon=0.5, P_grid=(1e4,), leakage_samples=1000))
+        assert rep.samples == 1000
+
+
 class TestLeakageRun:
     def test_noiseless_exhaustive_matches_sum_entropy(self):
         cfg = SimConfig(
@@ -317,7 +348,7 @@ class TestLeakageRun:
         )
         rep = run_leakage(cfg)
         assert rep.exhaustive
-        assert rep.estimate.mi_bits == pytest.approx(sum_entropy(2, rep.Q), abs=1e-12)
+        assert rep.mi_bits == pytest.approx(sum_entropy(2, rep.Q), abs=1e-12)
 
     def test_residual_for_q1(self):
         cfg = SimConfig(
@@ -325,7 +356,7 @@ class TestLeakageRun:
         )
         rep = run_leakage(cfg)
         assert rep.Q == 1
-        assert rep.estimate.residual_bits == pytest.approx(
+        assert rep.residual_bits == pytest.approx(
             2 * math.log2(3) - 2.197159723424149, abs=1e-9
         )
 
@@ -343,8 +374,8 @@ class TestLeakageRun:
         )
         rep = run_leakage(cfg)
         assert not rep.exhaustive
-        assert rep.estimate.mi_bits < 0.05
-        assert rep.estimate.bias_bound_bits < 0.01
+        assert rep.mi_bits < 0.05
+        assert rep.bias_bound_bits < 0.01
 
     def test_sample_budget_floor(self):
         cfg = SimConfig(
