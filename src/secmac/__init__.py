@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .channel import (
     ChannelGains,
     NormalizedGains,
-    PowerParams,
     effective_power,
     normalize_gains,
     sample_gains,
@@ -23,8 +22,6 @@ from .codec import (
     decode_messages,
     encode,
     hard_decode,
-    load_codebook,
-    save_codebook,
     scale_to_channel,
 )
 from .constellation import (

@@ -2,8 +2,10 @@
 
 K single-antenna users share one real channel toward the intended
 receiver (gains h_k) while an eavesdropper listens through its own gains
-h_{k,e}.  Both observations are corrupted by independent unit-variance
-Gaussian noise.  All gains are fixed and known everywhere.
+h_{k,e}.  All gains are fixed and known everywhere.  ``transmit``
+simulates one receiver: the sum of its gains times the inputs plus
+Gaussian noise of a given variance.  The eavesdropper's observation is
+the same call with h_e and a seed of its own.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .errors import ParameterError
 from .rng import stream
 
 Real = float | Fraction
+GAIN_RANGE = (0.5, 2.0)  # sampled gains are uniform on this interval
 
 
 @dataclass(frozen=True)
@@ -80,27 +83,6 @@ class NormalizedGains:
         return all(isinstance(x, (Fraction, int)) for x in self.g)
 
 
-@dataclass(frozen=True)
-class PowerParams:
-    """Per-user power budget P, effective power and the scheme exponent."""
-
-    P: float
-    P_tilde: float
-    epsilon: float
-
-    def __post_init__(self):
-        if self.P <= 0 or self.P_tilde <= 0:
-            raise ParameterError("powers must be positive")
-        if not 0 < self.epsilon < 1:
-            raise ParameterError(f"epsilon must be in (0,1), got {self.epsilon}")
-
-    @classmethod
-    def from_gains(cls, gains: "ChannelGains", P: float, epsilon: float) -> "PowerParams":
-        """Effective power taken as min_k h_{k,e}^2 P, so every user's
-        average-power constraint holds simultaneously."""
-        return cls(P=P, P_tilde=effective_power(gains, P), epsilon=epsilon)
-
-
 def normalize_gains(gains: ChannelGains) -> NormalizedGains:
     """Reduce the channel to ratio form with the last ratio equal to 1.
 
@@ -115,18 +97,16 @@ def normalize_gains(gains: ChannelGains) -> NormalizedGains:
     return NormalizedGains(g=g, scale=scale)
 
 
-def sample_gains(seed: int, K: int, low: float = 0.5, high: float = 2.0) -> ChannelGains:
-    """Draw 2K i.i.d. uniform gains on [low, high].
+def sample_gains(seed: int, K: int) -> ChannelGains:
+    """Draw 2K i.i.d. uniform gains on ``GAIN_RANGE``.
 
     Continuous sampling makes the ratio set rationally independent with
     probability one.  Deterministic for a fixed seed.
     """
     if K < 2:
         raise ParameterError(f"K must be >= 2, got {K}")
-    if not 0 < low < high < math.inf:
-        raise ParameterError(f"need 0 < low < high, both finite, got [{low}, {high}]")
     rng = stream(seed, "gains")
-    vals = rng.uniform(low, high, size=2 * K)
+    vals = rng.uniform(*GAIN_RANGE, size=2 * K)
     return ChannelGains(h=tuple(vals[:K]), h_e=tuple(vals[K:]))
 
 
@@ -142,32 +122,26 @@ def effective_power(gains: ChannelGains, P: float) -> float:
 
 
 def transmit(
-    x: np.ndarray,
-    gains: ChannelGains,
-    variance: float = 1.0,
-    seed: int | np.random.SeedSequence = 0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Send K blocks of n symbols; return (y, z) at receiver and eavesdropper.
+    x: np.ndarray, h, variance: float = 1.0, seed: int | np.random.SeedSequence = 0
+) -> np.ndarray:
+    """Send K blocks of n symbols to one receiver with gains ``h``.
 
-    ``x`` has shape (K, n).  y_i = sum_k h[k] x[k,i] + noise and z_i uses
-    h_e with an independent noise stream, both of the given ``variance``
-    (1.0 unless stress-testing).  Both noises are keyed off ``seed`` so
-    repeated calls are bit-identical.
+    ``x`` has shape (K, n); the result is y_i = sum_k h[k] x[k,i] plus
+    Gaussian noise of the given ``variance`` from the (seed,
+    "transmit/main") stream, so repeated calls are bit-identical.
     """
     if not 0 <= variance < math.inf:
         raise ParameterError(f"variance must be >= 0 and finite, got {variance}")
     x = np.asarray(x, dtype=float)
+    h = np.asarray(h, dtype=float)
     if x.ndim != 2:
         raise ParameterError(f"x must be (K, n), got shape {x.shape}")
-    if x.shape[0] != gains.K:
-        raise ParameterError(f"x has {x.shape[0]} rows for K={gains.K} users")
+    if x.shape[0] != h.size:
+        raise ParameterError(f"x has {x.shape[0]} rows for K={h.size} users")
     n = x.shape[1]
     if n < 1:
         raise ParameterError("block length must be >= 1")
-    y = np.asarray(gains.h, dtype=float) @ x
-    z = np.asarray(gains.h_e, dtype=float) @ x
+    y = h @ x
     if variance > 0:
-        sd = np.sqrt(variance)
-        y = y + sd * stream(seed, "transmit/main").standard_normal(n)
-        z = z + sd * stream(seed, "transmit/eve").standard_normal(n)
-    return y, z
+        y = y + np.sqrt(variance) * stream(seed, "transmit/main").standard_normal(n)
+    return y

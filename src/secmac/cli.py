@@ -2,8 +2,9 @@
 
 Commands: params, dmin, sweep, block, kg, region, entropy, leakage,
 check.  Configs are 'key = value' text files with '#' comments.  Every
-command accepts --seed and --out; with --out the CSV goes to the file
+command but check accepts --out; with --out the CSV goes to the file
 and a metadata sidecar to '<out>.meta', otherwise both print to stdout.
+The commands that draw (sweep, block, leakage) accept --seed.
 Exit codes: 0 success, 2 validation error (including gains whose
 constellation is not uniquely decodable), 3 computational cap.
 """
@@ -12,13 +13,14 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 import time
 from fractions import Fraction
 
 from . import __version__
 from .channel import ChannelGains, NormalizedGains, effective_power
-from .constellation import ENUMERATION_CAP, received_constellation, select_params
+from .constellation import received_constellation, select_params
 from .diophantine import kg_profile
 from .errors import AmbiguityError, ParameterError, SizeCapError
 from .keyvalue import parse_value, read_key_values, read_text
@@ -70,12 +72,8 @@ CONFIG_KEYS = {
     "variance": float,
     "h": _gain_floats,
     "h_e": _gain_floats,
-    "gains_seed": int,
-    "gains_low": float,
-    "gains_high": float,
     "bin_width": float,
     "leakage_samples": int,
-    "cap": int,
 }
 
 
@@ -92,12 +90,11 @@ def parse_config(path: str, required: tuple[str, ...]) -> dict:
 
 
 def emit(args, csv: str, **fields) -> None:
-    """Write a command's CSV and its metadata sidecar: the command, version,
-    seed and wall time since ``args.t0``, then ``fields``."""
+    """Write a command's CSV and its metadata sidecar: the command, version
+    and wall time since ``args.t0``, then ``fields``."""
     meta = {
         "command": args.command,
         "version": __version__,
-        "seed": args.seed if args.seed is not None else "",
         "wall_time_s": f"{time.monotonic() - args.t0:.3f}",
         **fields,
     }
@@ -155,7 +152,7 @@ def _normalized_from_tokens(tokens: list[float | Fraction]) -> NormalizedGains:
 def cmd_dmin(args) -> int:
     tokens = parse_gain_list(args.gains)
     g = _normalized_from_tokens(tokens)
-    rc = received_constellation(g, args.q, args.a, cap=args.cap)
+    rc = received_constellation(g, args.q, args.a)
     print(f"points = {rc.points.size}")
     print(f"gamma = {rc.gamma.value}")
     print(f"d_min = {fmt(rc.d_min)}")
@@ -262,9 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name: str, func, help_text: str) -> argparse.ArgumentParser:
-        """A subcommand running ``func``, with the options every command takes."""
+        """A subcommand running ``func`` that writes a CSV, to ``--out`` if given."""
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--seed", type=int, default=None, help="master seed override")
         p.add_argument("--out", default=None, help="write CSV here (+ .meta sidecar)")
         p.set_defaults(func=func)
         return p
@@ -280,10 +276,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gains", required=True, help="comma list; a/b tokens are exact")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--a", type=float, required=True)
-    p.add_argument("--cap", type=int, default=ENUMERATION_CAP)
 
     for name, (help_text, _, _) in RUNS.items():
-        add(name, cmd_run, help_text).add_argument("--config", required=True)
+        p = add(name, cmd_run, help_text)
+        p.add_argument("--config", required=True)
+        p.add_argument("--seed", type=int, default=None, help="master seed override")
 
     p = add("kg", cmd_kg, "Khintchine-Groshev linear-form profile")
     p.add_argument("--gains", required=True)
@@ -297,15 +294,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
 
-    p = add("check", cmd_check, "verify a CSV re-parses with zero diffs")
+    p = sub.add_parser("check", help="verify a CSV re-parses with zero diffs")
     p.add_argument("file")
+    p.set_defaults(func=cmd_check)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse reads a list value that starts with a negative number as an
+    # option, so "--gains -1,2" is passed on as "--gains=-1,2"
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] in ("--gains", "--h-e") and re.match(r"-[0-9.]", argv[i]):
+            argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
+    args = build_parser().parse_args(argv)
     args.t0 = time.monotonic()
     try:
         return args.func(args)

@@ -49,7 +49,6 @@ class Codebook:
     Q: int
     B: int
     L: int
-    seed: int
     user_k: int
     table: np.ndarray
     _keys: np.ndarray = field(repr=False, compare=False, default=None)  # sorted row keys
@@ -115,9 +114,7 @@ def build_codebook(n: int, Q: int, B: int, L: int, seed, user_k: int = 0) -> Cod
     rng = stream(seed, "codebook/sequences", user_k)
     seqs = rng.integers(-Q, Q + 1, size=(B * L, n), dtype=np.int64)
     perm = stream(seed, "codebook/binning", user_k).permutation(B * L)
-    table = seqs[perm].reshape(B, L, n)
-    entropy = seed.entropy if isinstance(seed, np.random.SeedSequence) else int(seed)
-    return Codebook(n=n, Q=Q, B=B, L=L, seed=entropy, user_k=user_k, table=table)
+    return Codebook(n=n, Q=Q, B=B, L=L, user_k=user_k, table=seqs[perm].reshape(B, L, n))
 
 
 def encode(cb: Codebook, w, seed) -> np.ndarray:
@@ -209,47 +206,3 @@ def decode_messages(
             f"{len(decoded)} sequences for {len(codebooks)} codebooks"
         )
     return [cb.bin_of(np.asarray(seq)) for seq, cb in zip(decoded, codebooks)]
-
-
-CODEBOOK_FORMAT = "secmac-codebook v1"
-
-
-def save_codebook(cb: Codebook, path: str) -> None:
-    """Write the table in the versioned textual format (one sequence per line)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(
-            f"{CODEBOOK_FORMAT} n={cb.n} Q={cb.Q} B={cb.B} L={cb.L} "
-            f"seed={cb.seed} user={cb.user_k}\n"
-        )
-        for b in range(cb.B):
-            for l in range(cb.L):
-                fh.write(" ".join(str(int(v)) for v in cb.table[b, l]) + "\n")
-
-
-def load_codebook(path: str) -> Codebook:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if not header.startswith(CODEBOOK_FORMAT):
-            raise ParameterError(f"{path}: unrecognized codebook header {header!r}")
-        fields = dict(
-            tok.split("=", 1) for tok in header[len(CODEBOOK_FORMAT) :].split()
-        )
-        try:
-            n, Q, B, L = (int(fields[k]) for k in ("n", "Q", "B", "L"))
-            seed, user_k = int(fields["seed"]), int(fields["user"])
-        except KeyError as exc:
-            raise ParameterError(f"{path}: missing header field {exc}") from None
-        rows = []
-        for lineno, line in enumerate(fh, 2):
-            line = line.strip()
-            if not line:
-                continue
-            rows.append([int(tok) for tok in line.split()])
-        table = np.array(rows, dtype=np.int64)
-        if table.shape != (B * L, n):
-            raise ParameterError(
-                f"{path}: expected {B * L} sequences of length {n}, got {table.shape}"
-            )
-    return Codebook(
-        n=n, Q=Q, B=B, L=L, seed=seed, user_k=user_k, table=table.reshape(B, L, n)
-    )

@@ -144,16 +144,15 @@ def tuple_sums(coefs, Q: int, dtype=float) -> np.ndarray:
     return vals
 
 
-def received_constellation(
-    g: NormalizedGains, Q: int, A: float, cap: int = ENUMERATION_CAP
-) -> ReceivedConstellation:
+def received_constellation(g: NormalizedGains, Q: int, A: float) -> ReceivedConstellation:
     """Enumerate the received point set for symbol bound Q and amplitude A.
 
     Rational gain ratios are scaled by their common denominator D and
     summed as integers (int64, or Python ints once D or K*Q*max|coef|
     reaches 2^53), so collisions there are proofs.  Float ratios get
     exact duplicate detection plus a "suspect" verdict when two points
-    land within 1e-9 * A of each other.
+    land within 1e-9 * A of each other.  A set of more than
+    ``ENUMERATION_CAP`` symbol tuples is refused before it is built.
     """
     if Q < 0:
         raise ParameterError(f"Q must be >= 0, got {Q}")
@@ -161,8 +160,8 @@ def received_constellation(
         raise ParameterError(f"A must be positive and finite, got {A}")
     K = g.K
     M = (2 * Q + 1) ** K
-    if M > cap:
-        raise SizeCapError(f"constellation needs {M} points, cap is {cap}")
+    if M > ENUMERATION_CAP:
+        raise SizeCapError(f"constellation needs {M} points, cap is {ENUMERATION_CAP}")
 
     if g.exact:
         ratios = [Fraction(x) for x in g.g]

@@ -4,7 +4,8 @@ Every random draw is keyed by (master seed, purpose, grid index, batch
 index) with a fixed batch size of ``TRIAL_BATCH``, so reports are
 bit-identical across runs and do not depend on how trials might be
 distributed over workers.  Sweep and block batches share one channel
-step: symbol tuples -> A*v/h_e -> transmit.  Block hard-decodes the
+step: symbol tuples -> A*v/h_e -> transmit to the intended receiver
+(the eavesdropper's observation is not drawn).  Block hard-decodes the
 samples; the sweep only tests each one against its sent point's decision
 cell.  Each report's ``.meta`` names its ``stream_layout`` version.
 """
@@ -53,6 +54,7 @@ WILSON_Z = 1.959963984540054  # two-sided 95%
 # changes whenever a stream key, a draw order or a batch shape changes.
 STREAM_LAYOUT = {"sweep": 1, "block": 2, "leakage": 1}
 TABLE_CAP = 65_536  # max codebook sequences per user in block runs
+TRIAL_CAP = 10**8  # max trials of a sweep (over all grid points) or a block run
 
 
 def _batches(total: int):
@@ -78,9 +80,8 @@ def wilson_interval(errors: int, trials: int, z: float = WILSON_Z) -> tuple[floa
 class SimConfig:
     """Inputs for one simulation campaign.
 
-    Gains come either from explicit (h, h_e) or from seeded uniform
-    sampling on [gains_low, gains_high]; the sampling seed defaults to
-    the master seed.
+    Gains come either from explicit (h, h_e) or from uniform sampling
+    (``channel.sample_gains``) seeded by the master seed.
     """
 
     K: int
@@ -92,12 +93,8 @@ class SimConfig:
     variance: float = 1.0
     h: tuple[float, ...] | None = None
     h_e: tuple[float, ...] | None = None
-    gains_seed: int | None = None
-    gains_low: float = 0.5
-    gains_high: float = 2.0
     bin_width: float | None = None
     leakage_samples: int = 100_000
-    cap: int = ENUMERATION_CAP
 
     def __post_init__(self):
         object.__setattr__(self, "P_grid", tuple(float(p) for p in self.P_grid))
@@ -117,8 +114,8 @@ class SimConfig:
             raise ParameterError(f"block length must be >= 1, got {self.n}")
         if not 0 <= self.variance < math.inf:
             raise ParameterError(f"variance must be >= 0 and finite, got {self.variance}")
-        if self.master_seed < 0 or (self.gains_seed is not None and self.gains_seed < 0):
-            raise ParameterError("seeds must be >= 0")
+        if self.master_seed < 0:
+            raise ParameterError(f"master_seed must be >= 0, got {self.master_seed}")
         if (self.h is None) != (self.h_e is None):
             raise ParameterError("give both h and h_e, or neither")
         if self.h is not None and (len(self.h) != self.K or len(self.h_e) != self.K):
@@ -127,8 +124,7 @@ class SimConfig:
     def resolve_gains(self) -> ChannelGains:
         if self.h is not None:
             return ChannelGains(h=tuple(self.h), h_e=tuple(self.h_e))
-        seed = self.master_seed if self.gains_seed is None else self.gains_seed
-        return sample_gains(seed, self.K, self.gains_low, self.gains_high)
+        return sample_gains(self.master_seed, self.K)
 
 
 @dataclass(frozen=True)
@@ -212,12 +208,16 @@ class SweepReport(_Report):
     fit_residual: float = _meta(fmt)
 
 
-def _constellation_gains(cfg: SimConfig) -> ChannelGains:
-    """The gains of a sweep or block run, drawn only once its smallest
-    constellation fits the cap: Q >= 1, so M = (2Q+1)^K >= 3^K."""
+def _constellation_gains(cfg: SimConfig, trials: int) -> ChannelGains:
+    """The gains of a sweep or block run of ``trials`` trials in all, drawn
+    only once the run fits the caps: at most ``TRIAL_CAP`` trials, and a
+    smallest constellation within ``ENUMERATION_CAP`` (Q >= 1, so
+    M = (2Q+1)^K >= 3^K)."""
+    if trials > TRIAL_CAP:
+        raise SizeCapError(f"{trials} trials exceed cap {TRIAL_CAP}")
     # 3^K > 2^K >= 2^bit_length > cap, without forming 3^K for a huge K
-    if cfg.K >= cfg.cap.bit_length() or 3**cfg.K > cfg.cap:
-        raise SizeCapError(f"K = {cfg.K} users need at least 3^K points, cap is {cfg.cap}")
+    if cfg.K >= ENUMERATION_CAP.bit_length() or 3**cfg.K > ENUMERATION_CAP:
+        raise SizeCapError(f"K = {cfg.K} users need at least 3^K points, cap is {ENUMERATION_CAP}")
     return cfg.resolve_gains()
 
 
@@ -235,8 +235,7 @@ class _Link(NamedTuple):
         """Symbol tuples (m, K) -> A*v/h_e -> transmit -> (m,) samples, in
         the sign of the received constellation."""
         x = scale_to_channel(v, self.A, self.gains.h_e).T
-        y, _ = transmit(x, self.gains, self.variance, seed)
-        return self.sgn * y
+        return self.sgn * transmit(x, self.gains.h, self.variance, seed)
 
     def decode(self, v: np.ndarray, seed) -> np.ndarray:
         """Symbol tuples (m, K) -> received samples -> hard-decoded (m, K)."""
@@ -247,7 +246,7 @@ def _grid_point(cfg: SimConfig, gains: ChannelGains, g, P: float) -> tuple[float
     """(P_tilde, Q, link) at power P."""
     P_t = effective_power(gains, P)
     Q, A = select_params(P_t, cfg.K, cfg.epsilon)
-    rc = received_constellation(g, Q, A * abs(g.scale), cap=cfg.cap)
+    rc = received_constellation(g, Q, A * abs(g.scale))
     sgn = 1.0 if g.scale >= 0 else -1.0
     return P_t, Q, _Link(gains, cfg.variance, rc, A, sgn)
 
@@ -296,7 +295,7 @@ def run_symbol_sweep(cfg: SimConfig) -> SweepReport:
     a Wilson 95% interval.  Any failing grid point aborts the sweep with
     the offending P in the message.
     """
-    gains = _constellation_gains(cfg)
+    gains = _constellation_gains(cfg, cfg.trials * len(cfg.P_grid))
     g = normalize_gains(gains)
     rows = []
     for pi, P in enumerate(cfg.P_grid):
@@ -353,13 +352,21 @@ def derive_code_sizes(cfg: SimConfig, Q: int) -> tuple[int, int]:
     Exact-match decoding turns a sequence duplicated across bins into an
     ambiguity, so the table is kept under 1/256 of the sequence space;
     at block lengths where even that is impossible L degenerates to 1.
-    B itself is not capped here; ``_block_setup`` refuses B > TABLE_CAP.
+    B is capped here only at 2^62, the int64 message draw, and n at
+    ``JOINT_TABLE_CAP`` (one row alone would pass it), both before any
+    power of n is formed; ``_block_setup`` refuses B > TABLE_CAP and
+    tables of more than ``JOINT_TABLE_CAP`` cells.
     """
     r_user = sum_rate_lower_bound(cfg.K, Q, 0.0) / cfg.K
+    if cfg.n > JOINT_TABLE_CAP or cfg.n * r_user > 62:
+        raise SizeCapError(
+            f"block length n = {cfg.n} needs over 2^62 bins or {JOINT_TABLE_CAP} table cells"
+        )
     B = 2 ** math.ceil(cfg.n * r_user)
+    # max_table <= TABLE_CAP = 2^16, so larger powers change neither min
     budget_bits = cfg.n * (math.log2(2 * Q + 1) - r_user)
-    L = 2 ** max(0, math.ceil(budget_bits))
-    space = (2 * Q + 1) ** cfg.n
+    L = 2 ** min(max(0, math.ceil(budget_bits)), 17)
+    space = (2 * Q + 1) ** min(cfg.n, 24)  # (2Q+1)^24 >= 3^24 > 256 * TABLE_CAP
     max_table = min(TABLE_CAP, space // 256)
     L = max(1, min(L, max_table // B))
     return B, L
@@ -378,11 +385,16 @@ class _BlockRun(NamedTuple):
 
 def _block_setup(cfg: SimConfig) -> _BlockRun:
     """Link and codebooks for a block run at the top of the power grid."""
-    gains = _constellation_gains(cfg)
+    gains = _constellation_gains(cfg, cfg.trials)
     P_t, Q, link = _grid_point(cfg, gains, normalize_gains(gains), cfg.P_grid[-1])
     B, L = derive_code_sizes(cfg, Q)
-    if B > TABLE_CAP:  # refused before any table is drawn
+    # both refused before any table is drawn
+    if B > TABLE_CAP:
         raise SizeCapError(f"codebook needs B = {B} bins per user, cap is {TABLE_CAP}")
+    if cfg.K * B * L * cfg.n > JOINT_TABLE_CAP:
+        raise SizeCapError(
+            f"codebooks need K*B*L*n = {cfg.K * B * L * cfg.n} cells, cap is {JOINT_TABLE_CAP}"
+        )
     codebooks = tuple(
         build_codebook(cfg.n, Q, B, L, substream(cfg.master_seed, "block/codebook"), user_k=k)
         for k in range(cfg.K)

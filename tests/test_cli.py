@@ -82,15 +82,29 @@ class TestDmin:
         assert "d_min = 0" in out
 
     def test_cap_exits_3(self, capsys):
+        # 217^3 symbol tuples pass ENUMERATION_CAP = 10^7
         code, _, err = run(
-            capsys,
-            "dmin",
-            "--gains", "1.41421356237,1.7320508,1",
-            "--q", "2",
-            "--a", "1",
-            "--cap", "10",
+            capsys, "dmin", "--gains", "1.41421356237,1.7320508,1", "--q", "108", "--a", "1"
         )
         assert code == 3
+        assert err == "error: constellation needs 10218313 points, cap is 10000000\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("dmin", "--gains", "-1.41421356237,1", "--q", "2", "--a", "1"),
+            ("dmin", "--gains", "-1/2,1", "--q", "2", "--a", "1"),
+            ("kg", "--gains", "-1.4142135623730951,-.5", "--eps", "0.5", "--n-list", "2,4"),
+            ("params", "--p", "10", "--h-e", "-1.5,4", "--k", "2", "--eps", "0.1"),
+        ],
+    )
+    def test_negative_list_as_separate_token(self, capsys, argv):
+        # "--gains -1,2" behaves exactly like "--gains=-1,2"
+        flag = argv.index("--gains") if "--gains" in argv else argv.index("--h-e")
+        joined = argv[:flag] + (f"{argv[flag]}={argv[flag + 1]}",) + argv[flag + 2 :]
+        got = run(capsys, *argv)
+        assert got[0] == 0
+        assert got == run(capsys, *joined)
 
     def test_bad_gain_token_exits_2(self, capsys):
         code, _, err = run(capsys, "dmin", "--gains", "x,y", "--q", "1", "--a", "1")
@@ -187,6 +201,39 @@ class TestBlockAndLeakage:
         assert f"stream_layout = {layout}" in meta
 
 
+    @pytest.mark.parametrize(
+        "command,p_grid,trials,n,message",
+        [
+            ("block", "10", 10**8 + 1, 4, "error: 100000001 trials exceed cap 100000000"),
+            ("sweep", "10,20", 5 * 10**7 + 1, 4,  # trials over all grid points
+             "error: 100000002 trials exceed cap 100000000"),
+            ("block", "10", 10**30, 4, f"error: {10**30} trials exceed cap"),
+            # Q = B = 1 and L = 65,536 at P = 10: 5.2 GB of tables at n = 10^4
+            ("block", "10", 1, 10**4, "error: codebooks need K*B*L*n = 1310720000 cells"),
+            ("block", "10", 1, 10**5, "error: codebooks need K*B*L*n = 13107200000 cells"),
+            ("block", "10", 1, 10**30, f"error: block length n = {10**30} needs over"),
+            ("block", "10", 1, 10**400, f"error: block length n = {10**400} needs over"),
+        ],
+        ids=["block-trials", "sweep-trials", "block-trials-1e30", "n-1e4", "n-1e5", "n-1e30",
+             "n-1e400"],
+    )
+    def test_run_past_cap_exits_3_up_front(self, tmp_path, capsys, monkeypatch, command, p_grid,
+                                           trials, n, message):
+        # refused before any codebook or trial is drawn
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a codebook or a trial was drawn")
+
+        monkeypatch.setattr("secmac.simulate.build_codebook", no_draw)
+        monkeypatch.setattr("secmac.simulate.stream", no_draw)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            f"k = 2\nepsilon = 0.5\np_grid = {p_grid}\ntrials = {trials}\nn = {n}\n"
+            "h = 1.4142135623730951,1\nh_e = 1,1\n"
+        )
+        code, _, err = run(capsys, command, "--config", str(cfg))
+        assert code == 3
+        assert err.startswith(message) and err.count("\n") == 1
+
     @pytest.mark.parametrize("k,eps,p,n", [(3, 0.3, "1e6", 20), (2, 0.5, "1e8", 40)])
     def test_block_table_past_cap_exits_3(self, tmp_path, capsys, k, eps, p, n):
         cfg = tmp_path / "block.cfg"
@@ -198,6 +245,47 @@ class TestBlockAndLeakage:
         code, _, err = run(capsys, "block", "--config", str(cfg))
         assert code == 3
         assert err.startswith("error: codebook needs B = ") and err.count("\n") == 1
+
+
+class TestOptionSurface:
+    """Options exist only where a command reads them."""
+
+    def test_config_keys_are_the_simconfig_fields(self):
+        from dataclasses import fields
+
+        from secmac.cli import CONFIG_KEYS
+        from secmac.simulate import SimConfig
+
+        assert sorted(CONFIG_KEYS) == sorted(f.name.lower() for f in fields(SimConfig))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("params", "--p-tilde", "1e6", "--k", "2", "--eps", "0.1", "--seed", "3"),
+            ("dmin", "--gains", "1.41421356237,1", "--q", "2", "--a", "1", "--seed", "3"),
+            ("kg", "--gains", "1.5", "--eps", "0.5", "--n-list", "2", "--seed", "3"),
+            ("entropy", "--k", "2", "--q", "1", "--seed", "3"),
+            ("region", "--spec", "adder.spec", "--seed", "3"),
+            ("dmin", "--gains", "1.41421356237,1", "--q", "2", "--a", "1", "--cap", "10"),
+            ("check", "--out", "x.csv", "a.csv"),
+        ],
+    )
+    def test_no_op_flags_are_refused(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["sweep", "block", "leakage"])
+    def test_meta_records_the_seed_used_as_master_seed(self, tmp_path, capsys, command):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SWEEP_CONFIG + "n = 4\n")
+        out_path = tmp_path / "run.csv"
+        argv = (command, "--config", str(cfg), "--seed", "3", "--out", str(out_path))
+        assert run(capsys, *argv)[0] == 0
+        meta = (tmp_path / "run.csv.meta").read_text().splitlines()
+        assert "master_seed = 3" in meta
+        assert not [line for line in meta if line.startswith("seed")]
 
 
 class TestParserReuse:
@@ -401,9 +489,11 @@ class TestInputFileContract:
 
     @pytest.mark.parametrize("extra", ["gains_low = nan", "gains_high = inf"])
     def test_non_finite_gain_range(self, tmp_path, extra):
+        # the sampled gain range is fixed, so its keys are unknown
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(f"k = 2\nepsilon = 0.5\np_grid = 1e4\ntrials = 10\n{extra}\n")
         self.check(["sweep", "--config", str(cfg)], 2)
+        assert "unknown key" in run_quietly(["sweep", "--config", str(cfg)])[2]
 
     @pytest.mark.parametrize("command", ["sweep", "block", "leakage"])
     def test_k_no_run_can_finish(self, tmp_path, command):
@@ -468,8 +558,6 @@ def argvs(draw):
     for flag, tokens in options.items():
         if draw(st.integers(0, 5)):  # sometimes leave an option out
             argv += [flag, draw(tokens)]
-    if draw(st.booleans()):
-        argv += ["--seed", draw(INTS)]
     return argv
 
 
@@ -499,27 +587,24 @@ def assert_contract(argv, code, err, caught):
 
 # Config-file grammar: per key, (valid values, invalid values).  Huge
 # integers are drawn only for keys that stay cheap or are refused before any
-# work; trials, block lengths and caps stay small (a huge one is not refused
-# up front), so every drawn run is short.
+# work, so every drawn run is short.
 HUGE = str(10**30)
 FILE_BAD = ["nan", "inf", "-inf", "", "abc", "1e400", "1e-300"]
 CONFIG_VALUES = {
     "k": (["2"], ["3", "0", "-1", "2.5", HUGE]),
     "epsilon": (["0.1", "0.5"], ["0", "1"]),
     "p_grid": (["1e2", "1e4", "1e2,1e4", "1e3,1e5,1e7"], ["1e4,1e2", "0.5", "1e308", "1e2,nan"]),
-    "trials": (["1", "40"], ["0", "-5"]),
-    "n": (["1", "2", "3"], ["0", "-2"]),
+    "trials": (["1", "40"], ["0", "-5", HUGE]),
+    "n": (["1", "2", "3"], ["0", "-2", HUGE]),
     "master_seed": (["0", "7", HUGE], ["-1"]),
     "variance": (["0", "1", "4", "1e308"], ["-1"]),
     "h": (["1.4142135623730951,1", "3/4,1", "1e-300,1", "1e308,1"], ["1,1", "0,1", "0.5,1,2.5"]),
     "h_e": (["1,1", "2,1", "1e-300,1", "1e308,1"], ["0,1", "1,0.5,1"]),
-    "gains_seed": (["0", "3", HUGE], ["-2"]),
-    "gains_low": (["0.5", "1e-300"], ["0", "-1", "2"]),
-    "gains_high": (["2", "1e308"], ["0.1"]),
     "bin_width": (["0.1", "1", "1e-300"], ["0", "-1"]),
     "leakage_samples": (["1000", "1500", HUGE], ["999"]),
-    "cap": (["10", "1000", "10000000"], ["0", "-1"]),
 }
+# Keys that once set a value now fixed: each must exit 2 as unknown.
+REMOVED_KEYS = ("gains_seed", "gains_low", "gains_high", "cap")
 CONFIG_REQUIRED = ("k", "epsilon", "p_grid", "trials", "n")
 SPEC_P_U = (["0.5 0.5", "0.25 0.75"], ["1", "0.5 0.6", "-0.5 1.5", "0.5 nan"])
 SPEC_P_XU = (["1 0 0 1", "0.5 0.5 0.5 0.5"], ["1 0 0", "1 0", "1 0 0 inf"])
@@ -561,11 +646,17 @@ def key_value_files(draw, values, required):
 
 @st.composite
 def file_argvs(draw):
-    """(argv without the path, file text) for sweep, block, leakage or region."""
+    """(argv without the path, file text, whether it must exit 2) for sweep,
+    block, leakage or region; a config sometimes sets a removed key."""
     command = draw(st.sampled_from(["sweep", "block", "leakage", "region"]))
     if command == "region":
-        return ["region", "--spec"], draw(key_value_files(SPEC_VALUES, tuple(SPEC_VALUES)))
-    return [command, "--config"], draw(key_value_files(CONFIG_VALUES, CONFIG_REQUIRED))
+        spec = draw(key_value_files(SPEC_VALUES, tuple(SPEC_VALUES)))
+        return ["region", "--spec"], spec, False
+    text = draw(key_value_files(CONFIG_VALUES, CONFIG_REQUIRED))
+    removed = draw(st.sampled_from((None, None) + REMOVED_KEYS))
+    if removed:
+        text += f"{removed} = {draw(st.sampled_from(['0', '2', '10', '10000000']))}\n"
+    return [command, "--config"], text, removed is not None
 
 
 class TestArgvGrammar:
@@ -583,8 +674,10 @@ class TestArgvGrammar:
     @settings(max_examples=300, deadline=None)
     @given(drawn=file_argvs())
     def test_file_commands_exit_code_contract(self, tmp_path_factory, drawn):
-        argv, text = drawn
+        argv, text, must_fail = drawn
         path = tmp_path_factory.mktemp("grammar") / "input.txt"
         path.write_text(text)
         code, out, err, caught = run_quietly(argv + [str(path)])
         assert_contract((argv, text), code, err, caught)
+        if must_fail:
+            assert code == 2, (text, err)

@@ -163,8 +163,9 @@ class TestReceivedConstellation:
             received_constellation(NormalizedGains(g=(1e308, 1.0)), 2, 1.0)
 
     def test_cap_reports_required_count(self):
-        with pytest.raises(SizeCapError, match="125"):
-            received_constellation(NormalizedGains(g=(S2, S3, 1.0)), 2, 1.0, cap=100)
+        # 217^3 = 10,218,313 tuples, past ENUMERATION_CAP = 10^7
+        with pytest.raises(SizeCapError, match="10218313 points, cap is 10000000"):
+            received_constellation(NormalizedGains(g=(S2, S3, 1.0)), 108, 1.0)
 
     def test_matches_brute_force_enumeration(self):
         rc = received_constellation(G_S2, 2, 3.0)

@@ -1,0 +1,155 @@
+"""Golden commands: small runs of every CSV-writing command whose output
+is pinned byte for byte.
+
+Each CSV below is literal text from an earlier build.  A change that moves
+any of them changes a stream layout or a result; such a change says so and
+updates the text here together with the layout version.
+"""
+
+import pytest
+
+from secmac.cli import main
+
+FILES = {
+    "sweep3.cfg": (
+        "k = 3\n"
+        "epsilon = 0.3\n"
+        "p_grid = 1e3,1e5\n"
+        "trials = 3000\n"
+        "h = 1.4142135623730951,1.7320508075688772,1\n"
+        "h_e = 1,1,1\n"
+        "variance = 1\n"
+        "master_seed = 5\n"
+    ),
+    "block.cfg": (
+        "k = 2\n"
+        "epsilon = 0.3\n"
+        "p_grid = 1e4\n"
+        "trials = 400\n"
+        "n = 5\n"
+        "h = 1.4142135623730951,1\n"
+        "h_e = 1,1\n"
+        "master_seed = 11\n"
+    ),
+    "leak_noisy.cfg": (
+        "k = 2\n"
+        "epsilon = 0.5\n"
+        "p_grid = 1e4\n"
+        "h = 1.5,1\n"
+        "h_e = 1,1\n"
+        "variance = 1\n"
+        "bin_width = 1\n"
+        "leakage_samples = 5000\n"
+        "master_seed = 3\n"
+    ),
+    "leak_exact.cfg": (
+        "k = 2\n"
+        "epsilon = 0.5\n"
+        "p_grid = 1e2\n"
+        "h = 1.5,1\n"
+        "h_e = 1,1\n"
+        "variance = 0\n"
+        "leakage_samples = 1000\n"
+    ),
+    "mac.spec": (
+        "k = 2\n"
+        "u_sizes = 2 2\n"
+        "x_sizes = 2 2\n"
+        "y_size = 3\n"
+        "z_size = 2\n"
+        "p_u_1 = 0.25 0.75\n"
+        "p_u_2 = 0.5 0.5\n"
+        "p_x_given_u_1 = 0.9 0.1 0.2 0.8\n"
+        "p_x_given_u_2 = 1 0 0 1\n"
+        "p_yz_given_x = 0.5 0 0 0.5 0 0  0 0.25 0.25 0 0.5 0  0 0.5 0 0 0.25 0.25  0 0 0.5 0 0 0.5\n"
+    ),
+}
+
+# name -> (argv without --out, CSV)
+GOLDEN = {
+    "sweep": (
+        ["sweep", "--config", "sweep3.cfg"],
+        (
+            "P,P_tilde,Q,A,d_min,pe_tail_bound,pe_exp_bound,pe_mc,pe_mc_ci_low,pe_mc_ci_high,r_sum_bound_bits,eta_running\n"
+            "1000,1000,2,15.19911082952934,0.70658028308038467,0.3619354677721372,0.93950046794051978,0.45933333333333332,0.44156400559940417,0.47720667409692225,0,0\n"
+            "100000,100000,3,93.260334688322033,0.31706539957750124,0.43701852787553708,0.98751231791058391,0.11,0.099298391956298179,0.12169911004945606,2.2477101284502181,0.27065126808850232\n"
+        ),
+    ),
+    "block": (
+        ["block", "--config", "block.cfg"],
+        (
+            "P,P_tilde,Q,A,n,B,L,rate_bits_per_user,trials,block_errors,bler,bler_ci_low,bler_ci_high,decode_failures,cross_bin_duplicates\n"
+            "10000,10000,4,24.620924014946269,5,16,14,0.80000000000000004,400,99,0.2475,0.20774293744415318,0.29206077119466656,99,0\n"
+        ),
+    ),
+    "leakage_noisy": (
+        ["leakage", "--config", "leak_noisy.cfg"],
+        (
+            "P,P_tilde,Q,A,variance,bin_width,samples,exhaustive,mi_bits,sum_entropy_bits,input_entropy_bits,residual_bits,bias_bound_bits\n"
+            "10000,10000,2,39.810717055349734,1,1,5000,0,3.012944460793733,2.9990795706241746,4.6438561897747244,1.6447766191505497,0.023227390158312312\n"
+        ),
+    ),
+    "leakage_exhaustive": (
+        ["leakage", "--config", "leak_exact.cfg"],
+        (
+            "P,P_tilde,Q,A,variance,bin_width,samples,exhaustive,mi_bits,sum_entropy_bits,input_entropy_bits,residual_bits,bias_bound_bits\n"
+            "100,100,1,6.3095734448019334,0,0.63095734448019336,1008,1,2.1971597234241491,2.1971597234241491,3.1699250014423122,0.97276527801816304,0.0057249803209879508\n"
+        ),
+    ),
+    "dmin_exact": (
+        ["dmin", "--gains", "3/7,5/11,1", "--q", "3", "--a", "2"],
+        (
+            "q,a,points,gamma,d_min\n"
+            "3,2,343,holds,0.025974025974024872\n"
+        ),
+    ),
+    "dmin_float": (
+        ["dmin", "--gains", "1.4142135623730951,1.7320508075688772,1", "--q", "4", "--a", "0.5"],
+        (
+            "q,a,points,gamma,d_min\n"
+            "4,0.5,729,holds,0.0016998941760024699\n"
+        ),
+    ),
+    "kg": (
+        ["kg", "--gains", "1.4142135623730951,1.7320508075688772", "--eps", "0.5", "--n-list", "2,4,8"],
+        (
+            "N,m,m_scaled\n"
+            "2,0.049888052764659463,0.282209443280664\n"
+            "4,0.02457954745282187,0.78654551849029986\n"
+            "8,0.00072895785901572197,0.13195546759916654\n"
+        ),
+    ),
+    "entropy": (
+        ["entropy", "--k", "3", "--q", "2"],
+        (
+            "k,q,bits\n"
+            "3,2,3.3257640639714077\n"
+        ),
+    ),
+    "region": (
+        ["region", "--spec", "mac.spec"],
+        (
+            "subset_bitmask,bound_bits\n"
+            "1,0.098002746199589374\n"
+            "2,0.23580906550157232\n"
+            "3,0.19001769956496606\n"
+        ),
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("golden")
+    for name, text in FILES.items():
+        (path / name).write_text(text)
+    return path
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_csv_is_byte_identical(workdir, monkeypatch, capsys, name):
+    argv, want = GOLDEN[name]
+    monkeypatch.chdir(workdir)
+    assert main(argv + ["--out", f"{name}.csv"]) == 0
+    capsys.readouterr()
+    assert (workdir / f"{name}.csv").read_text() == want

@@ -17,7 +17,9 @@ from secmac import (
     wilson_interval,
 )
 from secmac.channel import normalize_gains
+from secmac.constellation import ENUMERATION_CAP
 from secmac.rng import stream, substream
+from secmac.secrecy import JOINT_TABLE_CAP
 from secmac.simulate import (
     TABLE_CAP,
     TRIAL_BATCH,
@@ -89,7 +91,7 @@ class TestSimConfig:
             dict(variance=math.nan),
             dict(variance=math.inf),
             dict(master_seed=-1),
-            dict(gains_seed=-1),
+            dict(epsilon=math.nan),
         ],
     )
     def test_non_finite_or_negative(self, change):
@@ -224,6 +226,38 @@ class TestSymbolSweep:
             run_symbol_sweep(cfg)
 
 
+def code_sizes_oracle(cfg, Q):
+    """derive_code_sizes' rule with every power formed in full."""
+    r = sum_rate_lower_bound(cfg.K, Q, 0.0) / cfg.K
+    B = 2 ** math.ceil(cfg.n * r)
+    L = 2 ** max(0, math.ceil(cfg.n * (math.log2(2 * Q + 1) - r)))
+    max_table = min(TABLE_CAP, (2 * Q + 1) ** cfg.n // 256)
+    return B, max(1, min(L, max_table // B))
+
+
+class TestCodeSizes:
+    @pytest.mark.parametrize("K", [2, 3, 4])
+    @pytest.mark.parametrize("eps", [0.1, 0.3, 0.5])
+    def test_matches_full_powers(self, K, eps):
+        for n in (1, 2, 3, 5, 8, 13, 20, 24, 25, 30, 40, 64):
+            cfg = SimConfig(K=K, epsilon=eps, P_grid=(1e4,), n=n)
+            for Q in (1, 2, 3, 4, 7, 12, 30, 94, 1000):
+                if n * sum_rate_lower_bound(K, Q, 0.0) / K <= 62:
+                    assert derive_code_sizes(cfg, Q) == code_sizes_oracle(cfg, Q), (n, Q)
+
+    @pytest.mark.parametrize("n", [JOINT_TABLE_CAP + 1, 10**30, 10**400], ids=["cap", "e30", "e400"])
+    def test_huge_block_length_refused_at_once(self, n):
+        cfg = SimConfig(K=2, epsilon=0.5, P_grid=(1e4,), n=n)
+        with pytest.raises(SizeCapError, match="needs over 2\\^62 bins"):
+            derive_code_sizes(cfg, 1)  # B = 1 here: the sum-rate bound is 0 at Q = 1
+
+    def test_bins_past_int64_refused(self):
+        cfg = SimConfig(K=2, epsilon=0.5, P_grid=(1e4,), n=100)
+        assert 100 * sum_rate_lower_bound(2, 50, 0.0) / 2 > 62
+        with pytest.raises(SizeCapError, match="n = 100 needs over"):
+            derive_code_sizes(cfg, 50)
+
+
 class TestBlockTrials:
     def test_noiseless_zero_bler(self):
         cfg = SimConfig(**SWEEP_CFG, trials=300, n=4, variance=0.0)
@@ -315,14 +349,16 @@ class TestUnfinishableK:
     """A K that no run can finish is refused before any gain is drawn."""
 
     @pytest.mark.parametrize("run", [run_symbol_sweep, run_block_trials])
-    @pytest.mark.parametrize("K,cap", [(10**30, 10**7), (15, 10**7), (3, 26)])
+    @pytest.mark.parametrize("K,cap", [(10**30, 10**7), (15, 10**7)])
     def test_constellation_runs(self, run, K, cap, monkeypatch):
-        # Q >= 1, so a run needs at least 3^K points: 3^15 > 1e7 and 3^3 > 26
+        # Q >= 1, so a run needs at least 3^K points: 3^15 > 1e7 = ENUMERATION_CAP
+        assert cap == ENUMERATION_CAP
+
         def no_gains(*args, **kwargs):
             raise AssertionError("gains were drawn")
 
         monkeypatch.setattr("secmac.simulate.SimConfig.resolve_gains", no_gains)
-        cfg = SimConfig(K=K, epsilon=0.5, P_grid=(1e4,), trials=10, cap=cap)
+        cfg = SimConfig(K=K, epsilon=0.5, P_grid=(1e4,), trials=10)
         with pytest.raises(SizeCapError, match="3\\^K"):
             run(cfg)
 
