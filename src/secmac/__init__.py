@@ -27,7 +27,6 @@ from .codec import (
 from .constellation import (
     GammaStatus,
     ReceivedConstellation,
-    decompose,
     min_distance,
     pe_upper_bound,
     received_constellation,
@@ -40,14 +39,10 @@ from .diophantine import (
     find_integer_relation,
     kg_profile,
     min_linear_form,
-    psi_series_partial_sum,
-    suspected_relation,
 )
 from .errors import (
     AmbiguityError,
-    NotInConstellationError,
     ParameterError,
-    RateInfeasibleError,
     SizeCapError,
 )
 from .secrecy import (
@@ -59,7 +54,6 @@ from .secrecy import (
     leakage_estimate,
     load_mac_spec,
     mutual_information,
-    region_contains,
     sdof_fit,
     sdof_limit,
     sum_entropy,

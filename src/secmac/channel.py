@@ -25,7 +25,7 @@ GAIN_RANGE = (0.5, 2.0)  # sampled gains are uniform on this interval
 
 @dataclass(frozen=True)
 class ChannelGains:
-    """Main-receiver and eavesdropper gains for K users."""
+    """Main-receiver and eavesdropper gains for K users, all finite, h_e nonzero."""
 
     h: tuple[float, ...]
     h_e: tuple[float, ...]
@@ -39,6 +39,9 @@ class ChannelGains:
             )
         if len(self.h) < 1:
             raise ParameterError("at least one user required")
+        for name, gains in (("h", self.h), ("h_e", self.h_e)):
+            if not all(math.isfinite(x) for x in gains):
+                raise ParameterError(f"gains {name} must be finite, got {gains}")
         for k, g in enumerate(self.h_e):
             if g == 0.0:
                 raise ParameterError(f"eavesdropper gain h_e[{k}] is zero")
@@ -86,13 +89,13 @@ class NormalizedGains:
 def normalize_gains(gains: ChannelGains) -> NormalizedGains:
     """Reduce the channel to ratio form with the last ratio equal to 1.
 
-    Raises ParameterError if any h_e[k] is zero (guaranteed absent by
-    ChannelGains) or if h[K] is zero, since the last ratio is divided out.
+    Raises ParameterError if the last ratio h[K]/h_e[K] is zero, since it
+    is divided out: h[K] is zero, or the quotient underflows.
     """
-    if gains.h[-1] == 0.0:
-        raise ParameterError(f"main gain h[{gains.K - 1}] is zero; cannot normalize")
     ratios = [hk / hek for hk, hek in zip(gains.h, gains.h_e)]
     scale = ratios[-1]
+    if scale == 0.0:
+        raise ParameterError(f"last gain ratio h[{gains.K - 1}]/h_e[{gains.K - 1}] is zero")
     g = tuple(r / scale for r in ratios[:-1]) + (1.0,)
     return NormalizedGains(g=g, scale=scale)
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import re
 import sys
 import time
 from fractions import Fraction
@@ -254,13 +253,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="secmac",
         description="Secure integer-constellation coding toolkit for the Gaussian MAC",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=f"secmac {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name: str, func, help_text: str) -> argparse.ArgumentParser:
         """A subcommand running ``func`` that writes a CSV, to ``--out`` if given."""
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p.add_argument("--out", default=None, help="write CSV here (+ .meta sidecar)")
         p.set_defaults(func=func)
         return p
@@ -294,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
 
-    p = sub.add_parser("check", help="verify a CSV re-parses with zero diffs")
+    p = sub.add_parser("check", help="verify a CSV re-parses with zero diffs", allow_abbrev=False)
     p.add_argument("file")
     p.set_defaults(func=cmd_check)
 
@@ -303,10 +303,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # argparse reads a list value that starts with a negative number as an
-    # option, so "--gains -1,2" is passed on as "--gains=-1,2"
+    # argparse reads a list value that starts with "-" as an option, so
+    # "--gains -1,2" is passed on as "--gains=-1,2" when the value reads as a
+    # gain list; options have no abbreviations, so only these two names match
     for i in range(len(argv) - 1, 0, -1):
-        if argv[i - 1] in ("--gains", "--h-e") and re.match(r"-[0-9.]", argv[i]):
+        if argv[i - 1] in ("--gains", "--h-e") and argv[i].startswith("-"):
+            try:
+                parse_gain_list(argv[i])
+            except ParameterError:
+                continue
             argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = build_parser().parse_args(argv)
     args.t0 = time.monotonic()

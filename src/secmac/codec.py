@@ -15,10 +15,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .constellation import ReceivedConstellation, mixed_radix_digits
-from .errors import AmbiguityError, ParameterError, RateInfeasibleError
+from .errors import AmbiguityError, ParameterError
 from .rng import stream
-
-OVERSAMPLING_FACTOR = 16
 
 
 class DuplicateStats(NamedTuple):
@@ -106,11 +104,6 @@ def build_codebook(n: int, Q: int, B: int, L: int, seed, user_k: int = 0) -> Cod
     """
     if n < 1 or Q < 1 or B < 1 or L < 1:
         raise ParameterError(f"need n, Q, B, L >= 1, got {(n, Q, B, L)}")
-    max_size = OVERSAMPLING_FACTOR * (2 * Q + 1) ** n
-    if B * L > max_size:
-        raise RateInfeasibleError(
-            f"B*L = {B * L} exceeds supported maximum {max_size} for n={n}, Q={Q}"
-        )
     rng = stream(seed, "codebook/sequences", user_k)
     seqs = rng.integers(-Q, Q + 1, size=(B * L, n), dtype=np.int64)
     perm = stream(seed, "codebook/binning", user_k).permutation(B * L)

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import NormalizedGains
-from .errors import AmbiguityError, NotInConstellationError, ParameterError, SizeCapError
+from .errors import ParameterError, SizeCapError
 
 ENUMERATION_CAP = 10_000_000
 SUSPECT_REL_GAP = 1e-9
@@ -92,11 +92,6 @@ class ReceivedConstellation:
     @property
     def gamma_holds(self) -> bool:
         return self.gamma is GammaStatus.HOLDS
-
-    @property
-    def full_size(self) -> int:
-        """Number of symbol tuples, (2Q+1)^K."""
-        return (2 * self.Q + 1) ** self.K
 
 
 def mixed_radix_digits(index, K: int, Q: int) -> np.ndarray:
@@ -214,16 +209,6 @@ def min_distance(rc: ReceivedConstellation) -> float:
             f"minimum distance undefined for {rc.points.size} point(s)"
         )
     return float(np.diff(rc.points).min())
-
-
-def decompose(rc: ReceivedConstellation, point: float) -> tuple[int, ...]:
-    """Unique symbol tuple for a stored constellation point (exact match)."""
-    if rc.gamma is not GammaStatus.HOLDS:
-        raise AmbiguityError(f"decomposition not unique: gamma status is {rc.gamma.value}")
-    idx = int(np.searchsorted(rc.points, point))
-    if idx >= rc.points.size or rc.points[idx] != point:
-        raise NotInConstellationError(f"{point!r} is not a stored constellation point")
-    return tuple(mixed_radix_digits(rc.index[idx], rc.K, rc.Q).tolist())
 
 
 def pe_upper_bound(d_min: float) -> tuple[float, float]:

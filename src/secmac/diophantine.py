@@ -146,33 +146,3 @@ def find_integer_relation(g: Sequence[Fraction]) -> Relation:
     q = (first.denominator,) + (0,) * (len(exact) - 1)
     return Relation(p=-first.numerator, q=q)
 
-
-def suspected_relation(g: Sequence[float], N: int, tau: float) -> Relation | None:
-    """Heuristic near-relation: the best linear form if it beats tau, else None.
-
-    A small value only suggests rational dependence at resolution tau; it
-    proves nothing about the underlying reals.
-    """
-    if tau <= 0:
-        raise ParameterError(f"tolerance must be positive, got {tau}")
-    res = min_linear_form(g, N)
-    if res.value < tau:
-        return Relation(p=res.p, q=res.q)
-    return None
-
-
-def psi_series_partial_sum(K: int, epsilon: float, q_max: int) -> float:
-    """Partial sum sum_{q=1}^{q_max} q^(K-2) * q^-(K-1+eps) = sum q^-(1+eps).
-
-    Finite for every eps > 0, which is what makes the cutoff function
-    psi(q) = q^-(K-1+eps) admissible for the measure-zero direction of
-    the Khintchine-Groshev theorem.
-    """
-    if K < 2:
-        raise ParameterError(f"K must be >= 2, got {K}")
-    if epsilon <= 0:
-        raise ParameterError(f"series diverges for epsilon <= 0, got {epsilon}")
-    if q_max < 1:
-        raise ParameterError(f"q_max must be >= 1, got {q_max}")
-    q = np.arange(1, q_max + 1, dtype=float)
-    return float(np.sum(q ** -(1.0 + epsilon)))

@@ -3,9 +3,9 @@
 The achievable region of a discrete memoryless multiple-access channel
 with an eavesdropper is cut out by per-subset constraints
 I(U_S; Y | U_{S^c}) together with one secrecy sum constraint
-[I(U; Y) - I(U; Z)]^+.  Everything here works on fully enumerated joint
-tables, so results are exact up to float rounding; all entropies are in
-bits.
+[I(U; Y) - I(U; Z)]^+.  The region and the sum entropy are exact up to
+float rounding, from fully enumerated tables; ``leakage_estimate`` is a
+plug-in estimate from samples, with a bias bound.  All entropies are in bits.
 """
 
 from __future__ import annotations
@@ -177,19 +177,6 @@ def achievable_region(spec: DiscreteMACSpec) -> RateRegion:
     return RateRegion(
         K=K, constraints=tuple(constraints), sum_bound=max(0.0, i_uy - i_uz)
     )
-
-
-def region_contains(region: RateRegion, rates: Sequence[float], slack: float = 1e-9) -> bool:
-    """Membership test with a small numerical slack on every constraint."""
-    rates = [float(r) for r in rates]
-    if len(rates) != region.K:
-        raise ParameterError(f"need {region.K} rates, got {len(rates)}")
-    if any(r < 0 for r in rates):
-        raise ParameterError("rates must be nonnegative")
-    for subset, bound in region.constraints:
-        if sum(rates[k - 1] for k in subset) > bound + slack:
-            return False
-    return sum(rates) <= region.sum_bound + slack
 
 
 def composition_counts(K: int, Q: int) -> list[int]:

@@ -1,13 +1,15 @@
 import contextlib
 import io
 import math
+import re
 import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from secmac.cli import main
+from secmac import ParameterError
+from secmac.cli import main, parse_gain_list
 
 ADDER_SPEC = """\
 k = 2
@@ -99,12 +101,15 @@ class TestDmin:
         ],
     )
     def test_negative_list_as_separate_token(self, capsys, argv):
-        # "--gains -1,2" behaves exactly like "--gains=-1,2"
+        # "--gains -1,2" behaves exactly like "--gains=-1,2"; only the wall
+        # time in the sidecar may differ between the two runs
         flag = argv.index("--gains") if "--gains" in argv else argv.index("--h-e")
         joined = argv[:flag] + (f"{argv[flag]}={argv[flag + 1]}",) + argv[flag + 2 :]
-        got = run(capsys, *argv)
+        got, want = (run(capsys, *a) for a in (argv, joined))
         assert got[0] == 0
-        assert got == run(capsys, *joined)
+        assert got[::2] == want[::2]  # exit code and stderr
+        wall = r"wall_time_s = \S+"
+        assert re.sub(wall, "", got[1]) == re.sub(wall, "", want[1])
 
     def test_bad_gain_token_exits_2(self, capsys):
         code, _, err = run(capsys, "dmin", "--gains", "x,y", "--q", "1", "--a", "1")
@@ -275,6 +280,22 @@ class TestOptionSurface:
             main(list(argv))
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("dmin", "--gain", "-1,2", "--q", "1", "--a", "1"),
+            ("dmin", "--gain", "1,2", "--q", "1", "--a", "1"),
+            ("entropy", "--k", "2", "--q", "1", "--ou", "x.csv"),
+            ("--vers",),
+        ],
+    )
+    def test_abbreviated_options_are_refused(self, capsys, argv):
+        # each option has one spelling
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage:")
 
     @pytest.mark.parametrize("command", ["sweep", "block", "leakage"])
     def test_meta_records_the_seed_used_as_master_seed(self, tmp_path, capsys, command):
@@ -495,6 +516,27 @@ class TestInputFileContract:
         self.check(["sweep", "--config", str(cfg)], 2)
         assert "unknown key" in run_quietly(["sweep", "--config", str(cfg)])[2]
 
+    @pytest.mark.parametrize(
+        "command,gains",
+        [
+            ("params", "1,nan"),
+            ("params", "inf,1"),
+            ("params", "1,-inf"),
+            ("params", "-inf,1"),
+            ("sweep", "h = 1.4142135623730951,1\nh_e = 1,inf"),
+            ("sweep", "h = 1,5e-324\nh_e = 1,2"),  # the last ratio underflows to 0
+            ("leakage", "h = inf,1\nh_e = 1,1"),
+        ],
+    )
+    def test_non_finite_gains(self, tmp_path, command, gains):
+        if command == "params":
+            argv = ["params", "--p", "10", "--h-e", gains, "--k", "2", "--eps", "0.1"]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"k = 2\nepsilon = 0.5\np_grid = 1e4\ntrials = 10\n{gains}\n")
+            argv = [command, "--config", str(cfg)]
+        self.check(argv, 2)
+
     @pytest.mark.parametrize("command", ["sweep", "block", "leakage"])
     def test_k_no_run_can_finish(self, tmp_path, command):
         cfg = tmp_path / "run.cfg"
@@ -538,7 +580,7 @@ SMALL_OR_HUGE = ["-1", "0", "1", "2", "3", "5", str(10**30), str(10**400)]
 INTS = pick(SMALL_OR_HUGE)
 REALS = pick(["-1", "0", "0.1", "0.5", "0.999", "1.5", "10", "1e6", "1e11", "3/4"])
 GAINS = listed(["0", "-1", "1", "0.5", "1.4142135623730951", "2.5", "3/4", "-2/3", "7/1",
-                "1e308", f"{10**400}/1", f"1/{10**400}"])
+                "1e308", f"{10**400}/1", f"1/{10**400}", "1,nan", "-inf,1"])
 OPTIONS = {
     "kg": {"--gains": GAINS, "--eps": REALS, "--n-list": listed(SMALL_OR_HUGE)},
     "entropy": {"--k": INTS, "--q": INTS},
@@ -549,16 +591,28 @@ OPTIONS = {
 
 @st.composite
 def argvs(draw):
+    """(argv, whether an option name in it is abbreviated)."""
     command = draw(st.sampled_from(sorted(OPTIONS)))
     options = dict(OPTIONS[command])
     if command == "params" and draw(st.integers(0, 3)):  # usually one power source
         for flag in draw(st.sampled_from([("--p-tilde",), ("--p", "--h-e")])):
             del options[flag]
-    argv = [command]
+    argv, abbreviated = [command], False
     for flag, tokens in options.items():
         if draw(st.integers(0, 5)):  # sometimes leave an option out
+            if len(flag) > 4 and not draw(st.integers(0, 7)):  # sometimes abbreviate it
+                flag, abbreviated = flag[:-1], True
             argv += [flag, draw(tokens)]
-    return argv
+    return argv, abbreviated
+
+
+def reads_as_gains(token):
+    """Whether ``token`` is a gain list that the parser must accept."""
+    try:
+        parse_gain_list(token)
+    except ParameterError:
+        return False
+    return True
 
 
 def run_quietly(argv):
@@ -598,8 +652,9 @@ CONFIG_VALUES = {
     "n": (["1", "2", "3"], ["0", "-2", HUGE]),
     "master_seed": (["0", "7", HUGE], ["-1"]),
     "variance": (["0", "1", "4", "1e308"], ["-1"]),
-    "h": (["1.4142135623730951,1", "3/4,1", "1e-300,1", "1e308,1"], ["1,1", "0,1", "0.5,1,2.5"]),
-    "h_e": (["1,1", "2,1", "1e-300,1", "1e308,1"], ["0,1", "1,0.5,1"]),
+    "h": (["1.4142135623730951,1", "3/4,1", "1e-300,1", "1e308,1"],
+          ["1,1", "0,1", "0.5,1,2.5", "1,inf", "1,nan", "-inf,1"]),
+    "h_e": (["1,1", "2,1", "1e-300,1", "1e308,1"], ["0,1", "1,0.5,1", "1,inf", "1,nan", "-inf,1"]),
     "bin_width": (["0.1", "1", "1e-300"], ["0", "-1"]),
     "leakage_samples": (["1000", "1500", HUGE], ["999"]),
 }
@@ -664,10 +719,16 @@ class TestArgvGrammar:
     file commands, exits 0, 2 or 3 with no traceback and no RuntimeWarning."""
 
     @settings(max_examples=300, deadline=None)
-    @given(argv=argvs())
-    def test_exit_code_contract(self, argv):
+    @given(drawn=argvs())
+    def test_exit_code_contract(self, drawn):
+        argv, abbreviated = drawn
         code, out, err, caught = run_quietly(argv)
         assert_contract(argv, code, err, caught)
+        if abbreviated:
+            assert code == 2 and err.startswith("usage:"), (argv, err)
+        for flag, value in zip(argv, argv[1:]):
+            if flag in ("--gains", "--h-e") and reads_as_gains(value):
+                assert f"argument {flag}: expected one argument" not in err, argv
         if code == 0:
             assert "nan" not in out.split("# secmac metadata")[0].lower()
 

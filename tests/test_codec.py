@@ -11,7 +11,6 @@ from secmac import (
     ChannelGains,
     NormalizedGains,
     ParameterError,
-    RateInfeasibleError,
     build_codebook,
     decode_messages,
     encode,
@@ -40,14 +39,6 @@ class TestBuildCodebook:
         a = build_codebook(n=4, Q=2, B=4, L=3, seed=9)
         b = build_codebook(n=4, Q=2, B=4, L=3, seed=9)
         assert np.array_equal(a.table, b.table)
-
-    def test_oversampling_cap(self):
-        # cap is 16 * 3^2 = 144 sequences
-        build_codebook(n=2, Q=1, B=144, L=1, seed=0)
-        with pytest.raises(RateInfeasibleError, match="144"):
-            build_codebook(n=2, Q=1, B=145, L=1, seed=0)
-        with pytest.raises(RateInfeasibleError):
-            build_codebook(n=2, Q=1, B=9, L=17, seed=0)
 
     def test_bad_args(self):
         with pytest.raises(ParameterError):

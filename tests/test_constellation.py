@@ -8,13 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from secmac import (
-    AmbiguityError,
     GammaStatus,
     NormalizedGains,
-    NotInConstellationError,
     ParameterError,
     SizeCapError,
-    decompose,
     effective_power,
     hard_decode,
     min_distance,
@@ -253,7 +250,7 @@ class TestReceivedConstellation:
         Q = 2
         rc = received_constellation(NormalizedGains(g=gains), Q, 1.0)
         assert rc.gamma is GammaStatus.VIOLATED
-        tuples = mixed_radix_digits(np.arange(rc.full_size), len(gains), Q)
+        tuples = mixed_radix_digits(np.arange((2 * Q + 1) ** len(gains)), len(gains), Q)
         sums = [sum(Fraction(g) * int(v) for g, v in zip(gains, row)) for row in tuples]
         first = {}
         for i, s in enumerate(sums):
@@ -287,7 +284,7 @@ class TestReceivedConstellation:
         Q, A = select_params(effective_power(gains, 1e10), 4, 0.01)
         amp = A * abs(g.scale)
         rc = received_constellation(g, Q, amp)
-        assert rc.full_size > 1_000_000
+        assert (2 * Q + 1) ** 4 > 1_000_000
         assert rc.gamma is GammaStatus.HOLDS
         v = np.random.default_rng(0).integers(-Q, Q + 1, size=(5, 4))
         y = amp * sum(gk * v[:, k] for k, gk in enumerate(g.as_floats()))
@@ -335,34 +332,6 @@ class TestMinDistance:
             a = received_constellation(gains, 2, 1.0)
             b = received_constellation(gains, 2, c)
             assert b.d_min == pytest.approx(c * a.d_min, rel=1e-12)
-
-
-class TestDecompose:
-    def test_known_point(self):
-        rc = received_constellation(G_S2, 1, 1.0)
-        point = rc.points[np.argmin(np.abs(rc.points - (S2 - 1)))]
-        assert decompose(rc, point) == (1, -1)
-
-    def test_zero_point(self):
-        rc = received_constellation(NormalizedGains(g=(S2, S3, 1.0)), 1, 1.0)
-        assert decompose(rc, 0.0) == (0, 0, 0)
-
-    def test_collision_is_ambiguous(self):
-        rc = received_constellation(NormalizedGains(g=(0.5, 1.0)), 2, 1.0)
-        with pytest.raises(AmbiguityError):
-            decompose(rc, 1.0)
-
-    def test_absent_point(self):
-        rc = received_constellation(G_S2, 1, 1.0)
-        with pytest.raises(NotInConstellationError):
-            decompose(rc, 0.1234)
-
-    def test_roundtrip_all_points(self):
-        rc = received_constellation(NormalizedGains(g=(S2, S3, 1.0)), 2, 5.0)
-        for i in range(rc.points.size):
-            v = decompose(rc, rc.points[i])
-            rebuilt = 5.0 * (v[0] * S2 + v[1] * S3 + v[2])
-            assert rebuilt == pytest.approx(rc.points[i], rel=1e-12, abs=1e-12)
 
 
 class TestPeUpperBound:

@@ -15,9 +15,7 @@ from secmac import (
     kg_profile,
     min_linear_form,
     normalize_gains,
-    psi_series_partial_sum,
     sample_gains,
-    suspected_relation,
 )
 from secmac.constellation import mixed_radix_digits, tuple_sums
 
@@ -254,46 +252,3 @@ class TestFindIntegerRelation:
             assert any(v != 0 for v in q)
             assert p + sum(qk * gk for qk, gk in zip(q, g)) == 0
 
-
-class TestSuspectedRelation:
-    def test_sqrt2_has_none(self):
-        # best form value at N=64 is |577 - 408*sqrt(2)| from the convergents,
-        # far above tau; the search bound caps q at 64 so the achieved value
-        # is |41 - 29*sqrt(2)| ~ 1.2e-2
-        assert suspected_relation([S2], 64, 1e-9) is None
-
-    def test_rational_detected(self):
-        rel = suspected_relation([0.75], 4, 1e-9)
-        assert rel == (-3, (4,))
-
-    def test_perturbation_below_resolution(self):
-        assert suspected_relation([S2 + 1e-12], 4, 1e-6) is None
-
-    def test_bad_tau(self):
-        with pytest.raises(ParameterError):
-            suspected_relation([S2], 4, 0.0)
-
-
-class TestPsiSeries:
-    def test_single_term(self):
-        assert psi_series_partial_sum(2, 1.0, 1) == 1.0
-
-    def test_basel_limit(self):
-        # sum q^(K-2) psi(q) with K=3, eps=1 is the Basel series
-        val = psi_series_partial_sum(3, 1.0, 10**6)
-        assert val == pytest.approx(1.644933, abs=1e-5)
-        # Euler-Maclaurin oracle: zeta(2) - 1/N + O(1/N^2)
-        assert val == pytest.approx(math.pi**2 / 6 - 1e-6, abs=1e-9)
-
-    def test_cauchy_tail(self):
-        # doubling q_max adds less than the integral tail bound q_max^-eps / eps
-        for q_max in (10, 100, 1000):
-            a = psi_series_partial_sum(2, 0.5, q_max)
-            b = psi_series_partial_sum(2, 0.5, 2 * q_max)
-            assert 0 < b - a < q_max**-0.5 / 0.5
-
-    def test_boundary_epsilon_rejected(self):
-        with pytest.raises(ParameterError):
-            psi_series_partial_sum(2, 0.0, 10)
-        with pytest.raises(ParameterError):
-            psi_series_partial_sum(2, 1.0, 0)

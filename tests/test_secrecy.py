@@ -16,7 +16,6 @@ from secmac import (
     leakage_estimate,
     load_mac_spec,
     mutual_information,
-    region_contains,
     sdof_fit,
     sdof_limit,
     select_params,
@@ -193,25 +192,6 @@ class TestAchievableRegion:
         assert a.sum_bound == pytest.approx(b.sum_bound, abs=1e-12)
         for (s1, b1), (s2, b2) in zip(a.constraints, b.constraints):
             assert s1 == s2 and b1 == pytest.approx(b2, abs=1e-12)
-
-
-class TestRegionContains:
-    def test_origin(self):
-        region = achievable_region(adder_spec("constant"))
-        assert region_contains(region, (0.0, 0.0))
-
-    def test_sum_violation(self):
-        region = achievable_region(adder_spec("constant"))
-        assert not region_contains(region, (0.9, 0.9))
-
-    def test_boundary_point(self):
-        region = achievable_region(adder_spec("constant"))
-        assert region_contains(region, (0.75, 0.75))
-
-    def test_negative_rate(self):
-        region = achievable_region(adder_spec("constant"))
-        with pytest.raises(ParameterError):
-            region_contains(region, (-0.1, 0.2))
 
 
 def loop_counts(K, Q):
