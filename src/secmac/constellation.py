@@ -139,6 +139,29 @@ def tuple_sums(coefs, Q: int, dtype=float) -> np.ndarray:
     return vals
 
 
+def _packed_order(sums: np.ndarray) -> np.ndarray:
+    """Candidate sorting permutation of float64 ``sums`` from one int64 sort.
+
+    Each key is the sum's bits mapped to an order-preserving int64, with
+    its low bit_length(M-1) bits replaced by the tuple's mixed-radix
+    index, so the key sort orders by value except among sums that agree
+    in all but those bits, which it orders by index.  The caller checks
+    the gathered values and falls back to ``np.argsort`` when they are
+    not strictly increasing.
+    """
+    M = sums.size
+    low = (1 << (M - 1).bit_length()) - 1
+    bits = sums.view(np.int64)
+    key = bits >> 63  # -1 for a negative sum, whose 63 magnitude bits are flipped
+    key &= np.int64(0x7FFF_FFFF_FFFF_FFFF)
+    key ^= bits
+    key &= np.int64(~low)
+    key |= np.arange(M)
+    key.sort()
+    key &= low
+    return key
+
+
 def received_constellation(g: NormalizedGains, Q: int, A: float) -> ReceivedConstellation:
     """Enumerate the received point set for symbol bound Q and amplitude A.
 
@@ -148,6 +171,16 @@ def received_constellation(g: NormalizedGains, Q: int, A: float) -> ReceivedCons
     exact duplicate detection plus a "suspect" verdict when two points
     land within 1e-9 * A of each other.  A set of more than
     ``ENUMERATION_CAP`` symbol tuples is refused before it is built.
+
+    Float sums are ordered by one sort of packed (value, index) int64 keys
+    (``_packed_order``).  That order is kept only when the gathered sums
+    are strictly increasing, which makes it the one sorting permutation.
+    Otherwise (a tie, or two sums too close for the truncated key) they
+    take a stable argsort, as exact sums do on a tie, so a collided point
+    keeps its first tuple in mixed-radix order.  At peak a float build
+    holds three M-sized 8-byte arrays and a bool array: 25 bytes per
+    tuple, 250 MB at ``ENUMERATION_CAP``.  The stable fallback holds
+    about 37 bytes per tuple (370 MB).
     """
     if Q < 0:
         raise ParameterError(f"Q must be >= 0, got {Q}")
@@ -164,27 +197,38 @@ def received_constellation(g: NormalizedGains, Q: int, A: float) -> ReceivedCons
         coefs = [int(r * D) for r in ratios]
         wide = max(D, K * max(Q, 1) * max(abs(c) for c in coefs)) >= 2**53
         sums = tuple_sums(coefs, Q, object if wide else np.int64)
+        order = np.argsort(sums)
     else:
-        D = 1
         # |sum| <= Q * sum|g|: both the sums and the points A * sum stay finite
         if not math.isfinite(max(A, 1.0) * Q * float(np.abs(g.as_floats()).sum())):
             raise ParameterError("received points overflow float64")
         sums = tuple_sums(g.as_floats(), Q)
-    order = np.argsort(sums)
+        order = _packed_order(sums)
     sv = sums[order]
-    keep = np.concatenate(([True], sv[1:] != sv[:-1]))
-    if not keep.all():  # distinct sums sort one way; ties need the stable order
+    collided = False
+    # a strictly increasing gather is the one sorting permutation; a tie, or
+    # a float near-tie the packed key cannot separate, takes the stable sort
+    if not (sv[1:] > sv[:-1]).all():
         order = np.argsort(sums, kind="stable")
-        sv = sums[order]
-    try:
-        points = A * np.asarray(sv[keep] / D, dtype=float)
-    except OverflowError:  # an exact point past the float range
-        raise ParameterError("received points overflow float64") from None
+        np.take(sums, order, out=sv)  # into sv's buffer: one M-sized array fewer
+        keep = np.concatenate(([True], sv[1:] != sv[:-1]))
+        collided = not keep.all()
+        if collided:
+            sv, order = sv[keep], order[keep]
+    del sums  # so the peak is sv, order and the np.diff below, not sums too
+    if g.exact:
+        try:
+            points = A * np.asarray(sv / D, dtype=float)
+        except OverflowError:  # an exact point past the float range
+            raise ParameterError("received points overflow float64") from None
+    else:
+        points = sv
+        points *= A
     if not (np.isfinite(points[0]) and np.isfinite(points[-1])):
         raise ParameterError("received points overflow float64")
 
     gamma = GammaStatus.HOLDS
-    if not keep.all():
+    if collided:
         gamma, d_min = GammaStatus.VIOLATED, 0.0
     elif M < 2:
         d_min = math.inf
@@ -195,7 +239,7 @@ def received_constellation(g: NormalizedGains, Q: int, A: float) -> ReceivedCons
         if d_min < SUSPECT_REL_GAP * A:
             gamma = GammaStatus.SUSPECT
     return ReceivedConstellation(
-        K=K, Q=Q, A=A, points=points, index=order[keep], gamma=gamma, d_min=d_min
+        K=K, Q=Q, A=A, points=points, index=order, gamma=gamma, d_min=d_min
     )
 
 

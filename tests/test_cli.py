@@ -742,3 +742,19 @@ class TestArgvGrammar:
         assert_contract((argv, text), code, err, caught)
         if must_fail:
             assert code == 2, (text, err)
+
+    # Every invalid value, alone in a tiny valid config: a value the drawn
+    # files reach only through a rare combination of faults is still run.
+    @pytest.mark.parametrize("command", ["sweep", "block", "leakage"])
+    @pytest.mark.parametrize("key, value", [
+        (key, value) for key, (_, invalid) in CONFIG_VALUES.items() for value in invalid
+    ])
+    def test_each_invalid_config_value(self, tmp_path, command, key, value):
+        config = {"k": "2", "epsilon": "0.5", "p_grid": "1e2", "trials": "1", "n": "1"}
+        if key == "h_e":  # h_e is read only beside h
+            config["h"] = "1.4142135623730951,1"
+        config[key] = value
+        path = tmp_path / "input.cfg"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in config.items()))
+        code, out, err, caught = run_quietly([command, "--config", str(path)])
+        assert_contract((command, key, value), code, err, caught)

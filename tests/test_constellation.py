@@ -291,6 +291,107 @@ class TestReceivedConstellation:
         assert np.array_equal(hard_decode(y, rc), v)
 
 
+def argsort_build(g, Q, A):
+    """The builder's former body, the oracle of the packed-key sort:
+    (points, index, gamma, d_min) from an argsort, redone stable on ties."""
+    if g.exact:
+        ratios = [Fraction(x) for x in g.g]
+        D = math.lcm(*(r.denominator for r in ratios))
+        coefs = [int(r * D) for r in ratios]
+        wide = max(D, g.K * max(Q, 1) * max(abs(c) for c in coefs)) >= 2**53
+        sums = tuple_sums(coefs, Q, object if wide else np.int64)
+    else:
+        D = 1
+        sums = tuple_sums(g.as_floats(), Q)
+    order = np.argsort(sums)
+    sv = sums[order]
+    keep = np.concatenate(([True], sv[1:] != sv[:-1]))
+    if not keep.all():
+        order = np.argsort(sums, kind="stable")
+        sv = sums[order]
+    points = A * np.asarray(sv[keep] / D, dtype=float)
+    gamma = GammaStatus.HOLDS
+    if not keep.all():
+        gamma, d_min = GammaStatus.VIOLATED, 0.0
+    elif sums.size < 2:
+        d_min = math.inf
+    elif g.exact:
+        d_min = float(A * (np.diff(sv).min() / D))
+    else:
+        d_min = float(np.diff(points).min())
+        if d_min < 1e-9 * A:
+            gamma = GammaStatus.SUSPECT
+    return points, order[keep], gamma, d_min
+
+
+def float_bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+NEAR_TIE = (1 - 2**-50, 1.0)  # sums 2, 4 and 6 ulps below 3 share one packed-key bucket
+FLOAT_GAIN = st.floats(-4, 4, allow_subnormal=False) | st.sampled_from(
+    [0.5, 0.25, -0.5, 0.0, 1 - 2**-50]  # exact ties, a zero gain and a near-tie
+)
+EXACT_GAIN = st.fractions(-2, 2, max_denominator=6)
+MAX_Q = {2: 12, 3: 5, 4: 3}
+
+
+@st.composite
+def small_builds(draw):
+    """(gains, Q, A) with K = 2..4 and at most 2,401 tuples."""
+    K = draw(st.integers(2, 4))
+    gain, last = draw(st.sampled_from([(FLOAT_GAIN, 1.0), (FLOAT_GAIN, 1.0), (EXACT_GAIN, 1)]))
+    gains = tuple(draw(st.lists(gain, min_size=K - 1, max_size=K - 1))) + (last,)
+    return gains, draw(st.integers(0, MAX_Q[K])), draw(st.floats(0.01, 100.0))
+
+
+class TestPackedKeyOrder:
+    """The float build sorts packed (value, index) int64 keys; it must
+    return exactly what the former argsort body returned."""
+
+    @settings(max_examples=300, deadline=None)
+    @example(drawn=(NEAR_TIE, 4, 1.0))  # packed order misorders: fallback, SUSPECT
+    @example(drawn=(NEAR_TIE, 8, 1.0))  # rounding adds exact ties: VIOLATED
+    @example(drawn=((0.5, 0.25, 1.0), 2, 1.0))  # exact float ties: VIOLATED
+    @example(drawn=((-1.4142135623730951, 1.0), 3, 2.0))
+    @example(drawn=((2.5, -0.75, 1.0), 0, 3.0))  # Q = 0: one point
+    @given(drawn=small_builds())
+    def test_matches_argsort_body_bitwise(self, drawn):
+        gains, Q, A = drawn
+        g = NormalizedGains(g=gains)
+        rc = received_constellation(g, Q, A)
+        points, index, gamma, d_min = argsort_build(g, Q, A)
+        assert np.array_equal(float_bits(rc.points), float_bits(points))
+        assert rc.index.dtype == index.dtype and np.array_equal(rc.index, index)
+        assert rc.gamma is gamma
+        assert float_bits(rc.d_min) == float_bits(d_min)
+
+    @pytest.fixture
+    def argsort_kinds(self, monkeypatch):
+        """The ``kind`` of every np.argsort call made while the test runs."""
+        kinds, argsort = [], np.argsort
+
+        def spy(a, *args, **kwargs):
+            kinds.append(kwargs.get("kind"))
+            return argsort(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", spy)
+        return kinds
+
+    def test_near_tie_takes_the_stable_fallback(self, argsort_kinds):
+        rc = received_constellation(NormalizedGains(g=NEAR_TIE), 4, 1.0)
+        assert argsort_kinds == ["stable"]
+        assert rc.gamma is GammaStatus.SUSPECT and rc.points.size == 81
+        assert (np.diff(rc.points) > 0).all()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_generic_gains_take_the_packed_order(self, argsort_kinds, seed):
+        # K=3, Q=36 (M = 389,017) is the benchmark's heaviest float build
+        rc = received_constellation(normalize_gains(sample_gains(seed, 3)), 36, 1.0)
+        assert argsort_kinds == []
+        assert rc.gamma is GammaStatus.HOLDS and rc.points.size == 73**3
+
+
 class TestMinDistance:
     def test_adjacent_gap(self):
         rc = ReceivedConstellation(
