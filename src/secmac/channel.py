@@ -86,6 +86,25 @@ class NormalizedGains:
         return all(isinstance(x, (Fraction, int)) for x in self.g)
 
 
+def normalize_ratios(ratios: list[Real]) -> NormalizedGains:
+    """Divide gain ratios by the last one, so that the last becomes 1.
+
+    The division is exact when every ratio is a Fraction or an int, and
+    in floats otherwise.  Raises ParameterError when the last ratio is
+    zero or a ratio lies outside the float64 range.
+    """
+    last = ratios[-1]
+    try:
+        if all(isinstance(r, (Fraction, int)) for r in ratios):
+            g = tuple(Fraction(r) / Fraction(last) for r in ratios)
+        else:
+            g = tuple(float(r) / float(last) for r in ratios)
+        scale = float(last)
+    except (OverflowError, ZeroDivisionError):  # past the range, or 0 as a float
+        raise ParameterError("a gain lies outside the float64 range or the last is zero") from None
+    return NormalizedGains(g=g, scale=scale)
+
+
 def normalize_gains(gains: ChannelGains) -> NormalizedGains:
     """Reduce the channel to ratio form with the last ratio equal to 1.
 
@@ -93,11 +112,9 @@ def normalize_gains(gains: ChannelGains) -> NormalizedGains:
     is divided out: h[K] is zero, or the quotient underflows.
     """
     ratios = [hk / hek for hk, hek in zip(gains.h, gains.h_e)]
-    scale = ratios[-1]
-    if scale == 0.0:
+    if ratios[-1] == 0.0:
         raise ParameterError(f"last gain ratio h[{gains.K - 1}]/h_e[{gains.K - 1}] is zero")
-    g = tuple(r / scale for r in ratios[:-1]) + (1.0,)
-    return NormalizedGains(g=g, scale=scale)
+    return normalize_ratios(ratios)
 
 
 def sample_gains(seed: int, K: int) -> ChannelGains:

@@ -18,7 +18,7 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .channel import ChannelGains, NormalizedGains, effective_power
+from .channel import ChannelGains, effective_power, normalize_ratios
 from .constellation import received_constellation, select_params
 from .diophantine import kg_profile
 from .errors import AmbiguityError, ParameterError, SizeCapError
@@ -133,24 +133,8 @@ def cmd_params(args) -> int:
     return 0
 
 
-def _normalized_from_tokens(tokens: list[float | Fraction]) -> NormalizedGains:
-    last = tokens[-1]
-    if last == 0:
-        raise ParameterError("last gain is zero; cannot normalize")
-    try:
-        if all(isinstance(t, (Fraction, int)) for t in tokens):
-            g = tuple(Fraction(t) / Fraction(last) for t in tokens)
-        else:
-            g = tuple(float(t) / float(last) for t in tokens[:-1]) + (1.0,)
-        scale = float(last)
-    except (OverflowError, ZeroDivisionError):  # a float past the range, or one that underflows to 0
-        raise ParameterError("a gain lies outside the float64 range") from None
-    return NormalizedGains(g=g, scale=scale)
-
-
 def cmd_dmin(args) -> int:
-    tokens = parse_gain_list(args.gains)
-    g = _normalized_from_tokens(tokens)
+    g = normalize_ratios(parse_gain_list(args.gains))
     rc = received_constellation(g, args.q, args.a)
     print(f"points = {rc.points.size}")
     print(f"gamma = {rc.gamma.value}")

@@ -83,7 +83,6 @@ class ReceivedConstellation:
 
     K: int
     Q: int
-    A: float
     points: np.ndarray
     index: np.ndarray
     gamma: GammaStatus
@@ -145,9 +144,11 @@ def _packed_order(sums: np.ndarray) -> np.ndarray:
     Each key is the sum's bits mapped to an order-preserving int64, with
     its low bit_length(M-1) bits replaced by the tuple's mixed-radix
     index, so the key sort orders by value except among sums that agree
-    in all but those bits, which it orders by index.  The caller checks
-    the gathered values and falls back to ``np.argsort`` when they are
-    not strictly increasing.
+    in all but those bits, which it orders by index.  Equal sums share
+    their bits (no sum is -0.0: ``tuple_sums`` starts from +0.0, and a
+    float sum is -0.0 only when both terms are), so they come out in
+    index order.  The caller repairs the gathered values with a stable
+    argsort when two of them come out of order.
     """
     M = sums.size
     low = (1 << (M - 1).bit_length()) - 1
@@ -172,15 +173,16 @@ def received_constellation(g: NormalizedGains, Q: int, A: float) -> ReceivedCons
     land within 1e-9 * A of each other.  A set of more than
     ``ENUMERATION_CAP`` symbol tuples is refused before it is built.
 
-    Float sums are ordered by one sort of packed (value, index) int64 keys
-    (``_packed_order``).  That order is kept only when the gathered sums
-    are strictly increasing, which makes it the one sorting permutation.
-    Otherwise (a tie, or two sums too close for the truncated key) they
-    take a stable argsort, as exact sums do on a tie, so a collided point
-    keeps its first tuple in mixed-radix order.  At peak a float build
-    holds three M-sized 8-byte arrays and a bool array: 25 bytes per
-    tuple, 250 MB at ``ENUMERATION_CAP``.  The stable fallback holds
-    about 37 bytes per tuple (370 MB).
+    Exact sums are ordered by one stable argsort, float sums by one sort
+    of packed (value, index) int64 keys (``_packed_order``).  Both orders
+    put equal sums in mixed-radix index order, so a collided point keeps
+    its first tuple.  Two distinct float sums too close for the truncated
+    key can come out of order; one stable argsort of the gathered, nearly
+    sorted sums then repairs the order.  A float build's peak RSS rises
+    by 24 bytes per tuple (240 MB at ``ENUMERATION_CAP``), 33 bytes
+    (330 MB) when it needs the repair.  A distinct-sum set whose smallest
+    gap times A underflows to 0 is refused rather than reported as
+    holding with d_min = 0.
     """
     if Q < 0:
         raise ParameterError(f"Q must be >= 0, got {Q}")
@@ -197,7 +199,7 @@ def received_constellation(g: NormalizedGains, Q: int, A: float) -> ReceivedCons
         coefs = [int(r * D) for r in ratios]
         wide = max(D, K * max(Q, 1) * max(abs(c) for c in coefs)) >= 2**53
         sums = tuple_sums(coefs, Q, object if wide else np.int64)
-        order = np.argsort(sums)
+        order = np.argsort(sums, kind="stable")
     else:
         # |sum| <= Q * sum|g|: both the sums and the points A * sum stay finite
         if not math.isfinite(max(A, 1.0) * Q * float(np.abs(g.as_floats()).sum())):
@@ -205,20 +207,22 @@ def received_constellation(g: NormalizedGains, Q: int, A: float) -> ReceivedCons
         sums = tuple_sums(g.as_floats(), Q)
         order = _packed_order(sums)
     sv = sums[order]
+    del sums
     collided = False
-    # a strictly increasing gather is the one sorting permutation; a tie, or
-    # a float near-tie the packed key cannot separate, takes the stable sort
     if not (sv[1:] > sv[:-1]).all():
-        order = np.argsort(sums, kind="stable")
-        np.take(sums, order, out=sv)  # into sv's buffer: one M-sized array fewer
+        if (sv[1:] < sv[:-1]).any():  # a float near-tie the packed key misordered
+            fix = np.argsort(sv, kind="stable")
+            order = order[fix]  # one array at a time, so the peak stays lower
+            sv = sv[fix]
+            del fix
         keep = np.concatenate(([True], sv[1:] != sv[:-1]))
         collided = not keep.all()
         if collided:
             sv, order = sv[keep], order[keep]
-    del sums  # so the peak is sv, order and the np.diff below, not sums too
     if g.exact:
         try:
-            points = A * np.asarray(sv / D, dtype=float)
+            with np.errstate(over="ignore"):  # refused below
+                points = A * np.asarray(sv / D, dtype=float)
         except OverflowError:  # an exact point past the float range
             raise ParameterError("received points overflow float64") from None
     else:
@@ -238,9 +242,9 @@ def received_constellation(g: NormalizedGains, Q: int, A: float) -> ReceivedCons
         d_min = float(np.diff(points).min())
         if d_min < SUSPECT_REL_GAP * A:
             gamma = GammaStatus.SUSPECT
-    return ReceivedConstellation(
-        K=K, Q=Q, A=A, points=points, index=order, gamma=gamma, d_min=d_min
-    )
+    if gamma is GammaStatus.HOLDS and d_min == 0:
+        raise ParameterError(f"the minimum gap underflows float64 at A = {A}")
+    return ReceivedConstellation(K=K, Q=Q, points=points, index=order, gamma=gamma, d_min=d_min)
 
 
 def min_distance(rc: ReceivedConstellation) -> float:

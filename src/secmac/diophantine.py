@@ -48,7 +48,6 @@ class Relation(NamedTuple):
 class KGProfile:
     """Normalized linear-form minima m(N) * N^(m+eps) over a ladder of N."""
 
-    epsilon: float
     rows: tuple[tuple[int, float, float], ...]  # (N, m(N), m(N) * N^(m+eps))
     c_hat: float
 
@@ -123,9 +122,7 @@ def kg_profile(g: Sequence[float], epsilon: float, N_list: Sequence[int]) -> KGP
         except OverflowError:
             raise ParameterError(f"N^(m+eps) = {N}^{exponent} overflows float64") from None
         rows.append((N, m_val, m_val * scale))
-    return KGProfile(
-        epsilon=epsilon, rows=tuple(rows), c_hat=min(r[2] for r in rows)
-    )
+    return KGProfile(rows=tuple(rows), c_hat=min(r[2] for r in rows))
 
 
 def find_integer_relation(g: Sequence[Fraction]) -> Relation:

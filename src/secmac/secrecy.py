@@ -25,12 +25,12 @@ PMF_TOL = 1e-12
 MIN_LEAKAGE_SAMPLES = 1000  # fewest samples a plug-in leakage estimate takes
 
 
-def _check_pmf(arr: np.ndarray, name: str, axis: int = -1) -> None:
+def _check_pmf(arr: np.ndarray, name: str) -> None:
     if not np.all(np.isfinite(arr)):
         raise ParameterError(f"{name} has non-finite entries")
     if np.any(arr < 0):
         raise ParameterError(f"{name} has negative entries")
-    sums = arr.sum(axis=axis)
+    sums = arr.sum(axis=-1)
     if np.any(np.abs(sums - 1.0) > PMF_TOL):
         raise ParameterError(f"{name} rows must sum to 1 within {PMF_TOL}")
 
@@ -196,8 +196,6 @@ def composition_counts(K: int, Q: int) -> list[int]:
         raise SizeCapError(
             f"composition counts need K * (2KQ+1) = {K * support} cells, cap {JOINT_TABLE_CAP}"
         )
-    if Q == 0:
-        return [1]
     width = 2 * Q + 1
     counts = np.ones(width, dtype=object)
     pad = np.zeros(width, dtype=object)
@@ -312,16 +310,13 @@ def leakage_estimate(
     if not bin_width > 0:
         raise ParameterError(f"bin width must be positive, got {bin_width}")
 
-    if math.isinf(bin_width):
-        bins = np.zeros(n, dtype=np.int64)
-    else:
-        with np.errstate(over="ignore"):
-            cells = np.floor(z / bin_width)
-        if not np.all(np.abs(cells) < 2.0**63):  # NaN and inf fail too
-            raise ParameterError(
-                f"bin index z / bin_width leaves the int64 range (bin width {bin_width})"
-            )
-        bins = cells.astype(np.int64)
+    with np.errstate(over="ignore"):
+        cells = np.floor(z / bin_width)
+    if not np.all(np.abs(cells) < 2.0**63):  # NaN and inf fail too
+        raise ParameterError(
+            f"bin index z / bin_width leaves the int64 range (bin width {bin_width})"
+        )
+    bins = cells.astype(np.int64)
 
     K = x_tuples.shape[1]
     if (2 * Q + 1) ** K < 2**63:

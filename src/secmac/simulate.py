@@ -269,7 +269,7 @@ def _sweep_point(cfg: SimConfig, gains: ChannelGains, g, pi: int, P: float) -> S
     pe_mc = errors / cfg.trials
     ci_low, ci_high = wilson_interval(errors, cfg.trials)
     r_sum = sum_rate_lower_bound(cfg.K, Q, pe_mc)
-    eta = r_sum / (0.5 * math.log2(P)) if P > 1 else math.nan
+    eta = r_sum / (0.5 * math.log2(P))
     return SweepRow(
         P=P,
         P_tilde=P_t,
@@ -293,8 +293,11 @@ def run_symbol_sweep(cfg: SimConfig) -> SweepReport:
     symbol tuples, sends them through the channel, counts the samples
     that hard decoding would not map back to the sent tuple, and gives
     a Wilson 95% interval.  Any failing grid point aborts the sweep with
-    the offending P in the message.
+    the offending P in the message; a P <= 1, where eta and the S-DoF fit
+    divide by log2 P, is refused before any gain is drawn.
     """
+    if cfg.P_grid[0] <= 1:  # the grid is increasing
+        raise ParameterError(f"a sweep needs P > 1 for eta_running [grid point P={cfg.P_grid[0]}]")
     gains = _constellation_gains(cfg, cfg.trials * len(cfg.P_grid))
     g = normalize_gains(gains)
     rows = []

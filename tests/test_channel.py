@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from secmac import (
     sample_gains,
     transmit,
 )
+from secmac.channel import normalize_ratios
 from secmac.rng import stream
 
 
@@ -48,6 +50,21 @@ class TestNormalizeGains:
     def test_non_finite_rejected(self, g, scale):
         with pytest.raises(ParameterError, match="finite"):
             NormalizedGains(g=g, scale=scale)
+
+    def test_ratio_list_divides_by_its_last_entry(self):
+        exact = normalize_ratios([Fraction(1, 3), Fraction(2)])
+        assert exact.exact and exact.g == (Fraction(1, 6), 1) and exact.scale == 2.0
+        floats = normalize_ratios([Fraction(1, 3), 2.0])  # one float makes the list float
+        assert not floats.exact and floats.g == (float(Fraction(1, 3)) / 2.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "ratios",
+        [[1.0, 0.0], [Fraction(1), Fraction(0)], [0.0], [Fraction(10**400), 1.0]],
+        ids=["float-zero", "exact-zero", "one-zero", "past-range"],
+    )
+    def test_ratio_list_zero_last_or_past_range_refused(self, ratios):
+        with pytest.raises(ParameterError, match="float64 range or the last is zero"):
+            normalize_ratios(ratios)
 
     def test_non_finite_main_gain_rejected(self):
         with pytest.raises(ParameterError, match="finite"):

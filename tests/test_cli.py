@@ -111,6 +111,25 @@ class TestDmin:
         wall = r"wall_time_s = \S+"
         assert re.sub(wall, "", got[1]) == re.sub(wall, "", want[1])
 
+    @pytest.mark.parametrize("gains", ["1/3,1", "1/3,1/1"])  # a float and an exact build
+    def test_points_past_the_float_range_exit_2(self, gains):
+        argv = ["dmin", "--gains", gains, "--q", "2", "--a", "1e308"]
+        code, out, err, caught = run_quietly(argv)
+        assert_contract(argv, code, out, err, caught)
+        assert (code, err) == (2, "error: received points overflow float64\n")
+
+    @pytest.mark.parametrize(
+        "gains,a",
+        [("1/3,1", "1e-320"), ("1.0000001,1", "5e-324"), ("1/7,1/1", "5e-324")],
+    )
+    def test_gap_underflow_exits_2(self, gains, a):
+        # distinct sums, but no float gap: never "holds" with d_min = 0
+        argv = ["dmin", "--gains", gains, "--q", "2", "--a", a]
+        code, out, err, caught = run_quietly(argv)
+        assert_contract(argv, code, out, err, caught)
+        assert code == 2 and "gap underflows float64" in err
+        assert "gamma" not in out
+
     def test_bad_gain_token_exits_2(self, capsys):
         code, _, err = run(capsys, "dmin", "--gains", "x,y", "--q", "1", "--a", "1")
         assert code == 2
@@ -631,12 +650,15 @@ def run_quietly(argv):
     return code, out.getvalue(), err.getvalue(), [w.category for w in caught]
 
 
-def assert_contract(argv, code, err, caught):
+def assert_contract(argv, code, out, err, caught):
     assert code in (0, 2, 3), (argv, err)
     assert "Traceback" not in err
     assert RuntimeWarning not in caught, argv
     if code and not err.startswith("usage:"):
         assert err.startswith("error: ") and err.count("\n") == 1, err
+    if code == 0:  # no NaN in the CSV part turns silently into an answer
+        csv = out.split("# secmac metadata v1")[0]
+        assert "nan" not in csv.lower(), (argv, csv)
 
 
 # Config-file grammar: per key, (valid values, invalid values).  Huge
@@ -723,14 +745,12 @@ class TestArgvGrammar:
     def test_exit_code_contract(self, drawn):
         argv, abbreviated = drawn
         code, out, err, caught = run_quietly(argv)
-        assert_contract(argv, code, err, caught)
+        assert_contract(argv, code, out, err, caught)
         if abbreviated:
             assert code == 2 and err.startswith("usage:"), (argv, err)
         for flag, value in zip(argv, argv[1:]):
             if flag in ("--gains", "--h-e") and reads_as_gains(value):
                 assert f"argument {flag}: expected one argument" not in err, argv
-        if code == 0:
-            assert "nan" not in out.split("# secmac metadata")[0].lower()
 
     @settings(max_examples=300, deadline=None)
     @given(drawn=file_argvs())
@@ -739,7 +759,7 @@ class TestArgvGrammar:
         path = tmp_path_factory.mktemp("grammar") / "input.txt"
         path.write_text(text)
         code, out, err, caught = run_quietly(argv + [str(path)])
-        assert_contract((argv, text), code, err, caught)
+        assert_contract((argv, text), code, out, err, caught)
         if must_fail:
             assert code == 2, (text, err)
 
@@ -757,4 +777,4 @@ class TestArgvGrammar:
         path = tmp_path / "input.cfg"
         path.write_text("".join(f"{k} = {v}\n" for k, v in config.items()))
         code, out, err, caught = run_quietly([command, "--config", str(path)])
-        assert_contract((command, key, value), code, err, caught)
+        assert_contract((command, key, value), code, out, err, caught)

@@ -23,6 +23,7 @@ from secmac import (
 )
 from secmac.constellation import (
     ReceivedConstellation,
+    _packed_order,
     mixed_radix_digits,
     mixed_radix_index,
     tuple_sums,
@@ -140,6 +141,18 @@ class TestReceivedConstellation:
     def test_suspect_near_collision(self):
         rc = received_constellation(NormalizedGains(g=(0.5 + 1e-13, 1.0)), 2, 1.0)
         assert rc.gamma is GammaStatus.SUSPECT
+
+    def test_zero_gap_at_a_normal_amplitude_is_suspect(self):
+        # two adjacent float sums round to one point once scaled by A
+        g = NormalizedGains(g=(0.9999999999999997, 1.0))
+        rc = received_constellation(g, 2, 3.0532379634439946)
+        assert rc.gamma is GammaStatus.SUSPECT and rc.d_min == 0.0 and rc.points.size == 25
+
+    @pytest.mark.parametrize("gains", [(1.0000001, 1.0), (Fraction(1, 7), 1)])
+    def test_gap_underflow_is_refused(self, gains):
+        # distinct sums whose smallest gap times A lies below the smallest float
+        with pytest.raises(ParameterError, match="gap underflows float64 at A = 5e-324"):
+            received_constellation(NormalizedGains(g=gains), 2, 5e-324)
 
     @pytest.mark.parametrize(
         "gains,Q",
@@ -346,13 +359,15 @@ def small_builds(draw):
 
 
 class TestPackedKeyOrder:
-    """The float build sorts packed (value, index) int64 keys; it must
-    return exactly what the former argsort body returned."""
+    """The float build sorts packed (value, index) int64 keys, the exact
+    build takes one stable argsort; both must return exactly what the
+    former argsort body returned."""
 
     @settings(max_examples=300, deadline=None)
-    @example(drawn=(NEAR_TIE, 4, 1.0))  # packed order misorders: fallback, SUSPECT
+    @example(drawn=(NEAR_TIE, 4, 1.0))  # packed order misorders: repaired, SUSPECT
     @example(drawn=(NEAR_TIE, 8, 1.0))  # rounding adds exact ties: VIOLATED
     @example(drawn=((0.5, 0.25, 1.0), 2, 1.0))  # exact float ties: VIOLATED
+    @example(drawn=((Fraction(1, 2), Fraction(1, 4), 1), 2, 1.0))  # exact ties: VIOLATED
     @example(drawn=((-1.4142135623730951, 1.0), 3, 2.0))
     @example(drawn=((2.5, -0.75, 1.0), 0, 3.0))  # Q = 0: one point
     @given(drawn=small_builds())
@@ -367,28 +382,40 @@ class TestPackedKeyOrder:
         assert float_bits(rc.d_min) == float_bits(d_min)
 
     @pytest.fixture
-    def argsort_kinds(self, monkeypatch):
-        """The ``kind`` of every np.argsort call made while the test runs."""
-        kinds, argsort = [], np.argsort
+    def argsort_calls(self, monkeypatch):
+        """(kind, copy of the array) of every np.argsort call made while the
+        test runs."""
+        calls, argsort = [], np.argsort
 
         def spy(a, *args, **kwargs):
-            kinds.append(kwargs.get("kind"))
+            calls.append((kwargs.get("kind"), np.array(a)))
             return argsort(a, *args, **kwargs)
 
         monkeypatch.setattr(np, "argsort", spy)
-        return kinds
+        return calls
 
-    def test_near_tie_takes_the_stable_fallback(self, argsort_kinds):
+    def test_near_tie_takes_the_stable_fallback(self, argsort_calls):
         rc = received_constellation(NormalizedGains(g=NEAR_TIE), 4, 1.0)
-        assert argsort_kinds == ["stable"]
+        [(kind, sorted_array)] = argsort_calls
+        assert kind == "stable"
+        # the repair re-sorts the gathered sums, not those in mixed-radix order
+        sums = tuple_sums(NEAR_TIE, 4)
+        assert np.array_equal(float_bits(sorted_array), float_bits(sums[_packed_order(sums)]))
+        assert not np.array_equal(sorted_array, sums)
         assert rc.gamma is GammaStatus.SUSPECT and rc.points.size == 81
         assert (np.diff(rc.points) > 0).all()
 
+    def test_exact_ties_take_one_stable_argsort(self, argsort_calls):
+        g = NormalizedGains(g=(Fraction(1, 2), Fraction(1, 4), 1))
+        rc = received_constellation(g, 2, 1.0)
+        assert [kind for kind, _ in argsort_calls] == ["stable"]
+        assert rc.gamma is GammaStatus.VIOLATED and rc.points.size < 5**3
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_generic_gains_take_the_packed_order(self, argsort_kinds, seed):
+    def test_generic_gains_take_the_packed_order(self, argsort_calls, seed):
         # K=3, Q=36 (M = 389,017) is the benchmark's heaviest float build
         rc = received_constellation(normalize_gains(sample_gains(seed, 3)), 36, 1.0)
-        assert argsort_kinds == []
+        assert argsort_calls == []
         assert rc.gamma is GammaStatus.HOLDS and rc.points.size == 73**3
 
 
@@ -397,7 +424,6 @@ class TestMinDistance:
         rc = ReceivedConstellation(
             K=1,
             Q=1,
-            A=1.0,
             points=np.array([0.0, 1.0, 3.0]),
             index=np.array([0, 1, 2]),
             gamma=GammaStatus.HOLDS,

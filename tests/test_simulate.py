@@ -225,6 +225,17 @@ class TestSymbolSweep:
         with pytest.raises(ParameterError, match=r"P=0\.1"):
             run_symbol_sweep(cfg)
 
+    @pytest.mark.parametrize("P_grid", [(0.5,), (1.0, 1e4)])
+    def test_power_at_most_one_is_refused_before_gains_are_drawn(self, monkeypatch, P_grid):
+        # eta_running divides by log2 P; h_e = 4 keeps P_tilde >= 1 at P = 0.5
+        def drawn(cfg):
+            raise AssertionError("gains drawn")
+
+        monkeypatch.setattr(SimConfig, "resolve_gains", drawn)
+        cfg = SimConfig(K=2, epsilon=0.5, P_grid=P_grid, h=(S2, 1.0), h_e=(4.0, 4.0), trials=1)
+        with pytest.raises(ParameterError, match=rf"\[grid point P={P_grid[0]}\]"):
+            run_symbol_sweep(cfg)
+
 
 def code_sizes_oracle(cfg, Q):
     """derive_code_sizes' rule with every power formed in full."""
