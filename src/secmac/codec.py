@@ -14,7 +14,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .constellation import ReceivedConstellation, mixed_radix_digits
+from .constellation import ReceivedConstellation, mixed_radix_digits, mixed_radix_index
 from .errors import AmbiguityError, ParameterError
 from .rng import stream
 
@@ -25,22 +25,14 @@ class DuplicateStats(NamedTuple):
     cross_bin_duplicates: int  # distinct sequences present in more than one bin
 
 
-def _row_keys(rows) -> np.ndarray:
-    """Exact fixed-width byte key of each length-n row: (..., n) -> (...).
-
-    The key is the row's int64 bytes, so it is exact for every n and Q,
-    including sequence spaces past 2^63 that no packed integer could hold.
-    """
-    rows = np.ascontiguousarray(rows, dtype=np.int64)
-    return rows.view(np.dtype((np.void, rows.shape[-1] * rows.itemsize)))[..., 0]
-
-
 @dataclass(frozen=True)
 class Codebook:
     """Binned random code for one user: table has shape (B, L, n).
 
-    On construction the B*L rows are sorted once, stably, by exact row
-    key; lookups and duplicate counts both read that one index.
+    On construction the B*L rows are sorted once by exact key, equal keys in
+    flat-row order: one int64 sort of each row's mixed-radix code over [-Q, Q]^n
+    above bit_length(B*L) flat-row bits, or past 2^63 (n = 40, Q = 2) a stable
+    argsort of the rows' bytes.  Lookups and duplicate counts read that index.
     """
 
     n: int
@@ -49,6 +41,7 @@ class Codebook:
     L: int
     user_k: int
     table: np.ndarray
+    _packed: bool = field(repr=False, compare=False, default=False)  # keys are int64 codes
     _keys: np.ndarray = field(repr=False, compare=False, default=None)  # sorted row keys
     _rows: np.ndarray = field(repr=False, compare=False, default=None)  # flat row of each key
 
@@ -57,17 +50,34 @@ class Codebook:
             raise ParameterError(f"need n, B, L >= 1, got {(self.n, self.B, self.L)}")
         if self.table.shape != (self.B, self.L, self.n):
             raise ParameterError(f"table shape {self.table.shape} != (B, L, n)")
-        if np.any(np.abs(self.table) > self.Q):
+        if self.table.min() < -self.Q or self.table.max() > self.Q:
             raise ParameterError(f"table contains symbols outside [-{self.Q}, {self.Q}]")
-        # flat rows run bins in order, then slots in order, so the stable sort
-        # puts the first match of a sequence leftmost among its equal keys
-        keys = _row_keys(self.table.reshape(self.B * self.L, self.n))
-        rows = np.argsort(keys, kind="stable")
-        object.__setattr__(self, "_keys", keys[rows])
+        size, shift = self.B * self.L, (self.B * self.L).bit_length()
+        packed = self.n < 64 and (2 * self.Q + 1) ** self.n << shift <= 2**63  # no huge power
+        object.__setattr__(self, "_packed", packed)
+        # flat rows run bins, then slots: equal keys in flat-row order put the first match leftmost
+        keys = self._key(self.table.reshape(size, self.n))
+        if packed:
+            keys = np.sort(keys << shift | np.arange(size))
+            rows, keys = keys & ((1 << shift) - 1), keys >> shift
+        else:
+            rows = np.argsort(keys, kind="stable")
+            keys = keys[rows]
+        object.__setattr__(self, "_keys", keys)
         object.__setattr__(self, "_rows", rows)
 
+    def _key(self, rows) -> np.ndarray:
+        """Exact key of each row, (..., n) -> (...): its code, or -1 where a symbol
+        is outside [-Q, Q] (a code would alias); unpacked, the row's bytes."""
+        if not self._packed:
+            return np.ascontiguousarray(rows, dtype=np.int64).view(f"V{8 * self.n}")[..., 0]
+        if rows.min() >= -self.Q and rows.max() <= self.Q:
+            return mixed_radix_index(rows, self.n, self.Q)
+        inside = ((rows >= -self.Q) & (rows <= self.Q)).all(axis=-1)
+        return np.where(inside, self._key(np.clip(rows, -self.Q, self.Q)), -1)
+
     def bin_of(self, sequence: np.ndarray) -> int | None | np.ndarray:
-        """Bin of the first exact table match of each length-n row.
+        """Bin of the first exact table match (``searchsorted`` of the key).
 
         One row gives an int, or None if it is absent; an (..., n) batch
         gives an int64 array of shape (...) with -1 where a row is absent.
@@ -75,7 +85,7 @@ class Codebook:
         seq = np.asarray(sequence)
         if seq.ndim < 1 or seq.shape[-1] != self.n:
             raise ParameterError(f"sequence shape {seq.shape} does not end in ({self.n},)")
-        key = _row_keys(seq)
+        key = self._key(seq)
         pos = np.minimum(np.searchsorted(self._keys, key), self._keys.size - 1)
         bins = np.where(self._keys[pos] == key, self._rows[pos] // self.L, -1)
         if seq.ndim == 1:
@@ -83,9 +93,9 @@ class Codebook:
         return bins
 
     def duplicate_stats(self) -> DuplicateStats:
-        """Counts over runs of equal sorted keys: each run is one distinct
-        sequence, and a cross-bin duplicate when its first and last rows
-        (whose bins ascend along the run) lie in different bins."""
+        """Counts over runs of equal sorted keys (int64 when packed): each run
+        is one distinct sequence, and a cross-bin duplicate when its first
+        and last rows (whose bins ascend along the run) lie in different bins."""
         keys, bins = self._keys, self._rows // self.L
         starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
         ends = np.append(starts[1:], keys.size) - 1

@@ -201,8 +201,9 @@ def received_constellation(g: NormalizedGains, Q: int, A: float) -> ReceivedCons
         sums = tuple_sums(coefs, Q, object if wide else np.int64)
         order = np.argsort(sums, kind="stable")
     else:
-        # |sum| <= Q * sum|g|: both the sums and the points A * sum stay finite
-        if not math.isfinite(max(A, 1.0) * Q * float(np.abs(g.as_floats()).sum())):
+        # |sum| <= Q * sum|g| (a Python float sum: inf past the range, no warning),
+        # so both the sums and the points A * sum stay finite; Q = 0 is the point 0
+        if Q and not math.isfinite(max(A, 1.0) * Q * sum(abs(float(x)) for x in g.g)):
             raise ParameterError("received points overflow float64")
         sums = tuple_sums(g.as_floats(), Q)
         order = _packed_order(sums)

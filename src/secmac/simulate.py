@@ -43,6 +43,7 @@ from .rng import stream, substream
 from .secrecy import (
     JOINT_TABLE_CAP,
     MIN_LEAKAGE_SAMPLES,
+    SlopeFit,
     leakage_estimate,
     sdof_fit,
     sum_rate_lower_bound,
@@ -164,6 +165,11 @@ def _meta(render=lambda v: v):
     return field(metadata={"meta": render})
 
 
+def _fit_keys(fit: SlopeFit | None) -> dict:
+    """The S-DoF fit's ``.meta`` keys; none without a fit (a one-point grid)."""
+    return {} if fit is None else dict(zip(("slope", "intercept", "fit_residual"), map(fmt, fit)))
+
+
 def _gain_lists(gains: ChannelGains) -> dict:
     return {"h": ",".join(fmt(x) for x in gains.h), "h_e": ",".join(fmt(x) for x in gains.h_e)}
 
@@ -203,9 +209,7 @@ class SweepReport(_Report):
     variance: float = _meta()
     trials: int = _meta()
     gains: ChannelGains = _meta(_gain_lists)
-    slope: float = _meta(fmt)
-    intercept: float = _meta(fmt)
-    fit_residual: float = _meta(fmt)
+    fit: SlopeFit | None = _meta(_fit_keys)  # None for a one-point grid
 
 
 def _constellation_gains(cfg: SimConfig, trials: int) -> ChannelGains:
@@ -307,16 +311,11 @@ def run_symbol_sweep(cfg: SimConfig) -> SweepReport:
         except (ParameterError, SizeCapError) as exc:
             exc.args = (f"{exc.args[0] if exc.args else exc} [grid point P={P}]",)
             raise
-    try:
-        fit = sdof_fit([(r.P, r.r_sum_bound_bits) for r in rows])
-        slope, intercept, residual = fit
-    except ParameterError:
-        slope = intercept = residual = math.nan
+    # the grid is strictly increasing and above P = 1, so two points always fit
+    fit = sdof_fit([(r.P, r.r_sum_bound_bits) for r in rows]) if len(rows) > 1 else None
     return SweepReport(
         rows=tuple(rows),
-        slope=slope,
-        intercept=intercept,
-        fit_residual=residual,
+        fit=fit,
         gains=gains,
         master_seed=cfg.master_seed,
         epsilon=cfg.epsilon,

@@ -5,7 +5,7 @@ import re
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from secmac import ParameterError
@@ -118,6 +118,18 @@ class TestDmin:
         assert_contract(argv, code, out, err, caught)
         assert (code, err) == (2, "error: received points overflow float64\n")
 
+    @pytest.mark.parametrize("q, code", [("0", 0), ("1", 2)])
+    def test_gain_sum_past_the_float_range(self, q, code):
+        # Q = 0 is the one point 0 whatever the gains; Q = 1 overflows
+        argv = ["dmin", "--gains", "1e308,1e308,-1", "--q", q, "--a", "0.1"]
+        got, out, err, caught = run_quietly(argv)
+        assert_contract(argv, got, out, err, caught)
+        assert got == code
+        if code:
+            assert err == "error: received points overflow float64\n"
+        else:
+            assert "0,0.10000000000000001,1,holds,inf" in out
+
     @pytest.mark.parametrize(
         "gains,a",
         [("1/3,1", "1e-320"), ("1.0000001,1", "5e-324"), ("1/7,1/1", "5e-324")],
@@ -159,6 +171,21 @@ class TestSweep:
         meta = (tmp_path / "sweep.csv.meta").read_text()
         assert "command = sweep" in meta
         assert "wall_time_s" in meta
+
+    @pytest.mark.parametrize("p_grid, fitted", [("1e4", False), ("1e2,1e4", True)])
+    def test_fit_keys_only_when_the_grid_has_a_fit(self, tmp_path, capsys, p_grid, fitted):
+        # one grid point has no S-DoF fit: its .meta leaves the fit keys out
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(f"k = 2\nepsilon = 0.5\np_grid = {p_grid}\ntrials = 1\nn = 1\n")
+        out_path = tmp_path / "sweep.csv"
+        code, _, _ = run(capsys, "sweep", "--config", str(cfg), "--out", str(out_path))
+        assert code == 0
+        meta = (tmp_path / "sweep.csv.meta").read_text()
+        assert "nan" not in meta.lower()
+        keys = [line.split(" = ")[0] for line in meta.splitlines()[1:]]
+        fit_keys = ["slope", "intercept", "fit_residual"]
+        assert [k for k in keys if k in fit_keys] == (fit_keys if fitted else [])
+        assert keys[-1] == "stream_layout"
 
     def test_missing_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -742,6 +769,8 @@ class TestArgvGrammar:
 
     @settings(max_examples=300, deadline=None)
     @given(drawn=argvs())
+    # sum|g| past the float range at Q = 0 warned in numpy's reduce
+    @example(drawn=(["dmin", "--gains", "1e308,1e308,-1", "--q", "0", "--a", "0.1"], False))
     def test_exit_code_contract(self, drawn):
         argv, abbreviated = drawn
         code, out, err, caught = run_quietly(argv)

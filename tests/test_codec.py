@@ -1,9 +1,10 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from secmac import (
@@ -298,6 +299,58 @@ class TestSortedIndex:
             assert cb.bin_of(space).tolist() == want
             assert [cb.bin_of(seq) for seq in space] == [None if w < 0 else w for w in want]
             assert cb.bin_of(space.reshape(-1, 1, n)).shape == (space.shape[0], 1)
+
+    # (2Q+1)^n << bit_length(B*L) against 2^63: both sides of the int64 key
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 45),
+        Q=st.integers(1, 3),
+        B=st.integers(1, 6),
+        L=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=39, Q=1, B=1, L=1, seed=0)  # 3^39 << 1 fits: packed
+    @example(n=39, Q=1, B=2, L=1, seed=0)  # 3^39 << 2 does not: byte keys
+    @example(n=26, Q=2, B=3, L=1, seed=1)  # 5^26 << 2 fits
+    @example(n=26, Q=2, B=2, L=2, seed=1)  # 5^26 << 3 does not
+    @example(n=1, Q=1, B=6, L=6, seed=2)  # 36 rows over 3 symbols
+    def test_keys_agree_with_brute_force(self, n, Q, B, L, seed):
+        cb = build_codebook(n, Q, B, L, seed=seed)
+        packed = (2 * Q + 1) ** n << (B * L).bit_length() <= 2**63
+        assert (cb._keys.dtype == np.int64) == packed
+        assert cb.duplicate_stats() == brute_duplicate_stats(cb)
+
+        rng = np.random.default_rng(seed)
+        rows = cb.table.reshape(-1, n)
+        drawn = rng.integers(-Q, Q + 1, size=(8, n))
+        # one symbol at +-(Q+1), in any slot, and a row whose raw mixed-radix
+        # code equals a table row's: one digit down by 1, the next up by 2Q+1
+        outside = np.concatenate([rows[:4], drawn[:4]])
+        slots = rng.integers(0, n, size=outside.shape[0])
+        outside[np.arange(outside.shape[0]), slots] = rng.choice([-Q - 1, Q + 1], outside.shape[0])
+        queries = [rows, drawn, outside]
+        if n > 1:
+            alias = rows[:1].copy()
+            alias[0, 0] -= 1
+            alias[0, 1] += 2 * Q + 1
+            queries.append(alias)
+        extreme = np.full((2, n), np.iinfo(np.int64).max)
+        extreme[1, 0] = np.iinfo(np.int64).min
+        queries = np.concatenate(queries + [extreme])
+        want = [brute_first_bin(cb, q) for q in queries]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning from a huge symbol
+            assert cb.bin_of(queries).tolist() == want
+            assert [cb.bin_of(q) for q in queries] == [None if w < 0 else w for w in want]
+        assert all(w == -1 for w in want[rows.shape[0] + 8:])
+        assert cb.bin_of(queries.reshape(-1, 1, n)).reshape(-1).tolist() == want
+
+    @pytest.mark.parametrize("bad", [2, -2, np.iinfo(np.int64).min])
+    def test_table_outside_the_alphabet_rejected(self, bad):
+        table = np.zeros((2, 2, 3), dtype=np.int64)
+        table[1, 0, 2] = bad
+        with pytest.raises(ParameterError, match="outside"):
+            Codebook(n=3, Q=1, B=2, L=2, user_k=0, table=table)
 
     def test_empty_table_rejected(self):
         with pytest.raises(ParameterError):
