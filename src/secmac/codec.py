@@ -71,7 +71,7 @@ class Codebook:
         is outside [-Q, Q] (a code would alias); unpacked, the row's bytes."""
         if not self._packed:
             return np.ascontiguousarray(rows, dtype=np.int64).view(f"V{8 * self.n}")[..., 0]
-        if rows.min() >= -self.Q and rows.max() <= self.Q:
+        if not rows.size or (rows.min() >= -self.Q and rows.max() <= self.Q):
             return mixed_radix_index(rows, self.n, self.Q)
         inside = ((rows >= -self.Q) & (rows <= self.Q)).all(axis=-1)
         return np.where(inside, self._key(np.clip(rows, -self.Q, self.Q)), -1)

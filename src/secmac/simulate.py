@@ -3,11 +3,11 @@
 Every random draw is keyed by (master seed, purpose, grid index, batch
 index) with a fixed batch size of ``TRIAL_BATCH``, so reports are
 bit-identical across runs and do not depend on how trials might be
-distributed over workers.  Sweep and block batches share one channel
-step: symbol tuples -> A*v/h_e -> transmit to the intended receiver
-(the eavesdropper's observation is not drawn).  Block hard-decodes the
-samples; the sweep only tests each one against its sent point's decision
-cell.  Each report's ``.meta`` names its ``stream_layout`` version.
+distributed over workers.  Sweep, block and noisy leakage runs share one
+channel step: symbol tuples -> A*v/h_e -> transmit to the intended
+receiver (h) or to the eavesdropper (h_e).  Block hard-decodes the
+samples, the sweep tests each against its sent point's decision cell and
+leakage bins them.  Each report's ``.meta`` names its ``stream_layout``.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ TRIAL_BATCH = 8192
 WILSON_Z = 1.959963984540054  # two-sided 95%
 # Version of each command's random stream layout, recorded in .meta; it
 # changes whenever a stream key, a draw order or a batch shape changes.
-STREAM_LAYOUT = {"sweep": 1, "block": 2, "leakage": 1}
+STREAM_LAYOUT = {"sweep": 1, "block": 2, "leakage": 2}
 TABLE_CAP = 65_536  # max codebook sequences per user in block runs
 TRIAL_CAP = 10**8  # max trials of a sweep (over all grid points) or a block run
 
@@ -62,6 +62,15 @@ def _batches(total: int):
     """(batch index, batch size) pairs that cover ``total`` draws."""
     for b0 in range(0, total, TRIAL_BATCH):
         yield b0 // TRIAL_BATCH, min(TRIAL_BATCH, total - b0)
+
+
+def _uniform_batches(seed: int, command: str, K: int, Q: int, total: int, *grid):
+    """(tuples, noise seed) of each batch of ``total`` uniform tuples on [-Q, Q]^K:
+    batch bi draws its (bs, K) tuples from (seed, f"{command}/input", *grid, bi)
+    and gives the (seed, f"{command}/noise", *grid, bi) substream."""
+    for bi, bs in _batches(total):
+        v = stream(seed, f"{command}/input", *grid, bi).integers(-Q, Q + 1, size=(bs, K))
+        yield v, substream(seed, f"{command}/noise", *grid, bi)
 
 
 def wilson_interval(errors: int, trials: int, z: float = WILSON_Z) -> tuple[float, float]:
@@ -226,49 +235,44 @@ def _constellation_gains(cfg: SimConfig, trials: int) -> ChannelGains:
 
 
 class _Link(NamedTuple):
-    """One grid point's channel: gains, noise, received constellation, the
-    amplitude A and the sign of the normalisation scale."""
+    """One receiver's channel step: the users' gains, the receive gains
+    (``h`` for the intended receiver, ``h_e`` for the eavesdropper), the
+    noise variance, the amplitude A and the sign of the normalisation scale."""
 
     gains: ChannelGains
+    rx: tuple[float, ...]
     variance: float
-    rc: ReceivedConstellation
     A: float
-    sgn: float
+    sgn: float = 1.0
 
     def receive(self, v: np.ndarray, seed) -> np.ndarray:
-        """Symbol tuples (m, K) -> A*v/h_e -> transmit -> (m,) samples, in
-        the sign of the received constellation."""
+        """Symbol tuples (m, K) -> A*v/h_e -> transmit with ``rx`` -> (m,)
+        samples, times the sign; no noise is drawn at variance 0."""
         x = scale_to_channel(v, self.A, self.gains.h_e).T
-        return self.sgn * transmit(x, self.gains.h, self.variance, seed)
-
-    def decode(self, v: np.ndarray, seed) -> np.ndarray:
-        """Symbol tuples (m, K) -> received samples -> hard-decoded (m, K)."""
-        return hard_decode(self.receive(v, seed), self.rc)
+        return self.sgn * transmit(x, self.rx, self.variance, seed)
 
 
-def _grid_point(cfg: SimConfig, gains: ChannelGains, g, P: float) -> tuple[float, int, _Link]:
-    """(P_tilde, Q, link) at power P."""
+def _grid_point(
+    cfg: SimConfig, gains: ChannelGains, g, P: float
+) -> tuple[float, int, ReceivedConstellation, _Link]:
+    """(P_tilde, Q, received constellation, link to the intended receiver) at P."""
     P_t = effective_power(gains, P)
     Q, A = select_params(P_t, cfg.K, cfg.epsilon)
     rc = received_constellation(g, Q, A * abs(g.scale))
     sgn = 1.0 if g.scale >= 0 else -1.0
-    return P_t, Q, _Link(gains, cfg.variance, rc, A, sgn)
+    return P_t, Q, rc, _Link(gains, gains.h, cfg.variance, A, sgn)
 
 
 def _sweep_point(cfg: SimConfig, gains: ChannelGains, g, pi: int, P: float) -> SweepRow:
-    P_t, Q, link = _grid_point(cfg, gains, g, P)
-    tail, expb = pe_upper_bound(link.rc.d_min)
+    P_t, Q, rc, link = _grid_point(cfg, gains, g, P)
+    tail, expb = pe_upper_bound(rc.d_min)
 
     # a trial is correct iff the nearest point is the sent tuple's own
-    ranks = point_ranks(link.rc)
+    ranks = point_ranks(rc)
     errors = 0
-    for bi, bs in _batches(cfg.trials):
-        v = stream(cfg.master_seed, "sweep/input", pi, bi).integers(
-            -Q, Q + 1, size=(bs, cfg.K)
-        )
-        y = link.receive(v, substream(cfg.master_seed, "sweep/noise", pi, bi))
+    for v, seed in _uniform_batches(cfg.master_seed, "sweep", cfg.K, Q, cfg.trials, pi):
         sent = ranks[mixed_radix_index(v, cfg.K, Q)]
-        errors += bs - int(np.count_nonzero(nearest_is(y, link.rc, sent)))
+        errors += len(v) - int(np.count_nonzero(nearest_is(link.receive(v, seed), rc, sent)))
 
     pe_mc = errors / cfg.trials
     ci_low, ci_high = wilson_interval(errors, cfg.trials)
@@ -279,7 +283,7 @@ def _sweep_point(cfg: SimConfig, gains: ChannelGains, g, pi: int, P: float) -> S
         P_tilde=P_t,
         Q=Q,
         A=link.A,
-        d_min=link.rc.d_min,
+        d_min=rc.d_min,
         pe_tail_bound=tail,
         pe_exp_bound=expb,
         pe_mc=pe_mc,
@@ -381,6 +385,7 @@ class _BlockRun(NamedTuple):
     cfg: SimConfig
     P_tilde: float
     Q: int
+    rc: ReceivedConstellation
     link: _Link
     codebooks: tuple[Codebook, ...]
 
@@ -388,7 +393,7 @@ class _BlockRun(NamedTuple):
 def _block_setup(cfg: SimConfig) -> _BlockRun:
     """Link and codebooks for a block run at the top of the power grid."""
     gains = _constellation_gains(cfg, cfg.trials)
-    P_t, Q, link = _grid_point(cfg, gains, normalize_gains(gains), cfg.P_grid[-1])
+    P_t, Q, rc, link = _grid_point(cfg, gains, normalize_gains(gains), cfg.P_grid[-1])
     B, L = derive_code_sizes(cfg, Q)
     # both refused before any table is drawn
     if B > TABLE_CAP:
@@ -401,7 +406,7 @@ def _block_setup(cfg: SimConfig) -> _BlockRun:
         build_codebook(cfg.n, Q, B, L, substream(cfg.master_seed, "block/codebook"), user_k=k)
         for k in range(cfg.K)
     )
-    return _BlockRun(cfg, P_t, Q, link, codebooks)
+    return _BlockRun(cfg, P_t, Q, rc, link, codebooks)
 
 
 def _block_batch(run: _BlockRun, bi: int, bs: int) -> tuple[np.ndarray, np.ndarray]:
@@ -417,8 +422,8 @@ def _block_batch(run: _BlockRun, bi: int, bs: int) -> tuple[np.ndarray, np.ndarr
     msgs = stream(seed, "block/messages", bi).integers(0, run.codebooks[0].B, size=(bs, K))
     enc_seed = substream(seed, "block/encode", bi)
     v = np.stack([encode(cb, msgs[:, k], enc_seed) for k, cb in enumerate(run.codebooks)], axis=-1)
-    dec = run.link.decode(v.reshape(bs * n, K), substream(seed, "block/noise", bi))
-    dec = dec.reshape(bs, n, K)
+    y = run.link.receive(v.reshape(bs * n, K), substream(seed, "block/noise", bi))
+    dec = hard_decode(y, run.rc).reshape(bs, n, K)
     recovered = np.stack(decode_messages([dec[..., k] for k in range(K)], run.codebooks), axis=-1)
     return np.any(recovered != msgs, axis=1), np.any(recovered < 0, axis=1)
 
@@ -486,14 +491,17 @@ class LeakageRunReport(_Report):
 
 
 def run_leakage(cfg: SimConfig) -> LeakageRunReport:
-    """Sample (input tuple, eavesdropper observation) pairs and estimate leakage.
+    """Send input tuples to the eavesdropper and estimate leakage.
 
-    The aligned eavesdropper sees A * sum_k x~_k plus noise.  Noiseless
-    runs enumerate the input tuples exhaustively when they fit in the
-    sample budget, which removes sampling error entirely.  The default
-    bin width A/10 suits noiseless runs; for noisy runs pick a width
-    commensurate with the noise scale, or the plug-in bias (roughly
-    occupied cells / (2 n ln 2) bits) dominates the estimate.
+    Noisy tuples take the sweep's channel step received with h_e, so the
+    aligned eavesdropper sees A * sum_k x~_k plus noise; noiseless samples
+    are A * sum_k x~_k formed exactly, so tuples sharing a sum share a
+    bin.  Noiseless runs enumerate the input tuples exhaustively when they
+    fit in the sample budget, which removes sampling error entirely; other
+    runs draw the sweep's uniform batches.  The default bin width A/10
+    suits noiseless runs; for noisy runs pick a width commensurate with
+    the noise scale, or the plug-in bias (roughly occupied cells /
+    (2 n ln 2) bits) dominates the estimate.
     """
     if cfg.leakage_samples < MIN_LEAKAGE_SAMPLES:
         raise ParameterError(
@@ -507,34 +515,25 @@ def run_leakage(cfg: SimConfig) -> LeakageRunReport:
     P = cfg.P_grid[-1]
     P_t = effective_power(gains, P)
     Q, A = select_params(P_t, cfg.K, cfg.epsilon)
-    if cfg.K * Q >= 2**63:  # the tuples and their sums are drawn in int64
+    if cfg.K * Q >= 2**63:  # the tuples and their noiseless sums are int64
         raise SizeCapError(f"symbol bound Q = {Q} overflows the int64 input draw")
     width = cfg.bin_width if cfg.bin_width is not None else A / 10.0
     M = (2 * Q + 1) ** cfg.K
+    eve = _Link(gains, gains.h_e, cfg.variance, A)
+    # noiseless samples are A * sum(v) formed exactly: h_e @ (A*v/h_e) rounds
+    # once per user, and the ulps could split one sum over two bins (the
+    # default width A/10 puts every A*s on a bin edge)
+    observe = eve.receive if cfg.variance > 0 else lambda v, _: A * v.sum(axis=1).astype(float)
 
     exhaustive = cfg.variance == 0 and M <= cfg.leakage_samples
     if exhaustive:
-        tuples = mixed_radix_digits(np.arange(M), cfg.K, Q)
-        z = A * tuples.sum(axis=1).astype(float)
-        # pad by repeating the exhaustive block so the estimator's sample
-        # floor is met without changing the empirical distribution
-        if M < MIN_LEAKAGE_SAMPLES:
-            reps = math.ceil(MIN_LEAKAGE_SAMPLES / M)
-            tuples = np.tile(tuples, (reps, 1))
-            z = np.tile(z, reps)
+        # one noiseless batch: the alphabet, repeated up to the sample floor,
+        # which leaves the empirical distribution unchanged
+        reps = math.ceil(MIN_LEAKAGE_SAMPLES / M)
+        batches = [(mixed_radix_digits(np.arange(reps * M) % M, cfg.K, Q), None)]
     else:
-        n = cfg.leakage_samples
-        tuples = np.empty((n, cfg.K), dtype=np.int64)
-        z = np.empty(n)
-        sd = math.sqrt(cfg.variance)
-        for bi, bs in _batches(n):
-            b0 = bi * TRIAL_BATCH
-            v = stream(cfg.master_seed, "leakage/input", bi).integers(
-                -Q, Q + 1, size=(bs, cfg.K)
-            )
-            w = stream(cfg.master_seed, "leakage/noise", bi).standard_normal(bs)
-            tuples[b0 : b0 + bs] = v
-            z[b0 : b0 + bs] = A * v.sum(axis=1) + sd * w
+        batches = _uniform_batches(cfg.master_seed, "leakage", cfg.K, Q, cfg.leakage_samples)
+    tuples, z = map(np.concatenate, zip(*((v, observe(v, seed)) for v, seed in batches)))
 
     est = leakage_estimate(tuples, z, width, Q)
     return LeakageRunReport(

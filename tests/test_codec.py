@@ -344,6 +344,8 @@ class TestSortedIndex:
             assert [cb.bin_of(q) for q in queries] == [None if w < 0 else w for w in want]
         assert all(w == -1 for w in want[rows.shape[0] + 8:])
         assert cb.bin_of(queries.reshape(-1, 1, n)).reshape(-1).tolist() == want
+        empty = cb.bin_of(queries[:0])  # an empty (0, n) batch
+        assert empty.dtype == np.int64 and empty.shape == (0,)
 
     @pytest.mark.parametrize("bad", [2, -2, np.iinfo(np.int64).min])
     def test_table_outside_the_alphabet_rejected(self, bad):

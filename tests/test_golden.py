@@ -86,7 +86,7 @@ GOLDEN = {
         ["leakage", "--config", "leak_noisy.cfg"],
         (
             "P,P_tilde,Q,A,variance,bin_width,samples,exhaustive,mi_bits,sum_entropy_bits,input_entropy_bits,residual_bits,bias_bound_bits\n"
-            "10000,10000,2,39.810717055349734,1,1,5000,0,3.012944460793733,2.9990795706241746,4.6438561897747244,1.6447766191505497,0.023227390158312312\n"
+            "10000,10000,2,39.810717055349734,1,1,5000,0,3.0129556953113923,2.9990795706241746,4.6438561897747244,1.6447766191505497,0.023660198670579002\n"
         ),
     ),
     "leakage_exhaustive": (

@@ -1,4 +1,5 @@
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -16,10 +17,10 @@ from secmac import (
     sum_rate_lower_bound,
     wilson_interval,
 )
-from secmac.channel import normalize_gains
+from secmac.channel import ChannelGains, normalize_gains
+from secmac.codec import hard_decode
 from secmac.constellation import ENUMERATION_CAP
-from secmac.rng import stream, substream
-from secmac.secrecy import JOINT_TABLE_CAP
+from secmac.secrecy import JOINT_TABLE_CAP, composition_counts, entropy_bits
 from secmac.simulate import (
     TABLE_CAP,
     TRIAL_BATCH,
@@ -27,6 +28,8 @@ from secmac.simulate import (
     _block_batch,
     _block_setup,
     _grid_point,
+    _Link,
+    _uniform_batches,
     derive_code_sizes,
 )
 
@@ -200,13 +203,10 @@ class TestSymbolSweep:
         g = normalize_gains(gains)
         want = []
         for pi, P in enumerate(cfg.P_grid):
-            _, Q, link = _grid_point(cfg, gains, g, P)
+            _, Q, rc, link = _grid_point(cfg, gains, g, P)
             errors = 0
-            for bi, bs in _batches(cfg.trials):
-                v = stream(cfg.master_seed, "sweep/input", pi, bi).integers(
-                    -Q, Q + 1, size=(bs, cfg.K)
-                )
-                dec = link.decode(v, substream(cfg.master_seed, "sweep/noise", pi, bi))
+            for v, seed in _uniform_batches(cfg.master_seed, "sweep", cfg.K, Q, cfg.trials, pi):
+                dec = hard_decode(link.receive(v, seed), rc)
                 errors += int(np.count_nonzero(np.any(dec != v, axis=1)))
             want.append(errors)
         got = [round(r.pe_mc * cfg.trials) for r in run_symbol_sweep(cfg).rows]
@@ -235,6 +235,25 @@ class TestSymbolSweep:
         cfg = SimConfig(K=2, epsilon=0.5, P_grid=P_grid, h=(S2, 1.0), h_e=(4.0, 4.0), trials=1)
         with pytest.raises(ParameterError, match=rf"\[grid point P={P_grid[0]}\]"):
             run_symbol_sweep(cfg)
+
+
+@pytest.mark.parametrize("command,grid", [("sweep", (1,)), ("leakage", ())])
+def test_uniform_batches_do_not_depend_on_the_total(command, grid):
+    # the first T tuples and received samples of a run with T + TRIAL_BATCH
+    # draws are those of a run with T, across a batch boundary
+    gains = ChannelGains(h=(S2, S3, 1.0), h_e=(1.3, 0.7, 1.1))
+    link = _Link(gains, gains.h if command == "sweep" else gains.h_e, 2.0, 3.5)
+
+    def draw(total):
+        batches = _uniform_batches(7, command, 3, 4, total, *grid)
+        return [np.concatenate(p) for p in zip(*((v, link.receive(v, s)) for v, s in batches))]
+
+    T = TRIAL_BATCH + 300
+    v, y = draw(T)
+    v_long, y_long = draw(T + TRIAL_BATCH)
+    assert v.shape == (T, 3) and (v.min(), v.max()) == (-4, 4)
+    assert np.array_equal(v, v_long[:T])
+    assert np.array_equal(y, y_long[:T])
 
 
 def code_sizes_oracle(cfg, Q):
@@ -388,7 +407,42 @@ class TestUnfinishableK:
         assert rep.samples == 1000
 
 
+def exact_leakage_bits(K, Q, A, variance, width):
+    """I(S; Z_b) for the sum S of K uniform symbols on [-Q, Q] and Z = A*S
+    plus noise in bins of ``width``: P(S) from the exact composition counts,
+    P(b | s) from Gaussian CDF differences over the bins within 40 sd of A*s."""
+    s = np.arange(-K * Q, K * Q + 1)
+    p_s = np.array(composition_counts(K, Q), dtype=float) / (2 * Q + 1) ** K
+    sd = math.sqrt(variance)
+    lo = math.floor((-A * K * Q - 40 * sd) / width)
+    edges = width * np.arange(lo, math.floor((A * K * Q + 40 * sd) / width) + 2)
+    cdf = np.vectorize(NormalDist().cdf)
+    joint = p_s[:, None] * np.diff(cdf((edges - A * s[:, None]) / sd), axis=1)
+    indep = p_s[:, None] * joint.sum(axis=0)
+    nz = joint > 0
+    return float(np.sum(joint[nz] * np.log2(joint[nz] / indep[nz])))
+
+
+# (Q, config): (K, Q, variance) = (2, 2, 1), (3, 1, 4) and (2, 2, 300), each with h != h_e
+LEAKAGE_ORACLE_CFGS = (
+    (2, dict(K=2, P_grid=(2e3,), variance=1.0, h=(1.5, 1.0), h_e=(1.2, 0.9), bin_width=1.0)),
+    (1, dict(K=3, P_grid=(1e2,), variance=4.0, h=(2, 1, 0.5), h_e=(0.6, 1.0, 1.9), bin_width=1.0)),
+    (2, dict(K=2, P_grid=(3e3,), variance=300.0, h=(1.9, 0.6), h_e=(0.7, 1.5), bin_width=4.0)),
+)
+
+
 class TestLeakageRun:
+    @pytest.mark.parametrize("Q,cfg", LEAKAGE_ORACLE_CFGS, ids=["k2", "k3-var4", "low-snr"])
+    def test_matches_exact_aligned_leakage(self, Q, cfg):
+        # the eavesdropper's samples depend on the tuple only through its
+        # sum, so the plug-in estimate converges to I(S; Z_b)
+        rep = run_leakage(SimConfig(**cfg, epsilon=0.5, leakage_samples=300_000))
+        assert rep.Q == Q
+        exact = exact_leakage_bits(cfg["K"], rep.Q, rep.A, cfg["variance"], cfg["bin_width"])
+        n = rep.samples
+        tol = rep.bias_bound_bits + 5 * max(rep.input_entropy_bits, math.log2(n)) / math.sqrt(n)
+        assert abs(rep.mi_bits - exact) <= tol, (rep.Q, rep.mi_bits, exact, tol)
+
     def test_noiseless_exhaustive_matches_sum_entropy(self):
         cfg = SimConfig(
             K=2, epsilon=0.5, P_grid=(1e4,), h=(S2, 1.0), h_e=(1.0, 1.0), variance=0.0
@@ -396,6 +450,33 @@ class TestLeakageRun:
         rep = run_leakage(cfg)
         assert rep.exhaustive
         assert rep.mi_bits == pytest.approx(sum_entropy(2, rep.Q), abs=1e-12)
+
+    @pytest.mark.parametrize("P,h_e", [(1e4, (1.3, 0.7)), (1e7, (1, 1, 1)), (1e8, (0.9, 1.7, 0.6))])
+    def test_noiseless_sums_share_a_bin(self, P, h_e):
+        # the default width A/10 puts every A*s on a bin edge, so the tuples
+        # of one sum share a bin only if their samples agree to the last bit
+        K = len(h_e)
+        cfg = SimConfig(K=K, epsilon=0.5, P_grid=(P,), h=(S2, 1.0, S3)[:K], h_e=h_e, variance=0.0)
+        rep = run_leakage(cfg)
+        assert rep.exhaustive and rep.Q >= K
+        assert rep.mi_bits == pytest.approx(sum_entropy(K, rep.Q), abs=1e-12)
+
+    def test_noiseless_sampled_bins_each_sum_once(self):
+        cfg = SimConfig(
+            K=3,
+            epsilon=0.5,
+            P_grid=(1e12,),
+            h=(S2, 1.0, S3),
+            h_e=(1.3, 0.7, 1.1),
+            variance=0.0,
+            leakage_samples=2000,
+            master_seed=4,
+        )
+        rep = run_leakage(cfg)
+        assert not rep.exhaustive
+        v = np.concatenate([v for v, _ in _uniform_batches(4, "leakage", 3, rep.Q, 2000)])
+        _, counts = np.unique(v.sum(axis=1), return_counts=True)
+        assert rep.mi_bits == pytest.approx(entropy_bits(counts / 2000), abs=1e-12)
 
     def test_residual_for_q1(self):
         cfg = SimConfig(
