@@ -228,6 +228,9 @@ def cmd_check(args) -> int:
             print(f"  file:      {a}", file=sys.stderr)
             print(f"  canonical: {b}", file=sys.stderr)
             break
+    else:  # every line matches, so a line break differs
+        why = "a line break other than \\n" if original.endswith("\n") else "no final newline"
+        print(f"{args.file}: {why}", file=sys.stderr)
     return 2
 
 

@@ -1,8 +1,8 @@
 """Random-binning codec over integer sequences.
 
 Each user owns a table of B*L length-n sequences drawn i.i.d. uniform
-over [-Q, Q]^n (duplicates allowed, as in random coding) and shuffled
-into B equal-size bins of L sequences.  A message is a bin index; the
+over [-Q, Q]^n (duplicates allowed, as in random coding), read as B
+equal-size bins of L consecutive sequences.  A message is a bin index; the
 stochastic encoder transmits a uniformly chosen member of its bin, and
 the receiver recovers the bin by exact table lookup after hard decoding.
 """
@@ -50,7 +50,7 @@ class Codebook:
             raise ParameterError(f"need n, B, L >= 1, got {(self.n, self.B, self.L)}")
         if self.table.shape != (self.B, self.L, self.n):
             raise ParameterError(f"table shape {self.table.shape} != (B, L, n)")
-        if self.table.min() < -self.Q or self.table.max() > self.Q:
+        if not -self.Q <= self.table.min() <= self.table.max() <= self.Q:  # NaN fails too
             raise ParameterError(f"table contains symbols outside [-{self.Q}, {self.Q}]")
         size, shift = self.B * self.L, (self.B * self.L).bit_length()
         packed = self.n < 64 and (2 * self.Q + 1) ** self.n << shift <= 2**63  # no huge power
@@ -85,6 +85,10 @@ class Codebook:
         seq = np.asarray(sequence)
         if seq.ndim < 1 or seq.shape[-1] != self.n:
             raise ParameterError(f"sequence shape {seq.shape} does not end in ({self.n},)")
+        if seq.dtype.kind == "f":  # whole numbers only: a cast would alias 0.3 to 0
+            if not np.all(np.isfinite(seq) & (seq == np.trunc(seq))):
+                raise ParameterError("sequence holds a symbol that is not an integer")
+            seq = np.clip(seq, -self.Q - 1, self.Q + 1).astype(np.int64)  # no overflowing cast
         key = self._key(seq)
         pos = np.minimum(np.searchsorted(self._keys, key), self._keys.size - 1)
         bins = np.where(self._keys[pos] == key, self._rows[pos] // self.L, -1)
@@ -107,17 +111,14 @@ class Codebook:
 
 
 def build_codebook(n: int, Q: int, B: int, L: int, seed, user_k: int = 0) -> Codebook:
-    """Draw B*L i.i.d. uniform sequences and shuffle them into B bins of L.
+    """Draw B*L i.i.d. uniform sequences as B bins of L consecutive rows.
 
-    The bin assignment is a seeded random permutation, so every bin holds
-    exactly L sequences and every message stays encodable.
+    The rows are i.i.d., so these bins have the law of shuffled ones.
     """
     if n < 1 or Q < 1 or B < 1 or L < 1:
         raise ParameterError(f"need n, Q, B, L >= 1, got {(n, Q, B, L)}")
-    rng = stream(seed, "codebook/sequences", user_k)
-    seqs = rng.integers(-Q, Q + 1, size=(B * L, n), dtype=np.int64)
-    perm = stream(seed, "codebook/binning", user_k).permutation(B * L)
-    return Codebook(n=n, Q=Q, B=B, L=L, user_k=user_k, table=seqs[perm].reshape(B, L, n))
+    table = stream(seed, "codebook/sequences", user_k).integers(-Q, Q + 1, size=(B, L, n))
+    return Codebook(n=n, Q=Q, B=B, L=L, user_k=user_k, table=table)
 
 
 def encode(cb: Codebook, w, seed) -> np.ndarray:

@@ -3,11 +3,14 @@
 Every random draw is keyed by (master seed, purpose, grid index, batch
 index) with a fixed batch size of ``TRIAL_BATCH``, so reports are
 bit-identical across runs and do not depend on how trials might be
-distributed over workers.  Sweep, block and noisy leakage runs share one
-channel step: symbol tuples -> A*v/h_e -> transmit to the intended
-receiver (h) or to the eavesdropper (h_e).  Block hard-decodes the
-samples, the sweep tests each against its sent point's decision cell and
-leakage bins them.  Each report's ``.meta`` names its ``stream_layout``.
+distributed over workers.  Sweep, block and leakage draw from one batch
+generator: uniform integers (symbol tuples, or block's messages) and a
+batch seed for the noise and block's encoder slots.  Sweep, block and
+noisy leakage runs share one channel step: symbol tuples -> A*v/h_e ->
+transmit to the intended receiver (h) or to the eavesdropper (h_e).
+Block hard-decodes the samples, the sweep tests each against its sent
+point's decision cell and leakage bins them.  Each report's ``.meta``
+names its ``stream_layout``.
 """
 
 from __future__ import annotations
@@ -53,23 +56,18 @@ TRIAL_BATCH = 8192
 WILSON_Z = 1.959963984540054  # two-sided 95%
 # Version of each command's random stream layout, recorded in .meta; it
 # changes whenever a stream key, a draw order or a batch shape changes.
-STREAM_LAYOUT = {"sweep": 1, "block": 2, "leakage": 2}
+STREAM_LAYOUT = {"sweep": 1, "block": 3, "leakage": 2}
 TABLE_CAP = 65_536  # max codebook sequences per user in block runs
 TRIAL_CAP = 10**8  # max trials of a sweep (over all grid points) or a block run
 
 
-def _batches(total: int):
-    """(batch index, batch size) pairs that cover ``total`` draws."""
-    for b0 in range(0, total, TRIAL_BATCH):
-        yield b0 // TRIAL_BATCH, min(TRIAL_BATCH, total - b0)
-
-
-def _uniform_batches(seed: int, command: str, K: int, Q: int, total: int, *grid):
-    """(tuples, noise seed) of each batch of ``total`` uniform tuples on [-Q, Q]^K:
-    batch bi draws its (bs, K) tuples from (seed, f"{command}/input", *grid, bi)
-    and gives the (seed, f"{command}/noise", *grid, bi) substream."""
-    for bi, bs in _batches(total):
-        v = stream(seed, f"{command}/input", *grid, bi).integers(-Q, Q + 1, size=(bs, K))
+def _uniform_batches(seed: int, command: str, K: int, low: int, high: int, total: int, *grid):
+    """(draws, batch seed) of each batch of ``total`` uniform (bs, K) integers on
+    [low, high]: batch bi of ``TRIAL_BATCH`` draws from (seed, f"{command}/input",
+    *grid, bi) and gives the (seed, f"{command}/noise", *grid, bi) substream."""
+    for bi, b0 in enumerate(range(0, total, TRIAL_BATCH)):
+        bs = min(TRIAL_BATCH, total - b0)
+        v = stream(seed, f"{command}/input", *grid, bi).integers(low, high + 1, size=(bs, K))
         yield v, substream(seed, f"{command}/noise", *grid, bi)
 
 
@@ -83,7 +81,8 @@ def wilson_interval(errors: int, trials: int, z: float = WILSON_Z) -> tuple[floa
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
     half = z * math.sqrt(p * (1 - p) / trials + z * z / (4 * trials * trials)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
+    low = max(0.0, center - half) if errors else 0.0  # exact ends, which rounding misses
+    return low, (min(1.0, center + half) if errors < trials else 1.0)
 
 
 @dataclass(frozen=True)
@@ -270,7 +269,7 @@ def _sweep_point(cfg: SimConfig, gains: ChannelGains, g, pi: int, P: float) -> S
     # a trial is correct iff the nearest point is the sent tuple's own
     ranks = point_ranks(rc)
     errors = 0
-    for v, seed in _uniform_batches(cfg.master_seed, "sweep", cfg.K, Q, cfg.trials, pi):
+    for v, seed in _uniform_batches(cfg.master_seed, "sweep", cfg.K, -Q, Q, cfg.trials, pi):
         sent = ranks[mixed_radix_index(v, cfg.K, Q)]
         errors += len(v) - int(np.count_nonzero(nearest_is(link.receive(v, seed), rc, sent)))
 
@@ -409,21 +408,14 @@ def _block_setup(cfg: SimConfig) -> _BlockRun:
     return _BlockRun(cfg, P_t, Q, rc, link, codebooks)
 
 
-def _block_batch(run: _BlockRun, bi: int, bs: int) -> tuple[np.ndarray, np.ndarray]:
-    """(error, decode-failure) flags of the ``bs`` trials of batch ``bi``.
-
-    The batch draws its (bs, K) messages from (seed, "block/messages", bi),
-    one slot per trial and user from the (seed, "block/encode", bi) encode
-    streams, and its noise from (seed, "block/noise", bi) in one transmit
-    of the (K, bs*n) symbols laid out trial-major.  Every draw is a prefix
-    of the full batch's, so a trial's flags never depend on the trial count.
-    """
-    seed, K, n = run.cfg.master_seed, run.cfg.K, run.cfg.n
-    msgs = stream(seed, "block/messages", bi).integers(0, run.codebooks[0].B, size=(bs, K))
-    enc_seed = substream(seed, "block/encode", bi)
-    v = np.stack([encode(cb, msgs[:, k], enc_seed) for k, cb in enumerate(run.codebooks)], axis=-1)
-    y = run.link.receive(v.reshape(bs * n, K), substream(seed, "block/noise", bi))
-    dec = hard_decode(y, run.rc).reshape(bs, n, K)
+def _block_batch(run: _BlockRun, msgs: np.ndarray, seed) -> tuple[np.ndarray, np.ndarray]:
+    """(error, decode-failure) flags of a batch of (bs, K) messages; the batch
+    seed gives the ``encode`` slots and the noise of one transmit of the
+    (K, bs*n) symbols laid out trial-major."""
+    K, n = run.cfg.K, run.cfg.n
+    v = np.stack([encode(cb, msgs[:, k], seed) for k, cb in enumerate(run.codebooks)], axis=-1)
+    y = run.link.receive(v.reshape(len(msgs) * n, K), seed)
+    dec = hard_decode(y, run.rc).reshape(len(msgs), n, K)
     recovered = np.stack(decode_messages([dec[..., k] for k in range(K)], run.codebooks), axis=-1)
     return np.any(recovered != msgs, axis=1), np.any(recovered < 0, axis=1)
 
@@ -433,18 +425,20 @@ def run_block_trials(cfg: SimConfig) -> BlockReport:
 
     A trial errs when any user's recovered bin differs from its message
     (a sequence missing from the table counts as an error too).  Trials
-    run in batches of ``TRIAL_BATCH``; each batch draws from its own
-    message, encode and noise streams (``_block_batch``), so no stream is
-    derived per trial.
+    run in batches of ``TRIAL_BATCH``: each draws its (bs, K) messages on
+    [0, B-1] from ``_uniform_batches`` and its slots and noise from that
+    batch's seed (``_block_batch``), so no stream is derived per trial.
+    Every draw is a prefix of the full batch's, so a trial's flags never
+    depend on the trial count.
     """
     run = _block_setup(cfg)
+    cb0 = run.codebooks[0]
     errors = failures = 0
-    for bi, bs in _batches(cfg.trials):
-        err, fail = _block_batch(run, bi, bs)
+    for msgs, seed in _uniform_batches(cfg.master_seed, "block", cfg.K, 0, cb0.B - 1, cfg.trials):
+        err, fail = _block_batch(run, msgs, seed)
         errors += int(np.count_nonzero(err))
         failures += int(np.count_nonzero(fail))
 
-    cb0 = run.codebooks[0]
     ci_low, ci_high = wilson_interval(errors, cfg.trials)
     cross = sum(cb.duplicate_stats().cross_bin_duplicates for cb in run.codebooks)
     return BlockReport(
@@ -532,7 +526,7 @@ def run_leakage(cfg: SimConfig) -> LeakageRunReport:
         reps = math.ceil(MIN_LEAKAGE_SAMPLES / M)
         batches = [(mixed_radix_digits(np.arange(reps * M) % M, cfg.K, Q), None)]
     else:
-        batches = _uniform_batches(cfg.master_seed, "leakage", cfg.K, Q, cfg.leakage_samples)
+        batches = _uniform_batches(cfg.master_seed, "leakage", cfg.K, -Q, Q, cfg.leakage_samples)
     tuples, z = map(np.concatenate, zip(*((v, observe(v, seed)) for v, seed in batches)))
 
     est = leakage_estimate(tuples, z, width, Q)

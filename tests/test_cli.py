@@ -242,7 +242,7 @@ class TestBlockAndLeakage:
         assert float(row["mi_bits"]) == pytest.approx(float(row["sum_entropy_bits"]))
 
 
-    @pytest.mark.parametrize("command,layout", [("sweep", 1), ("block", 2), ("leakage", 2)])
+    @pytest.mark.parametrize("command,layout", [("sweep", 1), ("block", 3), ("leakage", 2)])
     def test_meta_records_stream_layout(self, tmp_path, capsys, command, layout):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(SWEEP_CONFIG + "n = 4\n")
@@ -454,10 +454,11 @@ class TestCheck:
 
     def test_tampered_file_fails(self, tmp_path, capsys):
         path = tmp_path / "t.csv"
-        path.write_text("a,b\n0.10000000000000000555,2\n")
-        code, _, err = run(capsys, "check", str(path))
-        assert code == 2
-        assert "line 2" in err
+        for text, why in (("a,b\n0.10000000000000000555,2\n", "line 2"), ("a,b\n1,2", "newline")):
+            path.write_text(text)
+            code, _, err = run(capsys, "check", str(path))
+            assert code == 2
+            assert why in err
 
     def test_missing_file_exits_2(self, capsys):
         code, _, _ = run(capsys, "check", "/nonexistent/file.csv")

@@ -347,9 +347,9 @@ class TestSortedIndex:
         empty = cb.bin_of(queries[:0])  # an empty (0, n) batch
         assert empty.dtype == np.int64 and empty.shape == (0,)
 
-    @pytest.mark.parametrize("bad", [2, -2, np.iinfo(np.int64).min])
+    @pytest.mark.parametrize("bad", [2, -2, np.iinfo(np.int64).min, np.nan])
     def test_table_outside_the_alphabet_rejected(self, bad):
-        table = np.zeros((2, 2, 3), dtype=np.int64)
+        table = np.zeros((2, 2, 3), dtype=np.asarray(bad).dtype)
         table[1, 0, 2] = bad
         with pytest.raises(ParameterError, match="outside"):
             Codebook(n=3, Q=1, B=2, L=2, user_k=0, table=table)
@@ -359,8 +359,10 @@ class TestSortedIndex:
             Codebook(n=2, Q=1, B=0, L=2, user_k=0, table=np.zeros((0, 2, 2), dtype=int))
 
     def test_bad_shape(self):
+        # a NaN recursed in the key's alphabet clip, and 0.3 was cast onto 0
         cb = build_codebook(n=3, Q=1, B=2, L=2, seed=0)
-        for bad in (np.zeros((4, 2), dtype=int), np.int64(1)):
+        bad_rows = (np.array([np.nan, 0, 0]), np.array([0.3, 1.0, 0.2]))
+        for bad in (np.zeros((4, 2), dtype=int), np.int64(1), *bad_rows):
             with pytest.raises(ParameterError):
                 cb.bin_of(bad)
 

@@ -79,7 +79,7 @@ GOLDEN = {
         ["block", "--config", "block.cfg"],
         (
             "P,P_tilde,Q,A,n,B,L,rate_bits_per_user,trials,block_errors,bler,bler_ci_low,bler_ci_high,decode_failures,cross_bin_duplicates\n"
-            "10000,10000,4,24.620924014946269,5,16,14,0.80000000000000004,400,99,0.2475,0.20774293744415318,0.29206077119466656,99,0\n"
+            "10000,10000,4,24.620924014946269,5,16,14,0.80000000000000004,400,102,0.255,0.21475670087938903,0.2999043233444163,102,0\n"
         ),
     ),
     "leakage_noisy": (

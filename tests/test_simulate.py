@@ -24,7 +24,7 @@ from secmac.secrecy import JOINT_TABLE_CAP, composition_counts, entropy_bits
 from secmac.simulate import (
     TABLE_CAP,
     TRIAL_BATCH,
-    _batches,
+    WILSON_Z,
     _block_batch,
     _block_setup,
     _grid_point,
@@ -54,6 +54,14 @@ ORACLE_CFGS = (
 )
 ORACLE_Z = 4.0
 
+# Noiseless block configs whose small tables hold cross-bin duplicates: K=2
+# with L > 1 (the slot draws take part), K=2 with one-row bins, and K=3.
+NOISELESS_DUPLICATE_CFGS = (
+    dict(K=2, epsilon=0.3, P_grid=(1e4,), h=(S2, 1.0), h_e=(1.0, 1.0), n=4, master_seed=5),
+    dict(K=2, epsilon=0.3, P_grid=(1e6,), h=(S2, 1.0), h_e=(1.0, 1.0), n=1, master_seed=5),
+    dict(K=3, epsilon=0.1, P_grid=(1e6,), h=(S2, S3, 1.0), h_e=(1.0,) * 3, n=2, master_seed=5),
+)
+
 
 class TestWilson:
     def test_single_trial_spans_nearly_everything(self):
@@ -75,6 +83,14 @@ class TestWilson:
     def test_bad_counts(self):
         with pytest.raises(ParameterError):
             wilson_interval(2, 1)
+
+    @pytest.mark.parametrize("z", [WILSON_Z, ORACLE_Z])
+    def test_ends_are_exact(self, z):
+        # rounding left a positive lower bound at 0 errors (n = 100: 3.5e-18)
+        # and an upper bound below 1 at n errors for thousands of n
+        for trials in range(1, 5001):
+            assert wilson_interval(0, trials, z)[0] == 0.0
+            assert wilson_interval(trials, trials, z)[1] == 1.0
 
 
 class TestSimConfig:
@@ -205,7 +221,7 @@ class TestSymbolSweep:
         for pi, P in enumerate(cfg.P_grid):
             _, Q, rc, link = _grid_point(cfg, gains, g, P)
             errors = 0
-            for v, seed in _uniform_batches(cfg.master_seed, "sweep", cfg.K, Q, cfg.trials, pi):
+            for v, seed in _uniform_batches(cfg.master_seed, "sweep", cfg.K, -Q, Q, cfg.trials, pi):
                 dec = hard_decode(link.receive(v, seed), rc)
                 errors += int(np.count_nonzero(np.any(dec != v, axis=1)))
             want.append(errors)
@@ -237,21 +253,23 @@ class TestSymbolSweep:
             run_symbol_sweep(cfg)
 
 
-@pytest.mark.parametrize("command,grid", [("sweep", (1,)), ("leakage", ())])
+@pytest.mark.parametrize("command,grid", [("sweep", (1,)), ("leakage", ()), ("block", ())])
 def test_uniform_batches_do_not_depend_on_the_total(command, grid):
-    # the first T tuples and received samples of a run with T + TRIAL_BATCH
-    # draws are those of a run with T, across a batch boundary
+    # the first T draws and received samples of a run with T + TRIAL_BATCH
+    # draws are those of a run with T, across a batch boundary; block draws
+    # messages on [0, B-1]
+    low, high = (0, 9) if command == "block" else (-4, 4)
     gains = ChannelGains(h=(S2, S3, 1.0), h_e=(1.3, 0.7, 1.1))
-    link = _Link(gains, gains.h if command == "sweep" else gains.h_e, 2.0, 3.5)
+    link = _Link(gains, gains.h_e if command == "leakage" else gains.h, 2.0, 3.5)
 
     def draw(total):
-        batches = _uniform_batches(7, command, 3, 4, total, *grid)
+        batches = _uniform_batches(7, command, 3, low, high, total, *grid)
         return [np.concatenate(p) for p in zip(*((v, link.receive(v, s)) for v, s in batches))]
 
     T = TRIAL_BATCH + 300
     v, y = draw(T)
     v_long, y_long = draw(T + TRIAL_BATCH)
-    assert v.shape == (T, 3) and (v.min(), v.max()) == (-4, 4)
+    assert v.shape == (T, 3) and (v.min(), v.max()) == (low, high)
     assert np.array_equal(v, v_long[:T])
     assert np.array_equal(y, y_long[:T])
 
@@ -289,6 +307,24 @@ class TestCodeSizes:
 
 
 class TestBlockTrials:
+    @pytest.mark.parametrize("cfg", NOISELESS_DUPLICATE_CFGS)
+    def test_noiseless_bler_matches_cross_bin_share(self, cfg):
+        # noiseless, every sent row comes back and is looked up to its first
+        # table match; the sent row is uniform over the table, so user k errs
+        # with the share s_k of rows whose first match is in another bin, and
+        # BLER = 1 - prod_k (1 - s_k) whatever the stream layout
+        cfg = SimConfig(**cfg, variance=0.0, trials=20_000)
+        rep = run_block_trials(cfg)
+        ok = 1.0
+        for cb in _block_setup(cfg).codebooks:
+            _, first, inv = np.unique(
+                cb.table.reshape(-1, cb.n), axis=0, return_index=True, return_inverse=True
+            )
+            ok *= 1 - np.mean(first[inv] // cb.L != np.arange(cb.B * cb.L) // cb.L)
+        lo, hi = wilson_interval(rep.block_errors, rep.trials, ORACLE_Z)
+        assert rep.cross_bin_duplicates > 0 and rep.decode_failures == 0
+        assert lo <= 1 - ok <= hi
+
     def test_noiseless_zero_bler(self):
         cfg = SimConfig(**SWEEP_CFG, trials=300, n=4, variance=0.0)
         rep = run_block_trials(cfg)
@@ -341,7 +377,9 @@ class TestBlockTrials:
         assert run.codebooks[0].L > 1  # the slot draws take part
 
         def flags(trials):
-            parts = [_block_batch(run, bi, bs) for bi, bs in _batches(trials)]
+            B = run.codebooks[0].B
+            batches = _uniform_batches(cfg.master_seed, "block", cfg.K, 0, B - 1, trials)
+            parts = [_block_batch(run, msgs, seed) for msgs, seed in batches]
             return [np.concatenate([p[i] for p in parts]) for i in (0, 1)]
 
         T = TRIAL_BATCH + 300
@@ -474,7 +512,7 @@ class TestLeakageRun:
         )
         rep = run_leakage(cfg)
         assert not rep.exhaustive
-        v = np.concatenate([v for v, _ in _uniform_batches(4, "leakage", 3, rep.Q, 2000)])
+        v = np.concatenate([v for v, _ in _uniform_batches(4, "leakage", 3, -rep.Q, rep.Q, 2000)])
         _, counts = np.unique(v.sum(axis=1), return_counts=True)
         assert rep.mi_bits == pytest.approx(entropy_bits(counts / 2000), abs=1e-12)
 
