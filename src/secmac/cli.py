@@ -211,7 +211,7 @@ def _canonical_cell(cell: str) -> str:
 
 def cmd_check(args) -> int:
     """Re-parse a CSV produced by this tool and diff against a canonical re-emit."""
-    original = read_text(args.file)
+    original = read_text(args.file, newline="")  # a \r\n must not pass as \n
     lines = original.splitlines()
     if not lines:
         raise ParameterError(f"{args.file} is empty")
@@ -229,7 +229,7 @@ def cmd_check(args) -> int:
             print(f"  canonical: {b}", file=sys.stderr)
             break
     else:  # every line matches, so a line break differs
-        why = "a line break other than \\n" if original.endswith("\n") else "no final newline"
+        why = "a line break other than \\n" if original[-1] in "\r\n" else "no final newline"
         print(f"{args.file}: {why}", file=sys.stderr)
     return 2
 

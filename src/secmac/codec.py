@@ -25,6 +25,13 @@ class DuplicateStats(NamedTuple):
     cross_bin_duplicates: int  # distinct sequences present in more than one bin
 
 
+def _require_integers(a: np.ndarray, what: str) -> None:
+    """Refuse a float array holding a non-finite or fractional symbol: the
+    int64 keys would alias 0.3 to 0."""
+    if a.dtype.kind == "f" and not np.all(np.isfinite(a) & (a == np.trunc(a))):
+        raise ParameterError(f"{what} holds a symbol that is not an integer")
+
+
 @dataclass(frozen=True)
 class Codebook:
     """Binned random code for one user: table has shape (B, L, n).
@@ -52,6 +59,7 @@ class Codebook:
             raise ParameterError(f"table shape {self.table.shape} != (B, L, n)")
         if not -self.Q <= self.table.min() <= self.table.max() <= self.Q:  # NaN fails too
             raise ParameterError(f"table contains symbols outside [-{self.Q}, {self.Q}]")
+        _require_integers(self.table, "table")
         size, shift = self.B * self.L, (self.B * self.L).bit_length()
         packed = self.n < 64 and (2 * self.Q + 1) ** self.n << shift <= 2**63  # no huge power
         object.__setattr__(self, "_packed", packed)
@@ -85,9 +93,8 @@ class Codebook:
         seq = np.asarray(sequence)
         if seq.ndim < 1 or seq.shape[-1] != self.n:
             raise ParameterError(f"sequence shape {seq.shape} does not end in ({self.n},)")
-        if seq.dtype.kind == "f":  # whole numbers only: a cast would alias 0.3 to 0
-            if not np.all(np.isfinite(seq) & (seq == np.trunc(seq))):
-                raise ParameterError("sequence holds a symbol that is not an integer")
+        if seq.dtype.kind == "f":
+            _require_integers(seq, "sequence")
             seq = np.clip(seq, -self.Q - 1, self.Q + 1).astype(np.int64)  # no overflowing cast
         key = self._key(seq)
         pos = np.minimum(np.searchsorted(self._keys, key), self._keys.size - 1)
@@ -166,18 +173,6 @@ def hard_decode(y: np.ndarray, rc: ReceivedConstellation) -> np.ndarray:
     take_left = (y - pts[idx - 1]) <= (pts[idx] - y)
     sel = np.where(take_left, idx - 1, idx)
     return mixed_radix_digits(rc.index[sel], rc.K, rc.Q)
-
-
-def point_ranks(rc: ReceivedConstellation) -> np.ndarray:
-    """Sorted position of each symbol tuple's point, by mixed-radix index.
-
-    Needs gamma to hold, so that every tuple has a point of its own.
-    """
-    if not rc.gamma_holds:
-        raise AmbiguityError(f"cannot hard-decode: gamma status is {rc.gamma.value}")
-    ranks = np.empty(rc.points.size, dtype=np.int64)
-    ranks[rc.index] = np.arange(rc.points.size)
-    return ranks
 
 
 def nearest_is(y: np.ndarray, rc: ReceivedConstellation, pos: np.ndarray) -> np.ndarray:

@@ -6,10 +6,11 @@ from __future__ import annotations
 from .errors import ParameterError
 
 
-def read_text(path: str) -> str:
-    """A UTF-8 text file's contents; an unreadable file is a ParameterError."""
+def read_text(path: str, newline: str | None = None) -> str:
+    """A UTF-8 text file's contents, read with ``open``'s ``newline``; an
+    unreadable file is a ParameterError."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8", newline=newline) as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ParameterError(f"cannot read {path}: {exc}") from None

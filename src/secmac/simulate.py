@@ -4,13 +4,14 @@ Every random draw is keyed by (master seed, purpose, grid index, batch
 index) with a fixed batch size of ``TRIAL_BATCH``, so reports are
 bit-identical across runs and do not depend on how trials might be
 distributed over workers.  Sweep, block and leakage draw from one batch
-generator: uniform integers (symbol tuples, or block's messages) and a
-batch seed for the noise and block's encoder slots.  Sweep, block and
-noisy leakage runs share one channel step: symbol tuples -> A*v/h_e ->
-transmit to the intended receiver (h) or to the eavesdropper (h_e).
-Block hard-decodes the samples, the sweep tests each against its sent
-point's decision cell and leakage bins them.  Each report's ``.meta``
-names its ``stream_layout``.
+generator: uniform integers (sweep's sorted point positions, leakage's
+tuples, block's messages) and a batch seed for the noise and block's
+encoder slots.  The sweep sends each trial's point through ``transmit``
+with unit gain and tests the sample against that point's decision cell.
+Block and noisy leakage runs share one channel step: symbol tuples ->
+A*v/h_e -> transmit to the intended receiver (h) or the eavesdropper
+(h_e); block hard-decodes the samples and leakage bins them.  Each
+report's ``.meta`` names its ``stream_layout``.
 """
 
 from __future__ import annotations
@@ -29,19 +30,17 @@ from .codec import (
     encode,
     hard_decode,
     nearest_is,
-    point_ranks,
     scale_to_channel,
 )
 from .constellation import (
     ENUMERATION_CAP,
     ReceivedConstellation,
     mixed_radix_digits,
-    mixed_radix_index,
     pe_upper_bound,
     received_constellation,
     select_params,
 )
-from .errors import ParameterError, SizeCapError
+from .errors import AmbiguityError, ParameterError, SizeCapError
 from .rng import stream, substream
 from .secrecy import (
     JOINT_TABLE_CAP,
@@ -56,7 +55,7 @@ TRIAL_BATCH = 8192
 WILSON_Z = 1.959963984540054  # two-sided 95%
 # Version of each command's random stream layout, recorded in .meta; it
 # changes whenever a stream key, a draw order or a batch shape changes.
-STREAM_LAYOUT = {"sweep": 1, "block": 3, "leakage": 2}
+STREAM_LAYOUT = {"sweep": 2, "block": 3, "leakage": 2}
 TABLE_CAP = 65_536  # max codebook sequences per user in block runs
 TRIAL_CAP = 10**8  # max trials of a sweep (over all grid points) or a block run
 
@@ -266,12 +265,13 @@ def _sweep_point(cfg: SimConfig, gains: ChannelGains, g, pi: int, P: float) -> S
     P_t, Q, rc, link = _grid_point(cfg, gains, g, P)
     tail, expb = pe_upper_bound(rc.d_min)
 
-    # a trial is correct iff the nearest point is the sent tuple's own
-    ranks = point_ranks(rc)
-    errors = 0
-    for v, seed in _uniform_batches(cfg.master_seed, "sweep", cfg.K, -Q, Q, cfg.trials, pi):
-        sent = ranks[mixed_radix_index(v, cfg.K, Q)]
-        errors += len(v) - int(np.count_nonzero(nearest_is(link.receive(v, seed), rc, sent)))
+    # a trial is correct iff the noisy sample's nearest point is its own
+    if not rc.gamma_holds:
+        raise AmbiguityError(f"cannot hard-decode: gamma status is {rc.gamma.value}")
+    errors, pts = 0, rc.points
+    for pos, seed in _uniform_batches(cfg.master_seed, "sweep", 1, 0, pts.size - 1, cfg.trials, pi):
+        y = transmit(pts[pos.T], (1.0,), cfg.variance, seed)
+        errors += len(pos) - int(np.count_nonzero(nearest_is(y, rc, pos[:, 0])))
 
     pe_mc = errors / cfg.trials
     ci_low, ci_high = wilson_interval(errors, cfg.trials)
@@ -296,10 +296,11 @@ def _sweep_point(cfg: SimConfig, gains: ChannelGains, g, pi: int, P: float) -> S
 def run_symbol_sweep(cfg: SimConfig) -> SweepReport:
     """Per-power-point symbol error simulation against the analytic bounds.
 
-    Each grid point builds its received constellation, draws uniform
-    symbol tuples, sends them through the channel, counts the samples
-    that hard decoding would not map back to the sent tuple, and gives
-    a Wilson 95% interval.  Any failing grid point aborts the sweep with
+    Each grid point builds its received constellation, draws a uniform
+    sorted position per trial (the point of a uniform symbol tuple, as
+    gamma must hold), adds noise to that point, counts the samples that
+    hard decoding would not map back to it, and gives a Wilson 95%
+    interval.  Any failing grid point aborts the sweep with
     the offending P in the message; a P <= 1, where eta and the S-DoF fit
     divide by log2 P, is refused before any gain is drawn.
     """
@@ -487,15 +488,15 @@ class LeakageRunReport(_Report):
 def run_leakage(cfg: SimConfig) -> LeakageRunReport:
     """Send input tuples to the eavesdropper and estimate leakage.
 
-    Noisy tuples take the sweep's channel step received with h_e, so the
+    Noisy tuples take block's channel step received with h_e, so the
     aligned eavesdropper sees A * sum_k x~_k plus noise; noiseless samples
     are A * sum_k x~_k formed exactly, so tuples sharing a sum share a
     bin.  Noiseless runs enumerate the input tuples exhaustively when they
     fit in the sample budget, which removes sampling error entirely; other
-    runs draw the sweep's uniform batches.  The default bin width A/10
-    suits noiseless runs; for noisy runs pick a width commensurate with
-    the noise scale, or the plug-in bias (roughly occupied cells /
-    (2 n ln 2) bits) dominates the estimate.
+    runs draw uniform tuples from the shared batches.  The default bin
+    width A/10 suits noiseless runs; for noisy runs pick a width
+    commensurate with the noise scale, or the plug-in bias (roughly
+    occupied cells / (2 n ln 2) bits) dominates the estimate.
     """
     if cfg.leakage_samples < MIN_LEAKAGE_SAMPLES:
         raise ParameterError(

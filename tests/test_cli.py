@@ -201,6 +201,13 @@ class TestSweep:
         assert code == 2
         assert "wibble" in err
 
+    def test_suspect_gains_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(SWEEP_CONFIG.replace("h = 1.4142135623730951,1", "h = 0.5000000000001,1"))
+        code, _, err = run(capsys, "sweep", "--config", str(cfg))
+        assert code == 2
+        assert "gamma status is suspect" in err
+
     def test_ambiguous_gains_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(SWEEP_CONFIG.replace("h = 1.4142135623730951,1", "h = 1,1"))
@@ -242,7 +249,7 @@ class TestBlockAndLeakage:
         assert float(row["mi_bits"]) == pytest.approx(float(row["sum_entropy_bits"]))
 
 
-    @pytest.mark.parametrize("command,layout", [("sweep", 1), ("block", 3), ("leakage", 2)])
+    @pytest.mark.parametrize("command,layout", [("sweep", 2), ("block", 3), ("leakage", 2)])
     def test_meta_records_stream_layout(self, tmp_path, capsys, command, layout):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(SWEEP_CONFIG + "n = 4\n")
@@ -454,8 +461,13 @@ class TestCheck:
 
     def test_tampered_file_fails(self, tmp_path, capsys):
         path = tmp_path / "t.csv"
-        for text, why in (("a,b\n0.10000000000000000555,2\n", "line 2"), ("a,b\n1,2", "newline")):
-            path.write_text(text)
+        for text, why in (
+            ("a,b\n0.10000000000000000555,2\n", "line 2"),
+            ("a,b\n1,2", "no final newline"),
+            ("a,b\r\n1,2\r\n", "a line break other than \\n"),  # read untranslated
+            ("a,b\r1,2\r", "a line break other than \\n"),
+        ):
+            path.write_bytes(text.encode())
             code, _, err = run(capsys, "check", str(path))
             assert code == 2
             assert why in err

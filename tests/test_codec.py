@@ -22,7 +22,7 @@ from secmac import (
     select_params,
     transmit,
 )
-from secmac.codec import Codebook, DuplicateStats, nearest_is, point_ranks
+from secmac.codec import Codebook, DuplicateStats, nearest_is
 from secmac.constellation import mixed_radix_digits, mixed_radix_index
 from secmac.rng import stream
 
@@ -197,17 +197,11 @@ class TestDecisionCell:
 
     @pytest.mark.parametrize("gains", CELL_GAINS)
     def test_ranks_place_every_tuple(self, gains):
+        # each point decodes to the tuple whose sorted position it holds
         rc = received_constellation(NormalizedGains(g=gains), 2, 3.0)
-        ranks = point_ranks(rc)
-        assert np.array_equal(ranks[rc.index], np.arange(rc.points.size))
         assert np.array_equal(
             picked_positions(rc.points, rc), np.arange(rc.points.size)
         )
-
-    def test_gamma_violation_rejected(self):
-        rc = received_constellation(NormalizedGains(g=(0.5, 1.0)), 2, 1.0)
-        with pytest.raises(AmbiguityError, match="violated"):
-            point_ranks(rc)
 
 
 class TestDecodeMessages:
@@ -353,6 +347,16 @@ class TestSortedIndex:
         table[1, 0, 2] = bad
         with pytest.raises(ParameterError, match="outside"):
             Codebook(n=3, Q=1, B=2, L=2, user_k=0, table=table)
+
+    @pytest.mark.parametrize("bad", [0.3, -0.7, 1 - 1e-16])
+    def test_fractional_table_rejected(self, bad):
+        # the int64 keys would hold a row of 0.3 as 0
+        table = np.zeros((2, 2, 3))
+        table[1, 0, 2] = bad
+        with pytest.raises(ParameterError, match="not an integer"):
+            Codebook(n=3, Q=1, B=2, L=2, user_k=0, table=table)
+        table[1, 0, 2] = math.copysign(1.0, bad)  # whole floats key as their integers
+        assert Codebook(n=3, Q=1, B=2, L=2, user_k=0, table=table).bin_of(table[1, 0]) == 1
 
     def test_empty_table_rejected(self):
         with pytest.raises(ParameterError):

@@ -71,8 +71,8 @@ GOLDEN = {
         ["sweep", "--config", "sweep3.cfg"],
         (
             "P,P_tilde,Q,A,d_min,pe_tail_bound,pe_exp_bound,pe_mc,pe_mc_ci_low,pe_mc_ci_high,r_sum_bound_bits,eta_running\n"
-            "1000,1000,2,15.19911082952934,0.70658028308038467,0.3619354677721372,0.93950046794051978,0.45933333333333332,0.44156400559940417,0.47720667409692225,0,0\n"
-            "100000,100000,3,93.260334688322033,0.31706539957750124,0.43701852787553708,0.98751231791058391,0.11,0.099298391956298179,0.12169911004945606,2.2477101284502181,0.27065126808850232\n"
+            "1000,1000,2,15.19911082952934,0.70658028308038467,0.3619354677721372,0.93950046794051978,0.44600000000000001,0.42829301138004455,0.4638451042822907,0,0\n"
+            "100000,100000,3,93.260334688322033,0.31706539957750124,0.43701852787553708,0.98751231791058391,0.10533333333333333,0.094848458510164435,0.11682764608369284,2.2870130973590248,0.27538381711258214\n"
         ),
     ),
     "block": (

@@ -17,9 +17,10 @@ from secmac import (
     sum_rate_lower_bound,
     wilson_interval,
 )
-from secmac.channel import ChannelGains, normalize_gains
+from secmac.channel import ChannelGains, normalize_gains, transmit
 from secmac.codec import hard_decode
-from secmac.constellation import ENUMERATION_CAP
+from secmac.constellation import ENUMERATION_CAP, mixed_radix_digits, received_constellation
+from secmac.errors import AmbiguityError
 from secmac.secrecy import JOINT_TABLE_CAP, composition_counts, entropy_bits
 from secmac.simulate import (
     TABLE_CAP,
@@ -53,6 +54,15 @@ ORACLE_CFGS = (
     ),
 )
 ORACLE_Z = 4.0
+
+# Exact sweep P_e configs, one grid point each: K=2 at variance 4, K=3 at
+# variance 2, a negative normalisation scale at variance 300, and K=4.
+EXACT_PE_CFGS = (
+    dict(K=2, epsilon=0.5, P_grid=(1e4,), h=(S2, 1.0), h_e=(1.0, 1.0), variance=4.0),
+    dict(K=3, epsilon=0.3, P_grid=(1e5,), h=(S2, S3, 1.0), h_e=(1.0,) * 3, variance=2.0),
+    dict(K=2, epsilon=0.5, P_grid=(1e6,), h=(1.3, -0.9), h_e=(1.0, 1.1), variance=300.0),
+    dict(K=4, epsilon=0.3, P_grid=(1e8,), h=(S2, S3, 1.0, math.sqrt(5)), h_e=(1.0,) * 4),
+)
 
 # Noiseless block configs whose small tables hold cross-bin duplicates: K=2
 # with L > 1 (the slot draws take part), K=2 with one-row bins, and K=3.
@@ -213,21 +223,43 @@ class TestSymbolSweep:
         ],
     )
     def test_error_counts_match_hard_decoding(self, cfg):
-        # the decision-cell count against a full hard decode of the same draws
+        # the decision-cell count against a full hard decode of the same
+        # draws: uniform sorted positions, their points sent with unit gain
         cfg = SimConfig(**cfg, trials=TRIAL_BATCH + 500)
         gains = cfg.resolve_gains()
         g = normalize_gains(gains)
         want = []
         for pi, P in enumerate(cfg.P_grid):
-            _, Q, rc, link = _grid_point(cfg, gains, g, P)
-            errors = 0
-            for v, seed in _uniform_batches(cfg.master_seed, "sweep", cfg.K, -Q, Q, cfg.trials, pi):
-                dec = hard_decode(link.receive(v, seed), rc)
-                errors += int(np.count_nonzero(np.any(dec != v, axis=1)))
+            rc = _grid_point(cfg, gains, g, P)[2]
+            M, errors = rc.points.size, 0
+            for pos, seed in _uniform_batches(cfg.master_seed, "sweep", 1, 0, M - 1, cfg.trials, pi):
+                y = transmit(rc.points[pos.T], (1.0,), cfg.variance, seed)
+                sent = mixed_radix_digits(rc.index[pos[:, 0]], rc.K, rc.Q)
+                errors += int(np.count_nonzero(np.any(hard_decode(y, rc) != sent, axis=1)))
             want.append(errors)
         got = [round(r.pe_mc * cfg.trials) for r in run_symbol_sweep(cfg).rows]
         assert got == want
         assert cfg.variance == 0 or sum(want) > 0
+
+    @pytest.mark.parametrize("h,status", [((1.0, 1.0), "violated"), ((0.5 + 1e-13, 1.0), "suspect")])
+    def test_gamma_not_holding_is_refused(self, h, status):
+        # a tuple has a point of its own only when gamma holds
+        cfg = SimConfig(K=2, epsilon=0.5, P_grid=(1e4,), h=h, h_e=(1.0, 1.0), trials=10)
+        with pytest.raises(AmbiguityError, match=f"gamma status is {status}$"):
+            run_symbol_sweep(cfg)
+
+    @pytest.mark.parametrize("cfg", EXACT_PE_CFGS, ids=["k2-var4", "k3-var2", "negative-scale", "k4"])
+    def test_matches_exact_symbol_error(self, cfg):
+        # a uniform point plus noise, seed-free: pe_mc within a z=4 Wilson
+        # interval of the exact error probability of nearest-point decoding
+        cfg = SimConfig(**cfg, trials=200_000)
+        gains = cfg.resolve_gains()
+        rc = _grid_point(cfg, gains, normalize_gains(gains), cfg.P_grid[0])[2]
+        exact = exact_symbol_error(rc.points, cfg.variance)
+        errors = round(run_symbol_sweep(cfg).rows[0].pe_mc * cfg.trials)
+        low, high = wilson_interval(errors, cfg.trials, ORACLE_Z)
+        assert low <= exact <= high, (errors / cfg.trials, exact)
+        assert 0.01 < exact < 0.9
 
     def test_failing_grid_point_names_p(self):
         cfg = SimConfig(
@@ -256,20 +288,25 @@ class TestSymbolSweep:
 @pytest.mark.parametrize("command,grid", [("sweep", (1,)), ("leakage", ()), ("block", ())])
 def test_uniform_batches_do_not_depend_on_the_total(command, grid):
     # the first T draws and received samples of a run with T + TRIAL_BATCH
-    # draws are those of a run with T, across a batch boundary; block draws
-    # messages on [0, B-1]
-    low, high = (0, 9) if command == "block" else (-4, 4)
+    # draws are those of a run with T, across a batch boundary; the sweep
+    # draws sorted positions on [0, M-1] and sends their points with unit
+    # gain, leakage tuples on [-Q, Q] and block messages on [0, B-1]
     gains = ChannelGains(h=(S2, S3, 1.0), h_e=(1.3, 0.7, 1.1))
-    link = _Link(gains, gains.h_e if command == "leakage" else gains.h, 2.0, 3.5)
+    pts = received_constellation(normalize_gains(gains), 4, 3.5).points
+    K, low, high, receive = {
+        "sweep": (1, 0, pts.size - 1, lambda pos, s: transmit(pts[pos.T], (1.0,), 2.0, s)),
+        "leakage": (3, -4, 4, _Link(gains, gains.h_e, 2.0, 3.5).receive),
+        "block": (3, 0, 9, _Link(gains, gains.h, 2.0, 3.5).receive),
+    }[command]
 
     def draw(total):
-        batches = _uniform_batches(7, command, 3, low, high, total, *grid)
-        return [np.concatenate(p) for p in zip(*((v, link.receive(v, s)) for v, s in batches))]
+        batches = _uniform_batches(7, command, K, low, high, total, *grid)
+        return [np.concatenate(p) for p in zip(*((v, receive(v, s)) for v, s in batches))]
 
     T = TRIAL_BATCH + 300
     v, y = draw(T)
     v_long, y_long = draw(T + TRIAL_BATCH)
-    assert v.shape == (T, 3) and (v.min(), v.max()) == (low, high)
+    assert v.shape == (T, K) and (v.min(), v.max()) == (low, high)
     assert np.array_equal(v, v_long[:T])
     assert np.array_equal(y, y_long[:T])
 
@@ -443,6 +480,15 @@ class TestUnfinishableK:
     def test_leakage_at_k40_still_runs(self):
         rep = run_leakage(SimConfig(K=40, epsilon=0.5, P_grid=(1e4,), leakage_samples=1000))
         assert rep.samples == 1000
+
+
+def exact_symbol_error(points, variance):
+    """P_e of a uniform point of the sorted ``points`` plus noise of the given
+    variance under nearest-point decoding: (1/M) sum_i [Qf(gap_{i-1}/2sd) +
+    Qf(gap_i/2sd)] with Qf the Gaussian tail and no gap past either end,
+    that is 2/M times the sum of Qf over the M-1 gaps."""
+    tail = np.vectorize(lambda x: 0.5 * math.erfc(x / math.sqrt(2)))
+    return float(2 * tail(np.diff(points) / (2 * math.sqrt(variance))).sum() / points.size)
 
 
 def exact_leakage_bits(K, Q, A, variance, width):
