@@ -4,8 +4,8 @@ K single-antenna users share one real channel toward the intended
 receiver (gains h_k) while an eavesdropper listens through its own gains
 h_{k,e}.  All gains are fixed and known everywhere.  ``transmit``
 simulates one receiver: the sum of its gains times the inputs plus
-Gaussian noise of a given variance.  The eavesdropper's observation is
-the same call with h_e and a seed of its own.
+Gaussian noise of a given variance.  The Monte Carlo commands send it
+noiseless received values with unit gain, so that it adds the noise.
 """
 
 from __future__ import annotations
@@ -144,7 +144,8 @@ def effective_power(gains: ChannelGains, P: float) -> float:
 def transmit(
     x: np.ndarray, h, variance: float = 1.0, seed: int | np.random.SeedSequence = 0
 ) -> np.ndarray:
-    """Send K blocks of n symbols to one receiver with gains ``h``.
+    """Send K blocks of n symbols to one receiver with gains ``h``; with
+    K = 1 and h = (1.0,), add noise to n noiseless received values.
 
     ``x`` has shape (K, n); the result is y_i = sum_k h[k] x[k,i] plus
     Gaussian noise of the given ``variance`` from the (seed,

@@ -99,10 +99,14 @@ def emit(args, csv: str, **fields) -> None:
     }
     sidecar = "# secmac metadata v1\n" + "".join(f"{k} = {v}\n" for k, v in meta.items())
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(csv)
-        with open(args.out + ".meta", "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(sidecar)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(csv)
+            with open(args.out + ".meta", "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(sidecar)
+        except OSError as exc:  # a missing directory, a directory, no permission
+            path = exc.filename or args.out
+            raise ParameterError(f"cannot write {path}: {exc.strerror}") from None
         print(f"wrote {args.out} and {args.out}.meta")
     else:
         sys.stdout.write(csv)
@@ -210,14 +214,24 @@ def _canonical_cell(cell: str) -> str:
 
 
 def cmd_check(args) -> int:
-    """Re-parse a CSV produced by this tool and diff against a canonical re-emit."""
+    """Re-parse a CSV produced by this tool and diff against a canonical re-emit;
+    the header's cells must be identifiers, and each row must have as many."""
     original = read_text(args.file, newline="")  # a \r\n must not pass as \n
     lines = original.splitlines()
     if not lines:
         raise ParameterError(f"{args.file} is empty")
+    header = lines[0].split(",")
+    bad = [c for c in header if not c.isidentifier()]
+    fault = f"header cell {bad[0]!r} is not an identifier" if bad else ""
     rebuilt = [lines[0]]
-    for line in lines[1:]:
-        rebuilt.append(",".join(_canonical_cell(c) for c in line.split(",")))
+    for i, line in enumerate(lines[1:], 2):
+        cells = line.split(",") if line else []  # an empty line has no cells
+        if len(cells) != len(header) and not fault:
+            fault = f"line {i} has {len(cells)} cells, the header {len(header)}"
+        rebuilt.append(",".join(map(_canonical_cell, cells)))
+    if fault:
+        print(f"{args.file}: {fault}", file=sys.stderr)
+        return 2
     new_text = "\n".join(rebuilt) + "\n"
     if new_text == original:
         print(f"{args.file}: ok ({len(lines) - 1} data row(s), zero diffs)")

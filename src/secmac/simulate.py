@@ -6,12 +6,16 @@ bit-identical across runs and do not depend on how trials might be
 distributed over workers.  Sweep, block and leakage draw from one batch
 generator: uniform integers (sweep's sorted point positions, leakage's
 tuples, block's messages) and a batch seed for the noise and block's
-encoder slots.  The sweep sends each trial's point through ``transmit``
-with unit gain and tests the sample against that point's decision cell.
-Block and noisy leakage runs share one channel step: symbol tuples ->
-A*v/h_e -> transmit to the intended receiver (h) or the eavesdropper
-(h_e); block hard-decodes the samples and leakage bins them.  Each
-report's ``.meta`` names its ``stream_layout``.
+encoder slots.  All three observe a sample in one step: a noiseless
+received value goes through ``transmit`` with unit gain, which adds the
+batch's noise (none at variance 0).  With inputs x_k = A*v_k/h_{k,e},
+the eavesdropper receives the aligned sum A*sum_k v_k, and the intended
+receiver, with the sign of the last ratio s divided out, the point
+A*|s|*sum_k g_k v_k of the received constellation.  The sweep sends its
+drawn point and tests the sample against that point's decision cell,
+block sends each channel use's point and hard-decodes the samples, and
+leakage sends each tuple's aligned sum, formed exactly, and bins the
+samples.  Each report's ``.meta`` names its ``stream_layout``.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from .codec import (
     encode,
     hard_decode,
     nearest_is,
-    scale_to_channel,
 )
 from .constellation import (
     ENUMERATION_CAP,
@@ -55,7 +58,7 @@ TRIAL_BATCH = 8192
 WILSON_Z = 1.959963984540054  # two-sided 95%
 # Version of each command's random stream layout, recorded in .meta; it
 # changes whenever a stream key, a draw order or a batch shape changes.
-STREAM_LAYOUT = {"sweep": 2, "block": 3, "leakage": 2}
+STREAM_LAYOUT = {"sweep": 2, "block": 4, "leakage": 2}
 TABLE_CAP = 65_536  # max codebook sequences per user in block runs
 TRIAL_CAP = 10**8  # max trials of a sweep (over all grid points) or a block run
 
@@ -232,37 +235,17 @@ def _constellation_gains(cfg: SimConfig, trials: int) -> ChannelGains:
     return cfg.resolve_gains()
 
 
-class _Link(NamedTuple):
-    """One receiver's channel step: the users' gains, the receive gains
-    (``h`` for the intended receiver, ``h_e`` for the eavesdropper), the
-    noise variance, the amplitude A and the sign of the normalisation scale."""
-
-    gains: ChannelGains
-    rx: tuple[float, ...]
-    variance: float
-    A: float
-    sgn: float = 1.0
-
-    def receive(self, v: np.ndarray, seed) -> np.ndarray:
-        """Symbol tuples (m, K) -> A*v/h_e -> transmit with ``rx`` -> (m,)
-        samples, times the sign; no noise is drawn at variance 0."""
-        x = scale_to_channel(v, self.A, self.gains.h_e).T
-        return self.sgn * transmit(x, self.rx, self.variance, seed)
-
-
 def _grid_point(
     cfg: SimConfig, gains: ChannelGains, g, P: float
-) -> tuple[float, int, ReceivedConstellation, _Link]:
-    """(P_tilde, Q, received constellation, link to the intended receiver) at P."""
+) -> tuple[float, int, ReceivedConstellation, float]:
+    """(P_tilde, Q, received constellation, amplitude A) at P."""
     P_t = effective_power(gains, P)
     Q, A = select_params(P_t, cfg.K, cfg.epsilon)
-    rc = received_constellation(g, Q, A * abs(g.scale))
-    sgn = 1.0 if g.scale >= 0 else -1.0
-    return P_t, Q, rc, _Link(gains, gains.h, cfg.variance, A, sgn)
+    return P_t, Q, received_constellation(g, Q, A * abs(g.scale)), A
 
 
 def _sweep_point(cfg: SimConfig, gains: ChannelGains, g, pi: int, P: float) -> SweepRow:
-    P_t, Q, rc, link = _grid_point(cfg, gains, g, P)
+    P_t, Q, rc, A = _grid_point(cfg, gains, g, P)
     tail, expb = pe_upper_bound(rc.d_min)
 
     # a trial is correct iff the noisy sample's nearest point is its own
@@ -281,7 +264,7 @@ def _sweep_point(cfg: SimConfig, gains: ChannelGains, g, pi: int, P: float) -> S
         P=P,
         P_tilde=P_t,
         Q=Q,
-        A=link.A,
+        A=A,
         d_min=rc.d_min,
         pe_tail_bound=tail,
         pe_exp_bound=expb,
@@ -379,21 +362,25 @@ def derive_code_sizes(cfg: SimConfig, Q: int) -> tuple[int, int]:
 
 
 class _BlockRun(NamedTuple):
-    """The fixed parts of a block run: its config, the top grid point and
+    """The fixed parts of a block run: its config and gains, the top grid
+    point, each user's coefficient A*|s|*g_k in the received point and
     one codebook per user."""
 
     cfg: SimConfig
+    gains: ChannelGains
     P_tilde: float
     Q: int
+    A: float
     rc: ReceivedConstellation
-    link: _Link
+    coefs: np.ndarray
     codebooks: tuple[Codebook, ...]
 
 
 def _block_setup(cfg: SimConfig) -> _BlockRun:
-    """Link and codebooks for a block run at the top of the power grid."""
+    """Grid point and codebooks for a block run at the top of the power grid."""
     gains = _constellation_gains(cfg, cfg.trials)
-    P_t, Q, rc, link = _grid_point(cfg, gains, normalize_gains(gains), cfg.P_grid[-1])
+    g = normalize_gains(gains)
+    P_t, Q, rc, A = _grid_point(cfg, gains, g, cfg.P_grid[-1])
     B, L = derive_code_sizes(cfg, Q)
     # both refused before any table is drawn
     if B > TABLE_CAP:
@@ -406,16 +393,16 @@ def _block_setup(cfg: SimConfig) -> _BlockRun:
         build_codebook(cfg.n, Q, B, L, substream(cfg.master_seed, "block/codebook"), user_k=k)
         for k in range(cfg.K)
     )
-    return _BlockRun(cfg, P_t, Q, rc, link, codebooks)
+    return _BlockRun(cfg, gains, P_t, Q, A, rc, g.as_floats() * (A * abs(g.scale)), codebooks)
 
 
 def _block_batch(run: _BlockRun, msgs: np.ndarray, seed) -> tuple[np.ndarray, np.ndarray]:
     """(error, decode-failure) flags of a batch of (bs, K) messages; the batch
     seed gives the ``encode`` slots and the noise of one transmit of the
-    (K, bs*n) symbols laid out trial-major."""
+    bs*n received points laid out trial-major."""
     K, n = run.cfg.K, run.cfg.n
     v = np.stack([encode(cb, msgs[:, k], seed) for k, cb in enumerate(run.codebooks)], axis=-1)
-    y = run.link.receive(v.reshape(len(msgs) * n, K), seed)
+    y = transmit((v.reshape(-1, K) @ run.coefs)[None], (1.0,), run.cfg.variance, seed)
     dec = hard_decode(y, run.rc).reshape(len(msgs), n, K)
     recovered = np.stack(decode_messages([dec[..., k] for k in range(K)], run.codebooks), axis=-1)
     return np.any(recovered != msgs, axis=1), np.any(recovered < 0, axis=1)
@@ -446,7 +433,7 @@ def run_block_trials(cfg: SimConfig) -> BlockReport:
         P=cfg.P_grid[-1],
         P_tilde=run.P_tilde,
         Q=run.Q,
-        A=run.link.A,
+        A=run.A,
         n=cfg.n,
         B=cb0.B,
         L=cb0.L,
@@ -458,7 +445,7 @@ def run_block_trials(cfg: SimConfig) -> BlockReport:
         bler_ci_high=ci_high,
         decode_failures=failures,
         cross_bin_duplicates=cross,
-        gains=run.link.gains,
+        gains=run.gains,
         master_seed=cfg.master_seed,
     )
 
@@ -488,15 +475,15 @@ class LeakageRunReport(_Report):
 def run_leakage(cfg: SimConfig) -> LeakageRunReport:
     """Send input tuples to the eavesdropper and estimate leakage.
 
-    Noisy tuples take block's channel step received with h_e, so the
-    aligned eavesdropper sees A * sum_k x~_k plus noise; noiseless samples
-    are A * sum_k x~_k formed exactly, so tuples sharing a sum share a
-    bin.  Noiseless runs enumerate the input tuples exhaustively when they
-    fit in the sample budget, which removes sampling error entirely; other
-    runs draw uniform tuples from the shared batches.  The default bin
-    width A/10 suits noiseless runs; for noisy runs pick a width
-    commensurate with the noise scale, or the plug-in bias (roughly
-    occupied cells / (2 n ln 2) bits) dominates the estimate.
+    Each sample is the aligned sum A * sum_k v_k, formed exactly and sent
+    through ``transmit`` with unit gain, so noiseless tuples that share a
+    sum share a bin.  Noiseless runs enumerate the input tuples
+    exhaustively when they fit in the sample budget, which removes
+    sampling error entirely; other runs draw uniform tuples from the
+    shared batches.  The default bin width A/10 suits noiseless runs; for
+    noisy runs pick a width commensurate with the noise scale, or the
+    plug-in bias (roughly occupied cells / (2 n ln 2) bits) dominates the
+    estimate.
     """
     if cfg.leakage_samples < MIN_LEAKAGE_SAMPLES:
         raise ParameterError(
@@ -514,11 +501,6 @@ def run_leakage(cfg: SimConfig) -> LeakageRunReport:
         raise SizeCapError(f"symbol bound Q = {Q} overflows the int64 input draw")
     width = cfg.bin_width if cfg.bin_width is not None else A / 10.0
     M = (2 * Q + 1) ** cfg.K
-    eve = _Link(gains, gains.h_e, cfg.variance, A)
-    # noiseless samples are A * sum(v) formed exactly: h_e @ (A*v/h_e) rounds
-    # once per user, and the ulps could split one sum over two bins (the
-    # default width A/10 puts every A*s on a bin edge)
-    observe = eve.receive if cfg.variance > 0 else lambda v, _: A * v.sum(axis=1).astype(float)
 
     exhaustive = cfg.variance == 0 and M <= cfg.leakage_samples
     if exhaustive:
@@ -528,7 +510,8 @@ def run_leakage(cfg: SimConfig) -> LeakageRunReport:
         batches = [(mixed_radix_digits(np.arange(reps * M) % M, cfg.K, Q), None)]
     else:
         batches = _uniform_batches(cfg.master_seed, "leakage", cfg.K, -Q, Q, cfg.leakage_samples)
-    tuples, z = map(np.concatenate, zip(*((v, observe(v, seed)) for v, seed in batches)))
+    observed = ((v, transmit(A * v.sum(axis=1)[None], (1.0,), cfg.variance, s)) for v, s in batches)
+    tuples, z = map(np.concatenate, zip(*observed))
 
     est = leakage_estimate(tuples, z, width, Q)
     return LeakageRunReport(

@@ -249,7 +249,7 @@ class TestBlockAndLeakage:
         assert float(row["mi_bits"]) == pytest.approx(float(row["sum_entropy_bits"]))
 
 
-    @pytest.mark.parametrize("command,layout", [("sweep", 2), ("block", 3), ("leakage", 2)])
+    @pytest.mark.parametrize("command,layout", [("sweep", 2), ("block", 4), ("leakage", 2)])
     def test_meta_records_stream_layout(self, tmp_path, capsys, command, layout):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(SWEEP_CONFIG + "n = 4\n")
@@ -466,6 +466,9 @@ class TestCheck:
             ("a,b\n1,2", "no final newline"),
             ("a,b\r\n1,2\r\n", "a line break other than \\n"),  # read untranslated
             ("a,b\r1,2\r", "a line break other than \\n"),
+            ("a,b\n1,2,3\n", "line 2 has 3 cells, the header 2"),
+            ("a,b\n1,2\n\n", "line 3 has 0 cells, the header 2"),  # an empty line
+            ("\ufeffa,b\n1,2\n", "header cell '\\ufeffa' is not an identifier"),  # a UTF-8 BOM
         ):
             path.write_bytes(text.encode())
             code, _, err = run(capsys, "check", str(path))
@@ -475,6 +478,14 @@ class TestCheck:
     def test_missing_file_exits_2(self, capsys):
         code, _, _ = run(capsys, "check", "/nonexistent/file.csv")
         assert code == 2
+
+
+@pytest.mark.parametrize("where,why", [("missing/x.csv", "No such file"), ("", "Is a directory")])
+def test_unwritable_out_exits_2(tmp_path, capsys, where, why):
+    out = tmp_path / where
+    code, _, err = run(capsys, "dmin", "--gains", "1.5,1", "--q", "1", "--a", "1", "--out", str(out))
+    assert code == 2
+    assert err.startswith(f"error: cannot write {out}: {why}") and err.count("\n") == 1
 
 
 class TestNonFiniteAndNegativeInputs:

@@ -17,8 +17,9 @@ from secmac import (
     sum_rate_lower_bound,
     wilson_interval,
 )
-from secmac.channel import ChannelGains, normalize_gains, transmit
-from secmac.codec import hard_decode
+from secmac import simulate
+from secmac.channel import ChannelGains, normalize_gains, sample_gains, transmit
+from secmac.codec import encode, hard_decode, scale_to_channel
 from secmac.constellation import ENUMERATION_CAP, mixed_radix_digits, received_constellation
 from secmac.errors import AmbiguityError
 from secmac.secrecy import JOINT_TABLE_CAP, composition_counts, entropy_bits
@@ -29,7 +30,6 @@ from secmac.simulate import (
     _block_batch,
     _block_setup,
     _grid_point,
-    _Link,
     _uniform_batches,
     derive_code_sizes,
 )
@@ -290,14 +290,20 @@ def test_uniform_batches_do_not_depend_on_the_total(command, grid):
     # the first T draws and received samples of a run with T + TRIAL_BATCH
     # draws are those of a run with T, across a batch boundary; the sweep
     # draws sorted positions on [0, M-1] and sends their points with unit
-    # gain, leakage tuples on [-Q, Q] and block messages on [0, B-1]
-    gains = ChannelGains(h=(S2, S3, 1.0), h_e=(1.3, 0.7, 1.1))
-    pts = received_constellation(normalize_gains(gains), 4, 3.5).points
-    K, low, high, receive = {
-        "sweep": (1, 0, pts.size - 1, lambda pos, s: transmit(pts[pos.T], (1.0,), 2.0, s)),
-        "leakage": (3, -4, 4, _Link(gains, gains.h_e, 2.0, 3.5).receive),
-        "block": (3, 0, 9, _Link(gains, gains.h, 2.0, 3.5).receive),
+    # gain, leakage tuples on [-Q, Q] whose aligned sums A*sum(v) are sent,
+    # and block messages on [0, B-1], sent here as tuples through the
+    # received point's coefficients A*|s|*g
+    g = normalize_gains(ChannelGains(h=(S2, S3, 1.0), h_e=(1.3, 0.7, 1.1)))
+    pts = received_constellation(g, 4, 3.5 * abs(g.scale)).points
+    coefs = g.as_floats() * (3.5 * abs(g.scale))
+    K, low, high, received = {
+        "sweep": (1, 0, pts.size - 1, lambda pos: pts[pos[:, 0]]),
+        "leakage": (3, -4, 4, lambda v: 3.5 * v.sum(axis=1)),
+        "block": (3, 0, 9, lambda v: v @ coefs),
     }[command]
+
+    def receive(v, seed):
+        return transmit(received(v)[None], (1.0,), 2.0, seed)
 
     def draw(total):
         batches = _uniform_batches(7, command, K, low, high, total, *grid)
@@ -309,6 +315,54 @@ def test_uniform_batches_do_not_depend_on_the_total(command, grid):
     assert v.shape == (T, K) and (v.min(), v.max()) == (low, high)
     assert np.array_equal(v, v_long[:T])
     assert np.array_equal(y, y_long[:T])
+
+
+@pytest.mark.parametrize("command", ["sweep", "block"])
+def test_negating_every_gain_leaves_the_csv(command):
+    # -h has the same ratios up to the sign of the last, s, which the
+    # intended receiver divides out: same constellation, same samples
+    run = {"sweep": run_symbol_sweep, "block": run_block_trials}[command]
+    cfg = dict(K=2, epsilon=0.3, P_grid=(1e4,), n=3, variance=4.0, trials=4000, master_seed=11)
+    csvs = [run(SimConfig(**cfg, h=h, h_e=(1.0, 1.0))).to_csv() for h in ((S2, 1.0), (-S2, -1.0))]
+    assert csvs[0] == csvs[1]
+
+
+@pytest.mark.parametrize("K,seed,negate", [(2, 1, False), (3, 2, False), (2, 3, True), (3, 4, True)])
+def test_samples_are_the_physical_channel_outputs(monkeypatch, K, seed, negate):
+    # x = A*v/h_e (codec.scale_to_channel) through the K-row transmit: the
+    # intended receiver's output times the sign of the last ratio is what
+    # block sends, and the eavesdropper's is what leakage sends, each within
+    # a few ulps of the sum of its terms' magnitudes
+    gains = sample_gains(seed, K)
+    if negate:  # a negative last ratio
+        gains = ChannelGains(h=gains.h[:-1] + (-gains.h[-1],), h_e=gains.h_e)
+    sent = []
+
+    def record(x, h, variance, seed):
+        sent.append(x[0])
+        return transmit(x, h, variance, seed)
+
+    monkeypatch.setattr(simulate, "transmit", record)
+    cfg = SimConfig(K=K, epsilon=0.3, P_grid=(1e6,), n=3, h=gains.h, h_e=gains.h_e,
+                    leakage_samples=2000)
+    ulps = 4 * np.finfo(float).eps
+
+    run = _block_setup(cfg)
+    msgs, batch_seed = next(_uniform_batches(5, "block", K, 0, run.codebooks[0].B - 1, 500))
+    _block_batch(run, msgs, batch_seed)
+    v = np.stack([encode(cb, msgs[:, k], batch_seed) for k, cb in enumerate(run.codebooks)], -1)
+    v = v.reshape(-1, K)
+    sgn = math.copysign(1.0, gains.h[-1] / gains.h_e[-1])
+    main = sgn * transmit(scale_to_channel(v, run.A, gains.h_e).T, gains.h, 0.0)
+    assert np.all(np.abs(sent[-1] - main) <= ulps * (np.abs(v) @ np.abs(run.coefs)))
+
+    sent.clear()
+    rep = run_leakage(cfg)
+    Q, A = rep.Q, rep.A
+    batches = _uniform_batches(cfg.master_seed, "leakage", K, -Q, Q, cfg.leakage_samples)
+    v = np.concatenate([v for v, _ in batches])
+    eve = transmit(scale_to_channel(v, A, gains.h_e).T, gains.h_e, 0.0)
+    assert np.all(np.abs(np.concatenate(sent) - eve) <= ulps * A * np.abs(v).sum(axis=1))
 
 
 def code_sizes_oracle(cfg, Q):
