@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 import time
 from fractions import Fraction
@@ -90,7 +91,8 @@ def parse_config(path: str, required: tuple[str, ...]) -> dict:
 
 def emit(args, csv: str, **fields) -> None:
     """Write a command's CSV and its metadata sidecar: the command, version
-    and wall time since ``args.t0``, then ``fields``."""
+    and wall time since ``args.t0``, then ``fields``.  When either file
+    cannot be written, neither is left behind."""
     meta = {
         "command": args.command,
         "version": __version__,
@@ -99,12 +101,15 @@ def emit(args, csv: str, **fields) -> None:
     }
     sidecar = "# secmac metadata v1\n" + "".join(f"{k} = {v}\n" for k, v in meta.items())
     if args.out:
+        written = []
         try:
-            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(csv)
-            with open(args.out + ".meta", "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(sidecar)
+            for path, text in ((args.out, csv), (args.out + ".meta", sidecar)):
+                with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                    written.append(path)
+                    fh.write(text)
         except OSError as exc:  # a missing directory, a directory, no permission
+            for done in written:  # leave no CSV without its sidecar
+                os.remove(done)
             path = exc.filename or args.out
             raise ParameterError(f"cannot write {path}: {exc.strerror}") from None
         print(f"wrote {args.out} and {args.out}.meta")

@@ -15,13 +15,15 @@ A*|s|*sum_k g_k v_k of the received constellation.  The sweep sends its
 drawn point and tests the sample against that point's decision cell,
 block sends each channel use's point and hard-decodes the samples, and
 leakage sends each tuple's aligned sum, formed exactly, and bins the
-samples.  Each report's ``.meta`` names its ``stream_layout``.
+samples.  Each report's ``.meta`` holds the run's ``SimConfig`` with its
+gains resolved, under the config-file keys, so that those lines rerun it
+(sampled gains included), and names its ``stream_layout``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import ClassVar, NamedTuple
 
 import numpy as np
@@ -169,10 +171,21 @@ def csv_text(header: str, rows) -> str:
     return "\n".join([header] + [",".join(map(fmt, row)) for row in rows]) + "\n"
 
 
-def _meta(render=lambda v: v):
-    """A report field that goes to the ``.meta`` sidecar as ``render(value)``
-    rather than to the CSV; a dict result gives one key per entry."""
+def _meta(render):
+    """A report field that goes to the ``.meta`` sidecar as the keys of the
+    dict ``render(value)`` rather than to the CSV."""
     return field(metadata={"meta": render})
+
+
+def _config_keys(cfg: SimConfig) -> dict:
+    """A run's config as ``.meta`` keys: each field set, under its name in
+    lower case (its config-file key), a tuple comma-joined, values ``fmt``-ed.
+    These lines, as a config file, rerun the run."""
+    return {
+        f.name.lower(): ",".join(map(fmt, v)) if isinstance(v, tuple) else fmt(v)
+        for f in fields(cfg)
+        if (v := getattr(cfg, f.name)) is not None
+    }
 
 
 def _fit_keys(fit: SlopeFit | None) -> dict:
@@ -180,16 +193,13 @@ def _fit_keys(fit: SlopeFit | None) -> dict:
     return {} if fit is None else dict(zip(("slope", "intercept", "fit_residual"), map(fmt, fit)))
 
 
-def _gain_lists(gains: ChannelGains) -> dict:
-    return {"h": ",".join(fmt(x) for x in gains.h), "h_e": ",".join(fmt(x) for x in gains.h_e)}
-
-
 class _Report:
     """The CSV writer and ``.meta`` builder of the run reports.
 
     A report with ``rows`` writes one CSV line per row, any other report
     is its own single row.  The columns are the row's fields in order,
-    less those made with ``_meta``; those go to ``metadata`` in order,
+    less those made with ``_meta``; those go to ``metadata`` in order (the
+    run's config with its gains resolved, then a sweep's fit keys),
     followed by the command's ``stream_layout``.
     """
 
@@ -204,8 +214,7 @@ class _Report:
         meta = {}
         for f in fields(self):
             if "meta" in f.metadata:
-                val = f.metadata["meta"](getattr(self, f.name))
-                meta.update(val if isinstance(val, dict) else {f.name: val})
+                meta.update(f.metadata["meta"](getattr(self, f.name)))
         meta["stream_layout"] = STREAM_LAYOUT[self.command]
         return meta
 
@@ -214,11 +223,7 @@ class _Report:
 class SweepReport(_Report):
     command: ClassVar[str] = "sweep"
     rows: tuple[SweepRow, ...]
-    master_seed: int = _meta()
-    epsilon: float = _meta()
-    variance: float = _meta()
-    trials: int = _meta()
-    gains: ChannelGains = _meta(_gain_lists)
+    config: SimConfig = _meta(_config_keys)  # gains resolved
     fit: SlopeFit | None = _meta(_fit_keys)  # None for a one-point grid
 
 
@@ -295,20 +300,12 @@ def run_symbol_sweep(cfg: SimConfig) -> SweepReport:
     for pi, P in enumerate(cfg.P_grid):
         try:
             rows.append(_sweep_point(cfg, gains, g, pi, P))
-        except (ParameterError, SizeCapError) as exc:
+        except (ParameterError, AmbiguityError, SizeCapError) as exc:
             exc.args = (f"{exc.args[0] if exc.args else exc} [grid point P={P}]",)
             raise
     # the grid is strictly increasing and above P = 1, so two points always fit
     fit = sdof_fit([(r.P, r.r_sum_bound_bits) for r in rows]) if len(rows) > 1 else None
-    return SweepReport(
-        rows=tuple(rows),
-        fit=fit,
-        gains=gains,
-        master_seed=cfg.master_seed,
-        epsilon=cfg.epsilon,
-        variance=cfg.variance,
-        trials=cfg.trials,
-    )
+    return SweepReport(rows=tuple(rows), config=replace(cfg, h=gains.h, h_e=gains.h_e), fit=fit)
 
 
 @dataclass(frozen=True)
@@ -329,8 +326,7 @@ class BlockReport(_Report):
     bler_ci_high: float
     decode_failures: int
     cross_bin_duplicates: int
-    master_seed: int = _meta()
-    gains: ChannelGains = _meta(_gain_lists)
+    config: SimConfig = _meta(_config_keys)  # gains resolved
 
 
 def derive_code_sizes(cfg: SimConfig, Q: int) -> tuple[int, int]:
@@ -362,12 +358,11 @@ def derive_code_sizes(cfg: SimConfig, Q: int) -> tuple[int, int]:
 
 
 class _BlockRun(NamedTuple):
-    """The fixed parts of a block run: its config and gains, the top grid
-    point, each user's coefficient A*|s|*g_k in the received point and
-    one codebook per user."""
+    """The fixed parts of a block run: its config with the gains resolved,
+    the top grid point, each user's coefficient A*|s|*g_k in the received
+    point and one codebook per user."""
 
     cfg: SimConfig
-    gains: ChannelGains
     P_tilde: float
     Q: int
     A: float
@@ -393,7 +388,8 @@ def _block_setup(cfg: SimConfig) -> _BlockRun:
         build_codebook(cfg.n, Q, B, L, substream(cfg.master_seed, "block/codebook"), user_k=k)
         for k in range(cfg.K)
     )
-    return _BlockRun(cfg, gains, P_t, Q, A, rc, g.as_floats() * (A * abs(g.scale)), codebooks)
+    cfg = replace(cfg, h=gains.h, h_e=gains.h_e)
+    return _BlockRun(cfg, P_t, Q, A, rc, g.as_floats() * (A * abs(g.scale)), codebooks)
 
 
 def _block_batch(run: _BlockRun, msgs: np.ndarray, seed) -> tuple[np.ndarray, np.ndarray]:
@@ -445,8 +441,7 @@ def run_block_trials(cfg: SimConfig) -> BlockReport:
         bler_ci_high=ci_high,
         decode_failures=failures,
         cross_bin_duplicates=cross,
-        gains=run.gains,
-        master_seed=cfg.master_seed,
+        config=run.cfg,
     )
 
 
@@ -468,8 +463,7 @@ class LeakageRunReport(_Report):
     input_entropy_bits: float
     residual_bits: float
     bias_bound_bits: float
-    master_seed: int = _meta()
-    gains: ChannelGains = _meta(_gain_lists)
+    config: SimConfig = _meta(_config_keys)  # gains resolved
 
 
 def run_leakage(cfg: SimConfig) -> LeakageRunReport:
@@ -528,6 +522,5 @@ def run_leakage(cfg: SimConfig) -> LeakageRunReport:
         input_entropy_bits=est.input_entropy_bits,
         residual_bits=est.residual_bits,
         bias_bound_bits=est.bias_bound_bits,
-        gains=gains,
-        master_seed=cfg.master_seed,
+        config=replace(cfg, h=gains.h, h_e=gains.h_e),
     )

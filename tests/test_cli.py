@@ -215,6 +215,14 @@ class TestSweep:
         assert code == 2
         assert "gamma status is violated" in err
 
+    def test_gamma_failing_at_a_later_grid_point_names_it(self, tmp_path, capsys):
+        # Q = 1 holds at P = 100, Q = 2 collides at P = 10^4
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("k = 2\nepsilon = 0.5\np_grid = 1e2,1e4\ntrials = 1\nh = 1.5,1\nh_e = 1,1\n")
+        code, _, err = run(capsys, "sweep", "--config", str(cfg))
+        assert code == 2
+        assert err == "error: cannot hard-decode: gamma status is violated [grid point P=10000.0]\n"
+
     def test_seed_fixes_bytes(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(SWEEP_CONFIG.replace("variance = 0", "variance = 1"))
@@ -312,9 +320,12 @@ class TestOptionSurface:
         from dataclasses import fields
 
         from secmac.cli import CONFIG_KEYS
-        from secmac.simulate import SimConfig
+        from secmac.simulate import SimConfig, _config_keys
 
-        assert sorted(CONFIG_KEYS) == sorted(f.name.lower() for f in fields(SimConfig))
+        assert set(CONFIG_KEYS) == {f.name.lower() for f in fields(SimConfig)}
+        # so a run's sidecar, which lists every field set, lists every config key
+        cfg = SimConfig(K=2, epsilon=0.5, P_grid=(2,), h=(1.5, 1), h_e=(1, 1), bin_width=1)
+        assert set(_config_keys(cfg)) == set(CONFIG_KEYS)
 
     @pytest.mark.parametrize(
         "argv",
@@ -480,12 +491,21 @@ class TestCheck:
         assert code == 2
 
 
-@pytest.mark.parametrize("where,why", [("missing/x.csv", "No such file"), ("", "Is a directory")])
+@pytest.mark.parametrize(
+    "where,why",
+    [("missing/x.csv", "No such file"), ("", "Is a directory"), ("x.csv.meta", "Is a directory")],
+)
 def test_unwritable_out_exits_2(tmp_path, capsys, where, why):
-    out = tmp_path / where
+    # `where` cannot be written; when it is the sidecar (a directory), the CSV
+    # written before it must not be left without it
+    blocked = out = tmp_path / where
+    if where.endswith(".meta"):
+        blocked.mkdir()
+        out = blocked.with_suffix("")
     code, _, err = run(capsys, "dmin", "--gains", "1.5,1", "--q", "1", "--a", "1", "--out", str(out))
     assert code == 2
-    assert err.startswith(f"error: cannot write {out}: {why}") and err.count("\n") == 1
+    assert err.startswith(f"error: cannot write {blocked}: {why}") and err.count("\n") == 1
+    assert not (tmp_path / "x.csv").exists()
 
 
 class TestNonFiniteAndNegativeInputs:

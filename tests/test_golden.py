@@ -3,12 +3,15 @@ is pinned byte for byte.
 
 Each CSV below is literal text from an earlier build.  A change that moves
 any of them changes a stream layout or a result; such a change says so and
-updates the text here together with the layout version.
+updates the text here together with the layout version.  The ``.meta`` of
+the Monte Carlo goldens is pinned too, less its wall time, so a change of
+its schema shows here, and its config lines must rerun the CSV.
 """
 
 import pytest
 
-from secmac.cli import main
+from secmac import __version__
+from secmac.cli import CONFIG_KEYS, main
 
 FILES = {
     "sweep3.cfg": (
@@ -50,6 +53,15 @@ FILES = {
         "h_e = 1,1\n"
         "variance = 0\n"
         "leakage_samples = 1000\n"
+    ),
+    "sampled.cfg": (  # no h or h_e: the gains are drawn from the seed
+        "k = 2\n"
+        "epsilon = 0.3\n"
+        "p_grid = 1e3,1e4\n"
+        "trials = 300\n"
+        "n = 4\n"
+        "variance = 1\n"
+        "master_seed = 9\n"
     ),
     "mac.spec": (
         "k = 2\n"
@@ -153,3 +165,109 @@ def test_csv_is_byte_identical(workdir, monkeypatch, capsys, name):
     assert main(argv + ["--out", f"{name}.csv"]) == 0
     capsys.readouterr()
     assert (workdir / f"{name}.csv").read_text() == want
+
+
+# name -> its .meta less the wall_time_s line: the run keys, the config with
+# its gains resolved, a sweep's fit keys and the stream layout
+GOLDEN_META = {
+    "sweep": (
+        "# secmac metadata v1\n"
+        "command = sweep\n"
+        f"version = {__version__}\n"
+        "k = 3\n"
+        "epsilon = 0.29999999999999999\n"
+        "p_grid = 1000,100000\n"
+        "trials = 3000\n"
+        "n = 4\n"
+        "master_seed = 5\n"
+        "variance = 1\n"
+        "h = 1.4142135623730951,1.7320508075688772,1\n"
+        "h_e = 1,1,1\n"
+        "leakage_samples = 100000\n"
+        "slope = 0.68845954278145538\n"
+        "intercept = -3.4305196460385354\n"
+        "fit_residual = 1.3322676295501878e-15\n"
+        "stream_layout = 2\n"
+    ),
+    "block": (
+        "# secmac metadata v1\n"
+        "command = block\n"
+        f"version = {__version__}\n"
+        "k = 2\n"
+        "epsilon = 0.29999999999999999\n"
+        "p_grid = 10000\n"
+        "trials = 400\n"
+        "n = 5\n"
+        "master_seed = 11\n"
+        "variance = 1\n"
+        "h = 1.4142135623730951,1\n"
+        "h_e = 1,1\n"
+        "leakage_samples = 100000\n"
+        "stream_layout = 4\n"
+    ),
+    "leakage_noisy": (
+        "# secmac metadata v1\n"
+        "command = leakage\n"
+        f"version = {__version__}\n"
+        "k = 2\n"
+        "epsilon = 0.5\n"
+        "p_grid = 10000\n"
+        "trials = 10000\n"
+        "n = 4\n"
+        "master_seed = 3\n"
+        "variance = 1\n"
+        "h = 1.5,1\n"
+        "h_e = 1,1\n"
+        "bin_width = 1\n"
+        "leakage_samples = 5000\n"
+        "stream_layout = 2\n"
+    ),
+    "leakage_exhaustive": (
+        "# secmac metadata v1\n"
+        "command = leakage\n"
+        f"version = {__version__}\n"
+        "k = 2\n"
+        "epsilon = 0.5\n"
+        "p_grid = 100\n"
+        "trials = 10000\n"
+        "n = 4\n"
+        "master_seed = 0\n"
+        "variance = 0\n"
+        "h = 1.5,1\n"
+        "h_e = 1,1\n"
+        "leakage_samples = 1000\n"
+        "stream_layout = 2\n"
+    ),
+}
+
+# the Monte Carlo goldens and two runs whose gains are drawn
+RERUN = {name: GOLDEN[name][0] for name in GOLDEN_META} | {
+    "sweep_sampled": ["sweep", "--config", "sampled.cfg"],
+    "block_sampled": ["block", "--config", "sampled.cfg"],
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_META)
+def test_meta_is_pinned(workdir, monkeypatch, capsys, name):
+    monkeypatch.chdir(workdir)
+    assert main(GOLDEN[name][0] + ["--out", f"{name}.meta.csv"]) == 0
+    capsys.readouterr()
+    lines = (workdir / f"{name}.meta.csv.meta").read_text().splitlines(keepends=True)
+    assert lines[3].startswith("wall_time_s = ")
+    assert "".join(lines[:3] + lines[4:]) == GOLDEN_META[name]
+
+
+@pytest.mark.parametrize("name", RERUN)
+def test_sidecar_config_lines_rerun_the_csv(workdir, monkeypatch, capsys, name):
+    # the sidecar's config-key lines, as a config file, give the same CSV
+    argv = RERUN[name]
+    monkeypatch.chdir(workdir)
+    assert main(argv + ["--out", f"{name}.first.csv"]) == 0
+    meta = (workdir / f"{name}.first.csv.meta").read_text().splitlines(keepends=True)
+    config = "".join(line for line in meta if line.split(" = ")[0] in CONFIG_KEYS)
+    assert "h = " in config and "h_e = " in config  # sampled gains are read back, not redrawn
+    (workdir / f"{name}.rerun.cfg").write_text(config)
+    assert main([argv[0], "--config", f"{name}.rerun.cfg", "--out", f"{name}.rerun.csv"]) == 0
+    capsys.readouterr()
+    first = (workdir / f"{name}.first.csv").read_text()
+    assert (workdir / f"{name}.rerun.csv").read_text() == first

@@ -245,7 +245,8 @@ class TestSymbolSweep:
     def test_gamma_not_holding_is_refused(self, h, status):
         # a tuple has a point of its own only when gamma holds
         cfg = SimConfig(K=2, epsilon=0.5, P_grid=(1e4,), h=h, h_e=(1.0, 1.0), trials=10)
-        with pytest.raises(AmbiguityError, match=f"gamma status is {status}$"):
+        want = rf"gamma status is {status} \[grid point P=10000\.0\]$"
+        with pytest.raises(AmbiguityError, match=want):
             run_symbol_sweep(cfg)
 
     @pytest.mark.parametrize("cfg", EXACT_PE_CFGS, ids=["k2-var4", "k3-var2", "negative-scale", "k4"])
