@@ -19,7 +19,6 @@ from .channel import (
 from .codec import (
     Codebook,
     build_codebook,
-    decode_messages,
     encode,
     hard_decode,
     scale_to_channel,
@@ -47,7 +46,6 @@ from .errors import (
 )
 from .secrecy import (
     DiscreteMACSpec,
-    LeakageReport,
     RateRegion,
     achievable_region,
     composition_counts,

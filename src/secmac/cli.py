@@ -24,7 +24,7 @@ from .constellation import received_constellation, select_params
 from .diophantine import kg_profile
 from .errors import AmbiguityError, ParameterError, SizeCapError
 from .keyvalue import parse_value, read_key_values, read_text
-from .secrecy import achievable_region, load_mac_spec, subset_mask, sum_entropy
+from .secrecy import achievable_region, load_mac_spec, sum_entropy
 from .simulate import SimConfig, csv_text, fmt, run_block_trials, run_leakage, run_symbol_sweep
 
 
@@ -193,8 +193,7 @@ def cmd_kg(args) -> int:
 def cmd_region(args) -> int:
     spec = load_mac_spec(args.spec)
     region = achievable_region(spec)
-    rows = [(subset_mask(subset), bound) for subset, bound in region.constraints]
-    rows.append(((1 << region.K) - 1, region.sum_bound))
+    rows = [*region.constraints, ((1 << region.K) - 1, region.sum_bound)]
     print(f"sum_bound = {fmt(region.sum_bound)}")
     emit(args, csv_text("subset_bitmask,bound_bits", rows), spec=args.spec)
     return 0

@@ -4,25 +4,20 @@ Each user owns a table of B*L length-n sequences drawn i.i.d. uniform
 over [-Q, Q]^n (duplicates allowed, as in random coding), read as B
 equal-size bins of L consecutive sequences.  A message is a bin index; the
 stochastic encoder transmits a uniformly chosen member of its bin, and
-the receiver recovers the bin by exact table lookup after hard decoding.
+the receiver recovers the bin by exact table lookup after hard decoding:
+``Codebook.bin_of`` maps sequences to their bins as one int64 array, with
+-1 for a sequence absent from the table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .constellation import ReceivedConstellation, mixed_radix_digits, mixed_radix_index
 from .errors import AmbiguityError, ParameterError
 from .rng import stream
-
-
-class DuplicateStats(NamedTuple):
-    total_sequences: int
-    distinct_sequences: int
-    cross_bin_duplicates: int  # distinct sequences present in more than one bin
 
 
 def _require_integers(a: np.ndarray, what: str) -> None:
@@ -39,7 +34,7 @@ class Codebook:
     On construction the B*L rows are sorted once by exact key, equal keys in
     flat-row order: one int64 sort of each row's mixed-radix code over [-Q, Q]^n
     above bit_length(B*L) flat-row bits, or past 2^63 (n = 40, Q = 2) a stable
-    argsort of the rows' bytes.  Lookups and duplicate counts read that index.
+    argsort of the rows' bytes.  Lookups and the duplicate count read that index.
     """
 
     n: int
@@ -84,12 +79,10 @@ class Codebook:
         inside = ((rows >= -self.Q) & (rows <= self.Q)).all(axis=-1)
         return np.where(inside, self._key(np.clip(rows, -self.Q, self.Q)), -1)
 
-    def bin_of(self, sequence: np.ndarray) -> int | None | np.ndarray:
-        """Bin of the first exact table match (``searchsorted`` of the key).
-
-        One row gives an int, or None if it is absent; an (..., n) batch
-        gives an int64 array of shape (...) with -1 where a row is absent.
-        """
+    def bin_of(self, sequence: np.ndarray) -> np.ndarray:
+        """Bin of the first exact table match (``searchsorted`` of the key),
+        as an int64 array of shape ``sequence.shape[:-1]`` (0-d for one row)
+        holding -1 where a row is absent from the table."""
         seq = np.asarray(sequence)
         if seq.ndim < 1 or seq.shape[-1] != self.n:
             raise ParameterError(f"sequence shape {seq.shape} does not end in ({self.n},)")
@@ -98,23 +91,17 @@ class Codebook:
             seq = np.clip(seq, -self.Q - 1, self.Q + 1).astype(np.int64)  # no overflowing cast
         key = self._key(seq)
         pos = np.minimum(np.searchsorted(self._keys, key), self._keys.size - 1)
-        bins = np.where(self._keys[pos] == key, self._rows[pos] // self.L, -1)
-        if seq.ndim == 1:
-            return int(bins) if bins >= 0 else None
-        return bins
+        return np.where(self._keys[pos] == key, self._rows[pos] // self.L, -1)
 
-    def duplicate_stats(self) -> DuplicateStats:
-        """Counts over runs of equal sorted keys (int64 when packed): each run
-        is one distinct sequence, and a cross-bin duplicate when its first
-        and last rows (whose bins ascend along the run) lie in different bins."""
+    def duplicate_stats(self) -> int:
+        """Cross-bin duplicates: distinct sequences present in more than one
+        bin.  Each run of equal sorted keys (int64 when packed) is one
+        distinct sequence, counted when its first and last rows (whose bins
+        ascend along the run) lie in different bins."""
         keys, bins = self._keys, self._rows // self.L
         starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
         ends = np.append(starts[1:], keys.size) - 1
-        return DuplicateStats(
-            total_sequences=self.B * self.L,
-            distinct_sequences=starts.size,
-            cross_bin_duplicates=int(np.count_nonzero(bins[starts] != bins[ends])),
-        )
+        return int(np.count_nonzero(bins[starts] != bins[ends]))
 
 
 def build_codebook(n: int, Q: int, B: int, L: int, seed, user_k: int = 0) -> Codebook:
@@ -188,20 +175,3 @@ def nearest_is(y: np.ndarray, rc: ReceivedConstellation, pos: np.ndarray) -> np.
     upper_ok = (y - p <= pts.take(pos + 1, mode="clip") - y) | (pos == pts.size - 1)
     lower_ok = (y - pts.take(pos - 1, mode="clip") > p - y) | (pos == 0)
     return np.where(y >= p, upper_ok, lower_ok)
-
-
-def decode_messages(
-    decoded: Sequence[np.ndarray], codebooks: Sequence[Codebook]
-) -> list[int | None | np.ndarray]:
-    """Bin indices recovered from hard-decoded sequences, one per user.
-
-    Each entry is one sequence or an (..., n) batch, looked up with
-    ``Codebook.bin_of``.  A sequence absent from its user's table yields
-    None, or -1 in a batch (a block decoding failure to be counted by the
-    caller, not an exception).
-    """
-    if len(decoded) != len(codebooks):
-        raise ParameterError(
-            f"{len(decoded)} sequences for {len(codebooks)} codebooks"
-        )
-    return [cb.bin_of(np.asarray(seq)) for seq, cb in zip(decoded, codebooks)]

@@ -4,8 +4,9 @@ The achievable region of a discrete memoryless multiple-access channel
 with an eavesdropper is cut out by per-subset constraints
 I(U_S; Y | U_{S^c}) together with one secrecy sum constraint
 [I(U; Y) - I(U; Z)]^+.  The region and the sum entropy are exact up to
-float rounding, from fully enumerated tables; ``leakage_estimate`` is a
-plug-in estimate from samples, with a bias bound.  All entropies are in bits.
+float rounding, from fully enumerated tables; ``leakage_estimate`` returns
+a plug-in estimate from samples with its bias bound, as the pair
+(mi_bits, bias_bound_bits).  All entropies are in bits.
 """
 
 from __future__ import annotations
@@ -76,21 +77,9 @@ class DiscreteMACSpec:
         if chan.size > JOINT_TABLE_CAP:
             raise SizeCapError(f"channel table has {chan.size} entries, cap {JOINT_TABLE_CAP}")
 
-    @property
-    def u_sizes(self) -> tuple[int, ...]:
-        return tuple(p.size for p in self.p_u)
-
-    @property
-    def y_size(self) -> int:
-        return self.p_yz_given_x.shape[-2]
-
-    @property
-    def z_size(self) -> int:
-        return self.p_yz_given_x.shape[-1]
-
     def joint_uyz(self) -> np.ndarray:
         """Joint P(u_1..u_K, y, z) with X marginalized out."""
-        size = math.prod(self.u_sizes) * self.y_size * self.z_size
+        size = math.prod(p.size for p in self.p_u) * math.prod(self.p_yz_given_x.shape[-2:])
         if size > JOINT_TABLE_CAP:
             raise SizeCapError(f"joint table needs {size} entries, cap {JOINT_TABLE_CAP}")
         t = self.p_yz_given_x
@@ -110,17 +99,13 @@ class DiscreteMACSpec:
 class RateRegion:
     """Subset constraints plus the secrecy sum bound, all in bits.
 
-    ``constraints`` lists (S, bound) for every nonempty proper subset S of
-    {1..K}, ordered by subset bitmask (bit k-1 <=> user k).
+    ``constraints`` lists (mask, bound) for every nonempty proper subset S
+    of {1..K} as its bitmask (bit k-1 <=> user k), in mask order.
     """
 
     K: int
-    constraints: tuple[tuple[frozenset[int], float], ...]
+    constraints: tuple[tuple[int, float], ...]
     sum_bound: float
-
-
-def subset_mask(subset: frozenset[int]) -> int:
-    return sum(1 << (k - 1) for k in subset)
 
 
 def entropy_bits(p: np.ndarray) -> float:
@@ -164,9 +149,7 @@ def achievable_region(spec: DiscreteMACSpec) -> RateRegion:
         s_axes = tuple(k for k in range(K) if (mask >> k) & 1)
         h_c = entropy_bits(joint_uy.sum(axis=s_axes + (-1,)))
         h_cy = entropy_bits(joint_uy.sum(axis=s_axes))
-        bound = max(0.0, h_u_all + h_cy - h_c - h_uy_all)
-        subset = frozenset(k + 1 for k in range(K) if (mask >> k) & 1)
-        constraints.append((subset, bound))
+        constraints.append((mask, max(0.0, h_u_all + h_cy - h_c - h_uy_all)))
 
     i_uy = h_u_all + entropy_bits(joint_uy.sum(axis=tuple(range(K)))) - h_uy_all
     i_uz = (
@@ -272,31 +255,16 @@ def sdof_fit(points: Sequence[tuple[float, float]]) -> SlopeFit:
     )
 
 
-@dataclass(frozen=True)
-class LeakageReport:
-    """Plug-in leakage estimate with its exact noiseless references."""
-
-    mi_bits: float
-    sum_entropy_bits: float  # exact H(sum of inputs) for the inferred (K, Q)
-    input_entropy_bits: float  # K log2(2Q+1)
-    residual_bits: float  # input entropy minus sum entropy
-    bias_bound_bits: float  # (occupied joint cells - 1) / (2 n ln 2)
-    n_samples: int
-    n_bins: int
-    K: int
-    Q: int
-
-
 def leakage_estimate(
     x_tuples: np.ndarray, z: np.ndarray, bin_width: float, Q: int
-) -> LeakageReport:
-    """Plug-in mutual information between input tuples and quantized z.
+) -> tuple[float, float]:
+    """(mi_bits, bias_bound_bits): the plug-in mutual information between
+    input tuples and quantized z, and its first-order bias bound
+    (occupied joint cells - 1) / (2 n ln 2).
 
     ``x_tuples`` is (n, K) integers drawn from [-Q, Q]^K, ``z`` is (n,)
-    reals quantized to bins of the given width.  The entropy references
-    are those of uniform inputs on that alphabet, whether or not the
-    samples reach its edge.  The estimator carries no bias correction;
-    the report includes the standard first-order bias bound instead.
+    reals quantized to bins of the given width.  The estimator carries
+    no bias correction; the bound stands in for one.
     """
     x_tuples = np.asarray(x_tuples)
     z = np.asarray(z, dtype=float)
@@ -333,21 +301,7 @@ def leakage_estimate(
         + entropy_bits(bin_counts / n)
         - entropy_bits(joint_counts / n),
     )
-
-    h_sum = sum_entropy(K, Q)
-    h_in = K * math.log2(2 * Q + 1)
-    occupied = joint_counts.size
-    return LeakageReport(
-        mi_bits=mi,
-        sum_entropy_bits=h_sum,
-        input_entropy_bits=h_in,
-        residual_bits=h_in - h_sum,
-        bias_bound_bits=(occupied - 1) / (2.0 * n * math.log(2.0)),
-        n_samples=n,
-        n_bins=bin_counts.size,
-        K=K,
-        Q=Q,
-    )
+    return mi, (joint_counts.size - 1) / (2.0 * n * math.log(2.0))
 
 
 def _positive_int(tok: str) -> int:

@@ -29,14 +29,7 @@ from typing import ClassVar, NamedTuple
 import numpy as np
 
 from .channel import ChannelGains, effective_power, normalize_gains, sample_gains, transmit
-from .codec import (
-    Codebook,
-    build_codebook,
-    decode_messages,
-    encode,
-    hard_decode,
-    nearest_is,
-)
+from .codec import Codebook, build_codebook, encode, hard_decode, nearest_is
 from .constellation import (
     ENUMERATION_CAP,
     ReceivedConstellation,
@@ -53,6 +46,7 @@ from .secrecy import (
     SlopeFit,
     leakage_estimate,
     sdof_fit,
+    sum_entropy,
     sum_rate_lower_bound,
 )
 
@@ -400,7 +394,7 @@ def _block_batch(run: _BlockRun, msgs: np.ndarray, seed) -> tuple[np.ndarray, np
     v = np.stack([encode(cb, msgs[:, k], seed) for k, cb in enumerate(run.codebooks)], axis=-1)
     y = transmit((v.reshape(-1, K) @ run.coefs)[None], (1.0,), run.cfg.variance, seed)
     dec = hard_decode(y, run.rc).reshape(len(msgs), n, K)
-    recovered = np.stack(decode_messages([dec[..., k] for k in range(K)], run.codebooks), axis=-1)
+    recovered = np.stack([cb.bin_of(dec[..., k]) for k, cb in enumerate(run.codebooks)], axis=-1)
     return np.any(recovered != msgs, axis=1), np.any(recovered < 0, axis=1)
 
 
@@ -424,7 +418,7 @@ def run_block_trials(cfg: SimConfig) -> BlockReport:
         failures += int(np.count_nonzero(fail))
 
     ci_low, ci_high = wilson_interval(errors, cfg.trials)
-    cross = sum(cb.duplicate_stats().cross_bin_duplicates for cb in run.codebooks)
+    cross = sum(cb.duplicate_stats() for cb in run.codebooks)
     return BlockReport(
         P=cfg.P_grid[-1],
         P_tilde=run.P_tilde,
@@ -447,7 +441,8 @@ def run_block_trials(cfg: SimConfig) -> BlockReport:
 
 @dataclass(frozen=True)
 class LeakageRunReport(_Report):
-    """A leakage run's grid point and the columns of its ``LeakageReport``."""
+    """A leakage run's grid point, its estimate and the exact entropies of
+    uniform inputs on [-Q, Q]^K, whether or not the samples reach its edge."""
 
     command: ClassVar[str] = "leakage"
     P: float
@@ -507,7 +502,8 @@ def run_leakage(cfg: SimConfig) -> LeakageRunReport:
     observed = ((v, transmit(A * v.sum(axis=1)[None], (1.0,), cfg.variance, s)) for v, s in batches)
     tuples, z = map(np.concatenate, zip(*observed))
 
-    est = leakage_estimate(tuples, z, width, Q)
+    mi, bias = leakage_estimate(tuples, z, width, Q)
+    h_sum, h_in = sum_entropy(cfg.K, Q), cfg.K * math.log2(2 * Q + 1)
     return LeakageRunReport(
         P=P,
         P_tilde=P_t,
@@ -517,10 +513,10 @@ def run_leakage(cfg: SimConfig) -> LeakageRunReport:
         bin_width=width,
         samples=int(tuples.shape[0]),
         exhaustive=exhaustive,
-        mi_bits=est.mi_bits,
-        sum_entropy_bits=est.sum_entropy_bits,
-        input_entropy_bits=est.input_entropy_bits,
-        residual_bits=est.residual_bits,
-        bias_bound_bits=est.bias_bound_bits,
+        mi_bits=mi,
+        sum_entropy_bits=h_sum,
+        input_entropy_bits=h_in,
+        residual_bits=h_in - h_sum,
+        bias_bound_bits=bias,
         config=replace(cfg, h=gains.h, h_e=gains.h_e),
     )

@@ -13,7 +13,6 @@ from secmac import (
     NormalizedGains,
     ParameterError,
     build_codebook,
-    decode_messages,
     encode,
     hard_decode,
     normalize_gains,
@@ -22,7 +21,7 @@ from secmac import (
     select_params,
     transmit,
 )
-from secmac.codec import Codebook, DuplicateStats, nearest_is
+from secmac.codec import Codebook, nearest_is
 from secmac.constellation import mixed_radix_digits, mixed_radix_index
 from secmac.rng import stream
 
@@ -205,32 +204,37 @@ class TestDecisionCell:
 
 
 class TestDecodeMessages:
+    """Messages recovered with one ``bin_of`` per user."""
+
     def test_roundtrip_noiseless(self):
         cbs = [build_codebook(n=4, Q=1, B=4, L=2, seed=10, user_k=k) for k in range(2)]
         msgs = [3, 1]
         seqs = [encode(cbs[k], msgs[k], seed=7) for k in range(2)]
-        assert decode_messages(seqs, cbs) == msgs
+        assert [cb.bin_of(seq) for seq, cb in zip(seqs, cbs)] == msgs
 
     def test_absent_sequence_flags_failure(self):
         cb = build_codebook(n=2, Q=1, B=2, L=2, seed=0)
-        missing = None
-        for a in range(-1, 2):
-            for b in range(-1, 2):
-                cand = np.array([a, b])
-                if cb.bin_of(cand) is None:
-                    missing = cand
-                    break
-            if missing is not None:
-                break
-        assert missing is not None  # 4 sequences over 9 possibilities
-        assert decode_messages([missing], [cb]) == [None]
+        space = mixed_radix_digits(np.arange(9), 2, 1)
+        bins = cb.bin_of(space)
+        assert np.count_nonzero(bins < 0) >= 5  # 4 sequences over 9 possibilities
+        missing = space[np.argmin(bins)]
+        assert cb.bin_of(missing) == -1
+
+    @pytest.mark.parametrize("n,Q,B,L", [(2, 1, 2, 2), (39, 1, 2, 1)])  # packed, byte keys
+    def test_one_row_gives_a_0d_array(self, n, Q, B, L):
+        cb = build_codebook(n, Q, B, L, seed=3)
+        absent = np.full(n, Q + 1)
+        for row, want in ((cb.table[1, 0], brute_first_bin(cb, cb.table[1, 0])), (absent, -1)):
+            got = cb.bin_of(row)
+            assert isinstance(got, np.ndarray)
+            assert (got.dtype, got.shape, got.item()) == (np.int64, (), want)
 
     def test_duplicate_takes_first_bin(self):
         # n=1, Q=1, B=2, L=2: four draws over three symbols force a duplicate
         cb = None
         for seed in range(50):
             cand = build_codebook(n=1, Q=1, B=2, L=2, seed=seed)
-            if cand.duplicate_stats().cross_bin_duplicates > 0:
+            if cand.duplicate_stats() > 0:
                 cb = cand
                 break
         assert cb is not None
@@ -246,19 +250,14 @@ class TestDecodeMessages:
         )
         assert cb.bin_of(np.array([dup_val])) == first_bin
 
-    def test_length_mismatch(self):
-        cb = build_codebook(n=3, Q=1, B=2, L=1, seed=0)
-        with pytest.raises(ParameterError):
-            decode_messages([np.zeros(2, dtype=int)], [cb])
 
-
-def brute_duplicate_stats(cb):
+def brute_cross_bin_duplicates(cb):
+    """Distinct table rows that occur in more than one bin."""
     owners = {}
     for b in range(cb.B):
         for l in range(cb.L):
             owners.setdefault(tuple(cb.table[b, l]), set()).add(b)
-    cross = sum(len(bins) > 1 for bins in owners.values())
-    return DuplicateStats(cb.B * cb.L, len(owners), cross)
+    return sum(len(bins) > 1 for bins in owners.values())
 
 
 def brute_first_bin(cb, seq):
@@ -278,8 +277,8 @@ class TestSortedIndex:
         for seed in range(25):
             cb = build_codebook(n, Q, B, L, seed=seed)
             stats = cb.duplicate_stats()
-            assert stats == brute_duplicate_stats(cb)
-            cross += stats.cross_bin_duplicates
+            assert stats == brute_cross_bin_duplicates(cb)
+            cross += stats
         # B = 1 cannot duplicate across bins; the other cases must, sometimes
         assert (cross == 0) == (B == 1)
 
@@ -291,7 +290,7 @@ class TestSortedIndex:
             cb = build_codebook(n, Q, B, L, seed=seed)
             want = [brute_first_bin(cb, seq) for seq in space]
             assert cb.bin_of(space).tolist() == want
-            assert [cb.bin_of(seq) for seq in space] == [None if w < 0 else w for w in want]
+            assert [cb.bin_of(seq).item() for seq in space] == want
             assert cb.bin_of(space.reshape(-1, 1, n)).shape == (space.shape[0], 1)
 
     # (2Q+1)^n << bit_length(B*L) against 2^63: both sides of the int64 key
@@ -312,7 +311,7 @@ class TestSortedIndex:
         cb = build_codebook(n, Q, B, L, seed=seed)
         packed = (2 * Q + 1) ** n << (B * L).bit_length() <= 2**63
         assert (cb._keys.dtype == np.int64) == packed
-        assert cb.duplicate_stats() == brute_duplicate_stats(cb)
+        assert cb.duplicate_stats() == brute_cross_bin_duplicates(cb)
 
         rng = np.random.default_rng(seed)
         rows = cb.table.reshape(-1, n)
@@ -335,7 +334,7 @@ class TestSortedIndex:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no overflow warning from a huge symbol
             assert cb.bin_of(queries).tolist() == want
-            assert [cb.bin_of(q) for q in queries] == [None if w < 0 else w for w in want]
+            assert [cb.bin_of(q).item() for q in queries] == want
         assert all(w == -1 for w in want[rows.shape[0] + 8:])
         assert cb.bin_of(queries.reshape(-1, 1, n)).reshape(-1).tolist() == want
         empty = cb.bin_of(queries[:0])  # an empty (0, n) batch
@@ -393,5 +392,4 @@ class TestEndToEndNoiseless:
             )
             y = transmit(x, ch.h, 0.0, seed=seed)
             dec = hard_decode(y, rc)
-            got = decode_messages([dec[:, k] for k in range(K)], cbs)
-            assert got == msgs
+            assert [cb.bin_of(dec[:, k]) for k, cb in enumerate(cbs)] == msgs

@@ -22,7 +22,8 @@ from secmac import (
     sum_entropy,
     sum_rate_lower_bound,
 )
-from secmac.secrecy import subset_mask
+from secmac.cli import main as cli_main
+from secmac.simulate import fmt
 
 
 def h2(p):
@@ -67,12 +68,28 @@ def random_spec(rng, K=2, max_alpha=3):
     return DiscreteMACSpec(K=K, p_u=pu, p_x_given_u=pxu, p_yz_given_x=chan)
 
 
+def spec_text(spec):
+    """``spec`` as a spec file, every probability written losslessly."""
+    def values(a):
+        return " ".join(map(repr, np.ravel(a).tolist()))
+
+    lines = [f"k = {spec.K}",
+             f"u_sizes = {values([p.size for p in spec.p_u])}",
+             f"x_sizes = {values([p.shape[1] for p in spec.p_x_given_u])}",
+             f"y_size = {spec.p_yz_given_x.shape[-2]}",
+             f"z_size = {spec.p_yz_given_x.shape[-1]}"]
+    for k in range(spec.K):
+        lines += [f"p_u_{k + 1} = {values(spec.p_u[k])}",
+                  f"p_x_given_u_{k + 1} = {values(spec.p_x_given_u[k])}"]
+    return "\n".join(lines + [f"p_yz_given_x = {values(spec.p_yz_given_x)}"]) + "\n"
+
+
 def oracle_region(spec):
     """Full-enumeration oracle: joint over (u, x, y, z) via nested loops,
     every mutual information straight from its definition."""
     K = spec.K
     u_ranges = [range(p.size) for p in spec.p_u]
-    y_r, z_r = range(spec.y_size), range(spec.z_size)
+    y_r, z_r = map(range, spec.p_yz_given_x.shape[-2:])
     x_ranges = [range(p.shape[1]) for p in spec.p_x_given_u]
 
     joint = {}  # (u_tuple, y, z) -> prob
@@ -156,8 +173,8 @@ class TestAchievableRegion:
     def test_adder_constant_z(self):
         region = achievable_region(adder_spec("constant"))
         bounds = dict(region.constraints)
-        assert bounds[frozenset({1})] == pytest.approx(1.0, abs=1e-12)
-        assert bounds[frozenset({2})] == pytest.approx(1.0, abs=1e-12)
+        assert bounds[1] == pytest.approx(1.0, abs=1e-12)
+        assert bounds[2] == pytest.approx(1.0, abs=1e-12)
         assert region.sum_bound == pytest.approx(1.5, abs=1e-12)
 
     def test_fully_revealing_eavesdropper(self):
@@ -175,10 +192,26 @@ class TestAchievableRegion:
             spec = random_spec(rng)
             region = achievable_region(spec)
             want_constraints, want_sum = oracle_region(spec)
-            got = {subset_mask(s): b for s, b in region.constraints}
+            got = dict(region.constraints)
             for mask, want in want_constraints.items():
                 assert got[mask] == pytest.approx(want, abs=1e-9)
             assert region.sum_bound == pytest.approx(want_sum, abs=1e-9)
+
+    @pytest.mark.parametrize("K", [2, 3])
+    def test_constraints_are_the_csv_rows(self, tmp_path, capsys, K):
+        # one (mask, bound) pair per proper subset, in mask order, and the
+        # region command writes exactly these pairs before the sum row
+        spec = random_spec(np.random.default_rng(K), K=K)
+        region = achievable_region(spec)
+        bounds = dict(region.constraints)
+        assert list(bounds) == list(range(1, 2**K - 1))
+        path, out = tmp_path / "r.spec", tmp_path / "r.csv"
+        path.write_text(spec_text(spec))
+        assert cli_main(["region", "--spec", str(path), "--out", str(out)]) == 0
+        capsys.readouterr()
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert {int(m): float(b) for m, b in rows[:-1]} == bounds
+        assert rows[-1] == [str(2**K - 1), fmt(region.sum_bound)]
 
     def test_y_relabeling_invariance(self):
         spec = adder_spec("independent")
@@ -362,27 +395,22 @@ class TestLeakageEstimate:
         A = 100.0
         tuples = self.exhaustive_tuples(2, 1, 112)  # 1008 samples
         z = A * tuples.sum(axis=1).astype(float)
-        rep = leakage_estimate(tuples, z, A / 10, 1)
-        assert rep.mi_bits == pytest.approx(sum_entropy(2, 1), abs=1e-12)
-        assert rep.sum_entropy_bits == pytest.approx(2.197159723424149, abs=1e-9)
-        # conditional entropy of the tuple given z
-        cond = rep.input_entropy_bits - rep.mi_bits
-        assert cond == pytest.approx(2 * math.log2(3) - 2.197159723424149, abs=1e-6)
-        assert rep.residual_bits == pytest.approx(cond, abs=1e-9)
+        mi, _ = leakage_estimate(tuples, z, A / 10, 1)
+        assert mi == pytest.approx(sum_entropy(2, 1), abs=1e-12)
+        assert mi == pytest.approx(2.197159723424149, abs=1e-9)
 
     def test_pure_noise(self):
         rng = np.random.default_rng(0)
         tuples = rng.integers(-1, 2, size=(100_000, 2))
         z = rng.normal(size=100_000)
-        rep = leakage_estimate(tuples, z, 0.5, 1)
-        assert rep.mi_bits < 0.05
+        mi, _ = leakage_estimate(tuples, z, 0.5, 1)
+        assert mi < 0.05
 
     def test_single_bin(self):
         tuples = self.exhaustive_tuples(2, 1, 120)
         z = tuples.sum(axis=1).astype(float)
-        rep = leakage_estimate(tuples, z, math.inf, 1)
-        assert rep.mi_bits == 0.0
-        assert rep.n_bins == 1
+        mi, _ = leakage_estimate(tuples, z, math.inf, 1)
+        assert mi == 0.0
 
     def test_sample_floor(self):
         tuples = self.exhaustive_tuples(2, 1, 1)
@@ -406,15 +434,11 @@ class TestLeakageEstimate:
             leakage_estimate(tuples, z, 0.0, 1)
 
     def test_entropy_references_use_callers_q(self):
-        # inputs never reach the alphabet edge: the references still
-        # describe uniform inputs on [-3, 3], not on [-2, 2]
+        # inputs never reach the alphabet edge: Q = 3 only bounds them, so
+        # the estimate is that of Q = 2 (the references are run_leakage's)
         tuples = self.exhaustive_tuples(2, 2, 40)
         z = tuples.sum(axis=1).astype(float)
-        rep = leakage_estimate(tuples, z, 0.5, 3)
-        assert rep.Q == 3
-        assert rep.sum_entropy_bits == sum_entropy(2, 3)
-        assert rep.sum_entropy_bits == pytest.approx(3.505, abs=1e-3)
-        assert rep.input_entropy_bits == pytest.approx(2 * math.log2(7), rel=1e-12)
+        assert leakage_estimate(tuples, z, 0.5, 3) == leakage_estimate(tuples, z, 0.5, 2)
 
     def test_tuples_outside_alphabet(self):
         tuples = self.exhaustive_tuples(2, 2, 40)
@@ -424,7 +448,7 @@ class TestLeakageEstimate:
 
     @staticmethod
     def dense_reference(tuples, z, bin_width):
-        """(mi_bits, n_bins, occupied) from the full (tuples x bins) table."""
+        """(mi_bits, occupied) from the full (tuples x bins) table."""
         bins = np.floor(z / bin_width).astype(np.int64) if math.isfinite(bin_width) else 0 * z
         rows = sorted(set(map(tuple, tuples.tolist())))
         cols = sorted(set(bins.tolist()))
@@ -432,7 +456,7 @@ class TestLeakageEstimate:
         r_of, c_of = {r: i for i, r in enumerate(rows)}, {c: j for j, c in enumerate(cols)}
         for t, b in zip(map(tuple, tuples.tolist()), bins.tolist()):
             table[r_of[t], c_of[b]] += 1
-        return mutual_information(table / len(z)), len(cols), int(np.count_nonzero(table))
+        return mutual_information(table / len(z)), int(np.count_nonzero(table))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -446,17 +470,16 @@ class TestLeakageEstimate:
         rng = np.random.default_rng(seed)
         tuples = rng.integers(-Q, Q + 1, size=(1500, K))
         z = tuples.sum(axis=1) + sd * rng.standard_normal(1500)
-        rep = leakage_estimate(tuples, z, bin_width, Q)
-        mi, n_bins, occupied = self.dense_reference(tuples, z, bin_width)
-        assert rep.mi_bits == pytest.approx(mi, abs=1e-12)
-        assert rep.n_bins == n_bins
-        assert rep.bias_bound_bits == (occupied - 1) / (2 * rep.n_samples * math.log(2))
+        mi, bias = leakage_estimate(tuples, z, bin_width, Q)
+        want, occupied = self.dense_reference(tuples, z, bin_width)
+        assert mi == pytest.approx(want, abs=1e-12)
+        assert bias == (occupied - 1) / (2 * len(z) * math.log(2))
 
     def test_infinite_bin_width_is_exactly_zero(self):
         rng = np.random.default_rng(5)
         tuples = rng.integers(-4, 5, size=(5000, 3))
-        rep = leakage_estimate(tuples, rng.standard_normal(5000), math.inf, 4)
-        assert rep.mi_bits == 0.0 and rep.n_bins == 1
+        mi, _ = leakage_estimate(tuples, rng.standard_normal(5000), math.inf, 4)
+        assert mi == 0.0
 
     def test_alphabet_past_int64_falls_back_to_rows(self):
         # (2*77 + 1)^12 > 2^63: tuple ids come from the rows themselves
@@ -465,19 +488,18 @@ class TestLeakageEstimate:
         tuples = rng.integers(-77, 78, size=(1200, 12))
         tuples[600:] = tuples[:600]  # every tuple seen twice
         z = rng.standard_normal(1200)
-        rep = leakage_estimate(tuples, z, 0.5, 77)
-        mi, n_bins, occupied = self.dense_reference(tuples, z, 0.5)
-        assert rep.mi_bits == pytest.approx(mi, abs=1e-12)
-        assert (rep.n_bins, rep.K, rep.Q) == (n_bins, 12, 77)
-        assert rep.bias_bound_bits == (occupied - 1) / (2 * 1200 * math.log(2))
+        mi, bias = leakage_estimate(tuples, z, 0.5, 77)
+        want, occupied = self.dense_reference(tuples, z, 0.5)
+        assert mi == pytest.approx(want, abs=1e-12)
+        assert bias == (occupied - 1) / (2 * 1200 * math.log(2))
 
     def test_bias_bound_formula(self):
         tuples = self.exhaustive_tuples(2, 1, 112)
         z = tuples.sum(axis=1).astype(float)
-        rep = leakage_estimate(tuples, z, 0.1, 1)
+        _, bias = leakage_estimate(tuples, z, 0.1, 1)
         occupied = 9  # nine tuple classes, each in exactly one z bin
-        want = (occupied - 1) / (2 * rep.n_samples * math.log(2))
-        assert rep.bias_bound_bits == pytest.approx(want, rel=1e-12)
+        want = (occupied - 1) / (2 * len(z) * math.log(2))
+        assert bias == pytest.approx(want, rel=1e-12)
 
 
 class TestMacSpecFile:

@@ -500,9 +500,9 @@ class TestBlockTrials:
         near[:, -1] = np.where(near[:, -1] < cb.Q, near[:, -1] + 1, -cb.Q)
         batch = np.concatenate([rows, near, rng.integers(-cb.Q, cb.Q + 1, size=(100, cb.n))])
         got = cb.bin_of(batch)
-        want = [cb.bin_of(r) for r in batch]
-        assert got.tolist() == [-1 if w is None else w for w in want]
-        assert all(w is not None for w in want[:100])
+        want = [cb.bin_of(r).item() for r in batch]
+        assert got.tolist() == want
+        assert all(w >= 0 for w in want[:100])
 
 
 class TestUnfinishableK:
@@ -626,6 +626,17 @@ class TestLeakageRun:
         assert rep.residual_bits == pytest.approx(
             2 * math.log2(3) - 2.197159723424149, abs=1e-9
         )
+
+    def test_entropy_references_are_those_of_the_alphabet(self):
+        # 1000 samples cannot reach all 39^2 tuples: the references still
+        # describe uniform inputs on [-Q, Q]^K
+        cfg = SimConfig(K=2, epsilon=0.1, P_grid=(1e6,), h=(S2, 1.0), h_e=(1.0, 1.0),
+                        leakage_samples=1000)
+        rep = run_leakage(cfg)
+        h_in = 2 * math.log2(2 * rep.Q + 1)
+        assert rep.Q == 19 and not rep.exhaustive
+        assert (rep.sum_entropy_bits, rep.input_entropy_bits) == (sum_entropy(2, rep.Q), h_in)
+        assert rep.residual_bits == h_in - sum_entropy(2, rep.Q)
 
     def test_overwhelming_noise_hides_inputs(self):
         cfg = SimConfig(
