@@ -12,6 +12,7 @@ constellation is not uniquely decodable), 3 computational cap.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import os
 import sys
@@ -92,7 +93,8 @@ def parse_config(path: str, required: tuple[str, ...]) -> dict:
 def emit(args, csv: str, **fields) -> None:
     """Write a command's CSV and its metadata sidecar: the command, version
     and wall time since ``args.t0``, then ``fields``.  When either file
-    cannot be written, neither is left behind."""
+    cannot be written, the files this call created are removed again; a path
+    that existed before (a file, a symlink) is never removed."""
     meta = {
         "command": args.command,
         "version": __version__,
@@ -101,14 +103,16 @@ def emit(args, csv: str, **fields) -> None:
     }
     sidecar = "# secmac metadata v1\n" + "".join(f"{k} = {v}\n" for k, v in meta.items())
     if args.out:
-        written = []
+        created = []
         try:
             for path, text in ((args.out, csv), (args.out + ".meta", sidecar)):
+                new = not os.path.lexists(path)
                 with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                    written.append(path)
+                    if new:
+                        created.append(path)
                     fh.write(text)
         except OSError as exc:  # a missing directory, a directory, no permission
-            for done in written:  # leave no CSV without its sidecar
+            for done in created:  # leave no new CSV without its sidecar
                 os.remove(done)
             path = exc.filename or args.out
             raise ParameterError(f"cannot write {path}: {exc.strerror}") from None
@@ -321,10 +325,19 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     args.t0 = time.monotonic()
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe or a full disk shows here at the latest
+        return code
     except (ParameterError, AmbiguityError, SizeCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, SizeCapError) else 2
+    except OSError as exc:  # files fail as ParameterError, so stdout failed
+        print(f"error: cannot write stdout: {exc.strerror}", file=sys.stderr)
+        with contextlib.suppress(OSError, ValueError):  # an in-memory stdout has no descriptor
+            fd, devnull = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)  # the interpreter's final flush then prints nothing
+            os.close(devnull)
+        return 2
 
 
 if __name__ == "__main__":

@@ -6,7 +6,8 @@ equal-size bins of L consecutive sequences.  A message is a bin index; the
 stochastic encoder transmits a uniformly chosen member of its bin, and
 the receiver recovers the bin by exact table lookup after hard decoding:
 ``Codebook.bin_of`` maps sequences to their bins as one int64 array, with
--1 for a sequence absent from the table.
+-1 for a sequence absent from the table.  Tables and queries are signed
+integers, as drawn and hard-decoded; ``nearer`` is the one tie rule.
 """
 
 from __future__ import annotations
@@ -18,13 +19,6 @@ import numpy as np
 from .constellation import ReceivedConstellation, mixed_radix_digits, mixed_radix_index
 from .errors import AmbiguityError, ParameterError
 from .rng import stream
-
-
-def _require_integers(a: np.ndarray, what: str) -> None:
-    """Refuse a float array holding a non-finite or fractional symbol: the
-    int64 keys would alias 0.3 to 0."""
-    if a.dtype.kind == "f" and not np.all(np.isfinite(a) & (a == np.trunc(a))):
-        raise ParameterError(f"{what} holds a symbol that is not an integer")
 
 
 @dataclass(frozen=True)
@@ -48,18 +42,17 @@ class Codebook:
     _rows: np.ndarray = field(repr=False, compare=False, default=None)  # flat row of each key
 
     def __post_init__(self):
-        if min(self.n, self.B, self.L) < 1:
-            raise ParameterError(f"need n, B, L >= 1, got {(self.n, self.B, self.L)}")
+        if min(self.n, self.B, self.L) < 1 or self.Q < 0:
+            raise ParameterError(f"need n, B, L >= 1, Q >= 0, got {self.n, self.B, self.L, self.Q}")
         if self.table.shape != (self.B, self.L, self.n):
             raise ParameterError(f"table shape {self.table.shape} != (B, L, n)")
-        if not -self.Q <= self.table.min() <= self.table.max() <= self.Q:  # NaN fails too
-            raise ParameterError(f"table contains symbols outside [-{self.Q}, {self.Q}]")
-        _require_integers(self.table, "table")
         size, shift = self.B * self.L, (self.B * self.L).bit_length()
         packed = self.n < 64 and (2 * self.Q + 1) ** self.n << shift <= 2**63  # no huge power
         object.__setattr__(self, "_packed", packed)
         # flat rows run bins, then slots: equal keys in flat-row order put the first match leftmost
-        keys = self._key(self.table.reshape(size, self.n))
+        keys = self._key(self.table.reshape(size, self.n))  # refuses a float table
+        if not -self.Q <= self.table.min() <= self.table.max() <= self.Q:
+            raise ParameterError(f"table contains symbols outside [-{self.Q}, {self.Q}]")
         if packed:
             keys = np.sort(keys << shift | np.arange(size))
             rows, keys = keys & ((1 << shift) - 1), keys >> shift
@@ -71,7 +64,10 @@ class Codebook:
 
     def _key(self, rows) -> np.ndarray:
         """Exact key of each row, (..., n) -> (...): its code, or -1 where a symbol
-        is outside [-Q, Q] (a code would alias); unpacked, the row's bytes."""
+        is outside [-Q, Q] (a code would alias); unpacked, the row's bytes.  Rows
+        must be a signed-integer array: a float cast would alias 0.3 to 0."""
+        if rows.dtype.kind != "i":
+            raise ParameterError(f"symbols must be signed integers, got dtype {rows.dtype}")
         if not self._packed:
             return np.ascontiguousarray(rows, dtype=np.int64).view(f"V{8 * self.n}")[..., 0]
         if not rows.size or (rows.min() >= -self.Q and rows.max() <= self.Q):
@@ -86,9 +82,6 @@ class Codebook:
         seq = np.asarray(sequence)
         if seq.ndim < 1 or seq.shape[-1] != self.n:
             raise ParameterError(f"sequence shape {seq.shape} does not end in ({self.n},)")
-        if seq.dtype.kind == "f":
-            _require_integers(seq, "sequence")
-            seq = np.clip(seq, -self.Q - 1, self.Q + 1).astype(np.int64)  # no overflowing cast
         key = self._key(seq)
         pos = np.minimum(np.searchsorted(self._keys, key), self._keys.size - 1)
         return np.where(self._keys[pos] == key, self._rows[pos] // self.L, -1)
@@ -142,36 +135,25 @@ def scale_to_channel(x_tilde: np.ndarray, A: float, h_e_k) -> np.ndarray:
     return A * np.asarray(x_tilde) / h_e_k
 
 
+def nearer(y: np.ndarray, pts: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Sorted position of the nearer of the points at ``idx - 1`` and ``idx``
+    (``idx`` clipped to [1, M-1]) for each sample of ``y``, a tie going to the
+    smaller point; 0 for a one-point set.  O(1) per sample; with ``idx =
+    searchsorted(pts, y)`` it is the nearest point of all."""
+    if pts.size == 1:
+        return np.zeros_like(idx)
+    idx = np.clip(idx, 1, pts.size - 1)
+    return idx - ((y - pts[idx - 1]) <= (pts[idx] - y))
+
+
 def hard_decode(y: np.ndarray, rc: ReceivedConstellation) -> np.ndarray:
     """Per-sample nearest constellation point, returned as symbol tuples.
 
-    Output is an (n, K) integer array.  Distance ties go to the smaller
-    point value.
+    Output is a (..., K) int64 array for samples of shape (...); a scalar
+    counts as one sample.  Distance ties go to the smaller point value.
     """
     if not rc.gamma_holds:
-        raise AmbiguityError(
-            f"cannot hard-decode: gamma status is {rc.gamma.value}"
-        )
+        raise AmbiguityError(f"cannot hard-decode: gamma status is {rc.gamma.value}")
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    pts = rc.points
-    if pts.size == 1:
-        return mixed_radix_digits(np.repeat(rc.index, y.size), rc.K, rc.Q)
-    idx = np.clip(np.searchsorted(pts, y), 1, pts.size - 1)
-    take_left = (y - pts[idx - 1]) <= (pts[idx] - y)
-    sel = np.where(take_left, idx - 1, idx)
-    return mixed_radix_digits(rc.index[sel], rc.K, rc.Q)
-
-
-def nearest_is(y: np.ndarray, rc: ReceivedConstellation, pos: np.ndarray) -> np.ndarray:
-    """Whether ``hard_decode`` would pick the point at sorted position
-    ``pos`` for each sample of ``y``.
-
-    Each sample is tested against its own decision cell only, with the
-    same float expressions and tie rule as ``hard_decode``: O(1) per
-    sample, with no search and no digit expansion.
-    """
-    pts = rc.points
-    p = pts[pos]
-    upper_ok = (y - p <= pts.take(pos + 1, mode="clip") - y) | (pos == pts.size - 1)
-    lower_ok = (y - pts.take(pos - 1, mode="clip") > p - y) | (pos == 0)
-    return np.where(y >= p, upper_ok, lower_ok)
+    pos = nearer(y, rc.points, np.searchsorted(rc.points, y))
+    return mixed_radix_digits(rc.index[pos], rc.K, rc.Q)

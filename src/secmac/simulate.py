@@ -12,7 +12,7 @@ batch's noise (none at variance 0).  With inputs x_k = A*v_k/h_{k,e},
 the eavesdropper receives the aligned sum A*sum_k v_k, and the intended
 receiver, with the sign of the last ratio s divided out, the point
 A*|s|*sum_k g_k v_k of the received constellation.  The sweep sends its
-drawn point and tests the sample against that point's decision cell,
+drawn point and tests the sample with hard decoding's ``codec.nearer``,
 block sends each channel use's point and hard-decodes the samples, and
 leakage sends each tuple's aligned sum, formed exactly, and bins the
 samples.  Each report's ``.meta`` holds the run's ``SimConfig`` with its
@@ -29,7 +29,7 @@ from typing import ClassVar, NamedTuple
 import numpy as np
 
 from .channel import ChannelGains, effective_power, normalize_gains, sample_gains, transmit
-from .codec import Codebook, build_codebook, encode, hard_decode, nearest_is
+from .codec import Codebook, build_codebook, encode, hard_decode, nearer
 from .constellation import (
     ENUMERATION_CAP,
     ReceivedConstellation,
@@ -121,6 +121,8 @@ class SimConfig:
             raise ParameterError(f"block length must be >= 1, got {self.n}")
         if not 0 <= self.variance < math.inf:
             raise ParameterError(f"variance must be >= 0 and finite, got {self.variance}")
+        if self.bin_width is not None and not self.bin_width > 0:  # NaN too; inf is one bin
+            raise ParameterError(f"bin width must be positive, got {self.bin_width}")
         if self.master_seed < 0:
             raise ParameterError(f"master_seed must be >= 0, got {self.master_seed}")
         if (self.h is None) != (self.h_e is None):
@@ -253,7 +255,8 @@ def _sweep_point(cfg: SimConfig, gains: ChannelGains, g, pi: int, P: float) -> S
     errors, pts = 0, rc.points
     for pos, seed in _uniform_batches(cfg.master_seed, "sweep", 1, 0, pts.size - 1, cfg.trials, pi):
         y = transmit(pts[pos.T], (1.0,), cfg.variance, seed)
-        errors += len(pos) - int(np.count_nonzero(nearest_is(y, rc, pos[:, 0])))
+        pos = pos[:, 0]  # the nearer of a sample's point and its neighbour on y's side
+        errors += int(np.count_nonzero(nearer(y, pts, pos + (y >= pts[pos])) != pos))
 
     pe_mc = errors / cfg.trials
     ci_low, ci_high = wilson_interval(errors, cfg.trials)

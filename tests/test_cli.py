@@ -1,8 +1,14 @@
 import contextlib
+import errno
+import fcntl
 import io
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -506,6 +512,55 @@ def test_unwritable_out_exits_2(tmp_path, capsys, where, why):
     assert code == 2
     assert err.startswith(f"error: cannot write {blocked}: {why}") and err.count("\n") == 1
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("kind", ["file", "symlink"])
+def test_failed_out_keeps_what_it_did_not_create(tmp_path, capsys, kind):
+    # the sidecar path is a directory, so the write fails after the CSV's open
+    target = tmp_path / "target.csv"
+    target.write_text("old\n")
+    out = tmp_path / "x.csv"
+    if kind == "symlink":
+        out.symlink_to(target)
+    else:
+        out.write_text("old\n")
+    (tmp_path / "x.csv.meta").mkdir()
+    code, _, err = run(capsys, "dmin", "--gains", "1.5,1", "--q", "1", "--a", "1", "--out", str(out))
+    assert code == 2 and err.startswith("error: cannot write ")
+    assert out.exists() and out.is_symlink() == (kind == "symlink") and target.exists()
+
+
+class _FullStream(io.StringIO):
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_full_stdout_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _FullStream())
+    code = main(["entropy", "--k", "2", "--q", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: cannot write stdout: No space left on device\n"
+
+
+def test_closed_stdout_pipe_exits_2():
+    # a one-page pipe, closed after the first line of a 26 kB CSV: the writer
+    # meets a broken pipe, and the interpreter's final flush must print nothing
+    read_fd, write_fd = os.pipe()
+    fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, 4096)
+    n_list = ",".join(map(str, range(1, 3001)))
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "secmac.cli", "kg", "--gains", "1.5", "--eps", "0.5",
+         "--n-list", n_list],
+        stdout=write_fd, stderr=subprocess.PIPE, env=env,
+    )
+    os.close(write_fd)
+    with open(read_fd, "rb", buffering=0) as pipe:
+        assert pipe.readline()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 2
+    assert err.decode() == "error: cannot write stdout: Broken pipe\n"
 
 
 class TestNonFiniteAndNegativeInputs:

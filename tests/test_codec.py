@@ -21,7 +21,7 @@ from secmac import (
     select_params,
     transmit,
 )
-from secmac.codec import Codebook, nearest_is
+from secmac.codec import Codebook, nearer
 from secmac.constellation import mixed_radix_digits, mixed_radix_index
 from secmac.rng import stream
 
@@ -164,8 +164,15 @@ CELL_GAINS = (
 )
 
 
+def sweep_keeps(y, pts, pos):
+    """The sweep's test that hard decoding keeps each sample at its sorted
+    position: the nearer of that point and its neighbour on the sample's side."""
+    return nearer(y, pts, pos + (y >= pts[pos])) == pos
+
+
 class TestDecisionCell:
-    """``nearest_is`` against ``hard_decode`` as the oracle."""
+    """The sweep's candidate form against ``hard_decode``, and ``hard_decode``
+    against the nearest point by brute force, a tie going to the smaller."""
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -174,6 +181,7 @@ class TestDecisionCell:
         A=st.floats(0.01, 1e4),
         seed=st.integers(0, 2**32 - 1),
     )
+    @example(gains=(Fraction(2, 7), 1), Q=1, A=7.0, seed=0)  # integer points: exact ties
     def test_agrees_with_hard_decode(self, gains, Q, A, seed):
         rc = received_constellation(NormalizedGains(g=gains), Q, A)
         pts = rc.points
@@ -189,10 +197,12 @@ class TestDecisionCell:
             [pts[0] - 1e3 * span, pts[-1] + 1e3 * span, -np.inf, np.inf],
         ])
         want = picked_positions(y, rc)
-        assert nearest_is(y, rc, want).all()
+        # beyond the end points (and at +-inf) the nearest point is an end point
+        assert np.array_equal(want, np.abs(np.clip(y, pts[0], pts[-1])[:, None] - pts).argmin(1))
+        assert sweep_keeps(y, pts, want).all()
         for other in (want - 1, want + 1, rng.integers(0, pts.size, size=y.size)):
             other = np.clip(other, 0, pts.size - 1)
-            assert np.array_equal(nearest_is(y, rc, other), other == want)
+            assert np.array_equal(sweep_keeps(y, pts, other), other == want)
 
     @pytest.mark.parametrize("gains", CELL_GAINS)
     def test_ranks_place_every_tuple(self, gains):
@@ -344,27 +354,38 @@ class TestSortedIndex:
     def test_table_outside_the_alphabet_rejected(self, bad):
         table = np.zeros((2, 2, 3), dtype=np.asarray(bad).dtype)
         table[1, 0, 2] = bad
-        with pytest.raises(ParameterError, match="outside"):
+        why = "got dtype float64" if np.isnan(bad) else "outside"  # a float table: its dtype
+        with pytest.raises(ParameterError, match=why):
             Codebook(n=3, Q=1, B=2, L=2, user_k=0, table=table)
 
     @pytest.mark.parametrize("bad", [0.3, -0.7, 1 - 1e-16])
     def test_fractional_table_rejected(self, bad):
-        # the int64 keys would hold a row of 0.3 as 0
+        # the int64 keys would hold a row of 0.3 as 0; any float table is refused
         table = np.zeros((2, 2, 3))
         table[1, 0, 2] = bad
-        with pytest.raises(ParameterError, match="not an integer"):
+        with pytest.raises(ParameterError, match="got dtype float64"):
             Codebook(n=3, Q=1, B=2, L=2, user_k=0, table=table)
-        table[1, 0, 2] = math.copysign(1.0, bad)  # whole floats key as their integers
-        assert Codebook(n=3, Q=1, B=2, L=2, user_k=0, table=table).bin_of(table[1, 0]) == 1
+        table[1, 0, 2] = math.copysign(1.0, bad)
+        with pytest.raises(ParameterError, match="got dtype float64"):
+            Codebook(n=3, Q=1, B=2, L=2, user_k=0, table=table)
+        cb = Codebook(n=3, Q=1, B=2, L=2, user_k=0, table=table.astype(np.int32))
+        assert cb.bin_of(table[1, 0].astype(np.int8)) == 1
+        with pytest.raises(ParameterError, match="got dtype float64"):
+            cb.bin_of(table[1, 0])
 
     def test_empty_table_rejected(self):
         with pytest.raises(ParameterError):
             Codebook(n=2, Q=1, B=0, L=2, user_k=0, table=np.zeros((0, 2, 2), dtype=int))
 
+    def test_negative_alphabet_bound_rejected(self):
+        # refused before the keys, whose alphabet clip [-Q, Q] would be empty
+        with pytest.raises(ParameterError, match="Q >= 0"):
+            Codebook(n=2, Q=-1, B=1, L=1, user_k=0, table=np.zeros((1, 1, 2), dtype=int))
+
     def test_bad_shape(self):
-        # a NaN recursed in the key's alphabet clip, and 0.3 was cast onto 0
+        # float rows are refused by their dtype, whole or not
         cb = build_codebook(n=3, Q=1, B=2, L=2, seed=0)
-        bad_rows = (np.array([np.nan, 0, 0]), np.array([0.3, 1.0, 0.2]))
+        bad_rows = (np.array([np.nan, 0, 0]), np.array([0.3, 1.0, 0.2]), np.zeros(3))
         for bad in (np.zeros((4, 2), dtype=int), np.int64(1), *bad_rows):
             with pytest.raises(ParameterError):
                 cb.bin_of(bad)

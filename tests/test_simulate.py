@@ -600,6 +600,19 @@ class TestLeakageRun:
         assert rep.exhaustive and rep.Q >= K
         assert rep.mi_bits == pytest.approx(sum_entropy(K, rep.Q), abs=1e-12)
 
+    @pytest.mark.parametrize("width", [0.0, -1.0, math.nan])
+    def test_bad_bin_width_is_refused_before_any_stream(self, width, monkeypatch):
+        def no_stream(*args, **kwargs):
+            raise AssertionError("a stream was drawn")
+
+        for name in ("stream", "substream"):
+            monkeypatch.setattr(simulate, name, no_stream)
+        monkeypatch.setattr("secmac.channel.stream", no_stream)  # sampled gains
+        with pytest.raises(ParameterError, match="bin width must be positive"):
+            run_leakage(SimConfig(K=2, epsilon=0.5, P_grid=(1e4,), bin_width=width,
+                                  leakage_samples=1000))
+        assert SimConfig(K=2, epsilon=0.5, P_grid=(1e4,), bin_width=math.inf).bin_width == math.inf
+
     def test_noiseless_sampled_bins_each_sum_once(self):
         cfg = SimConfig(
             K=3,
