@@ -26,7 +26,6 @@ from .codec import (
 from .constellation import (
     GammaStatus,
     ReceivedConstellation,
-    min_distance,
     pe_upper_bound,
     received_constellation,
     select_params,
@@ -34,8 +33,6 @@ from .constellation import (
 from .diophantine import (
     KGProfile,
     LinearFormResult,
-    Relation,
-    find_integer_relation,
     kg_profile,
     min_linear_form,
 )

@@ -92,9 +92,11 @@ def parse_config(path: str, required: tuple[str, ...]) -> dict:
 
 def emit(args, csv: str, **fields) -> None:
     """Write a command's CSV and its metadata sidecar: the command, version
-    and wall time since ``args.t0``, then ``fields``.  When either file
-    cannot be written, the files this call created are removed again; a path
-    that existed before (a file, a symlink) is never removed."""
+    and wall time since ``args.t0``, then ``fields``.  Both files are opened
+    for appending and truncated only once both are open, so a file that
+    existed before keeps its content when either open fails.  When either
+    file cannot be written, the files this call created are removed again; a
+    path that existed before (a file, a symlink) is never removed."""
     meta = {
         "command": args.command,
         "version": __version__,
@@ -103,17 +105,20 @@ def emit(args, csv: str, **fields) -> None:
     }
     sidecar = "# secmac metadata v1\n" + "".join(f"{k} = {v}\n" for k, v in meta.items())
     if args.out:
-        created = []
+        paths = (args.out, args.out + ".meta")
+        created = [path for path in paths if not os.path.lexists(path)]
         try:
-            for path, text in ((args.out, csv), (args.out + ".meta", sidecar)):
-                new = not os.path.lexists(path)
-                with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                    if new:
-                        created.append(path)
+            with contextlib.ExitStack() as stack:  # both open before either is truncated
+                files = [stack.enter_context(open(p, "a", encoding="utf-8", newline="\n"))
+                         for p in paths]
+                for fh, text in zip(files, (csv, sidecar)):
+                    if os.fstat(fh.fileno()).st_size:  # a new file, a pipe or a device has none
+                        fh.truncate(0)
                     fh.write(text)
         except OSError as exc:  # a missing directory, a directory, no permission
             for done in created:  # leave no new CSV without its sidecar
-                os.remove(done)
+                with contextlib.suppress(FileNotFoundError):  # not created: its open failed
+                    os.remove(done)
             path = exc.filename or args.out
             raise ParameterError(f"cannot write {path}: {exc.strerror}") from None
         print(f"wrote {args.out} and {args.out}.meta")
@@ -325,6 +330,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     args.t0 = time.monotonic()
     try:
+        if getattr(args, "out", None) == "":  # not stdout: that is no --out at all
+            raise ParameterError("--out needs a file name")
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe or a full disk shows here at the latest
         return code

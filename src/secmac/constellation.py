@@ -248,24 +248,13 @@ def received_constellation(g: NormalizedGains, Q: int, A: float) -> ReceivedCons
     return ReceivedConstellation(K=K, Q=Q, points=points, index=order, gamma=gamma, d_min=d_min)
 
 
-def min_distance(rc: ReceivedConstellation) -> float:
-    """Minimum adjacent gap of the sorted points.
-
-    For a sorted real sequence this equals the minimum over all pairs.
-    """
-    if rc.points.size < 2:
-        raise ParameterError(
-            f"minimum distance undefined for {rc.points.size} point(s)"
-        )
-    return float(np.diff(rc.points).min())
-
-
 def pe_upper_bound(d_min: float) -> tuple[float, float]:
     """(Gaussian tail, exponential) bounds on the symbol error probability.
 
-    Returns (Phi_bar(d_min/2), exp(-d_min^2/8)) for unit-variance noise;
+    Returns (Phi_bar(d_min/2), exp(-d_min^2/8)) for unit-variance noise, so
+    the caller passes d_min / sigma for noise of standard deviation sigma;
     the tail bound never exceeds the exponential one.  An infinite d_min
-    (single-point constellation) gives (0, 0).
+    (a single-point constellation, or no noise) gives (0, 0).
     """
     if d_min < 0:
         raise ParameterError(f"d_min must be >= 0, got {d_min}")

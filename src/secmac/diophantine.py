@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -37,11 +36,6 @@ class LinearFormResult:
     p: int
     q: tuple[int, ...]
     N: int
-
-
-class Relation(NamedTuple):
-    p: int
-    q: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -123,23 +117,3 @@ def kg_profile(g: Sequence[float], epsilon: float, N_list: Sequence[int]) -> KGP
             raise ParameterError(f"N^(m+eps) = {N}^{exponent} overflows float64") from None
         rows.append((N, m_val, m_val * scale))
     return KGProfile(rows=tuple(rows), c_hat=min(r[2] for r in rows))
-
-
-def find_integer_relation(g: Sequence[Fraction]) -> Relation:
-    """Integer relation p + q . g = 0 for exact rational inputs.
-
-    Clears the denominator of the first coordinate: for g_1 = a/b in
-    lowest terms the relation is q = (b, 0, ..., 0), p = -a.  Nonempty
-    rational input always has one.
-    """
-    if len(g) == 0:
-        raise ParameterError("empty input: no relation to find")
-    exact = []
-    for i, x in enumerate(g):
-        if not isinstance(x, (Fraction, int)):
-            raise ParameterError(f"entry {i} is {type(x).__name__}, need exact rationals")
-        exact.append(Fraction(x))
-    first = exact[0]
-    q = (first.denominator,) + (0,) * (len(exact) - 1)
-    return Relation(p=-first.numerator, q=q)
-

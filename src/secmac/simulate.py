@@ -23,7 +23,7 @@ gains resolved, under the config-file keys, so that those lines rerun it
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import ClassVar, NamedTuple
 
 import numpy as np
@@ -167,12 +167,6 @@ def csv_text(header: str, rows) -> str:
     return "\n".join([header] + [",".join(map(fmt, row)) for row in rows]) + "\n"
 
 
-def _meta(render):
-    """A report field that goes to the ``.meta`` sidecar as the keys of the
-    dict ``render(value)`` rather than to the CSV."""
-    return field(metadata={"meta": render})
-
-
 def _config_keys(cfg: SimConfig) -> dict:
     """A run's config as ``.meta`` keys: each field set, under its name in
     lower case (its config-file key), a tuple comma-joined, values ``fmt``-ed.
@@ -194,7 +188,7 @@ class _Report:
 
     A report with ``rows`` writes one CSV line per row, any other report
     is its own single row.  The columns are the row's fields in order,
-    less those made with ``_meta``; those go to ``metadata`` in order (the
+    less ``config`` and ``fit``; those go to ``metadata`` in order (the
     run's config with its gains resolved, then a sweep's fit keys),
     followed by the command's ``stream_layout``.
     """
@@ -203,24 +197,20 @@ class _Report:
 
     def to_csv(self) -> str:
         rows = getattr(self, "rows", (self,))
-        cols = [f.name for f in fields(rows[0]) if "meta" not in f.metadata]
+        cols = [f.name for f in fields(rows[0]) if f.name not in ("config", "fit")]
         return csv_text(",".join(cols), ([getattr(r, c) for c in cols] for r in rows))
 
     def metadata(self) -> dict:
-        meta = {}
-        for f in fields(self):
-            if "meta" in f.metadata:
-                meta.update(f.metadata["meta"](getattr(self, f.name)))
-        meta["stream_layout"] = STREAM_LAYOUT[self.command]
-        return meta
+        fit = _fit_keys(getattr(self, "fit", None))  # only a sweep has a fit
+        return {**_config_keys(self.config), **fit, "stream_layout": STREAM_LAYOUT[self.command]}
 
 
 @dataclass(frozen=True)
 class SweepReport(_Report):
     command: ClassVar[str] = "sweep"
     rows: tuple[SweepRow, ...]
-    config: SimConfig = _meta(_config_keys)  # gains resolved
-    fit: SlopeFit | None = _meta(_fit_keys)  # None for a one-point grid
+    config: SimConfig  # gains resolved
+    fit: SlopeFit | None  # None for a one-point grid
 
 
 def _constellation_gains(cfg: SimConfig, trials: int) -> ChannelGains:
@@ -247,7 +237,7 @@ def _grid_point(
 
 def _sweep_point(cfg: SimConfig, gains: ChannelGains, g, pi: int, P: float) -> SweepRow:
     P_t, Q, rc, A = _grid_point(cfg, gains, g, P)
-    tail, expb = pe_upper_bound(rc.d_min)
+    tail, expb = pe_upper_bound(rc.d_min / math.sqrt(cfg.variance) if cfg.variance else math.inf)
 
     # a trial is correct iff the noisy sample's nearest point is its own
     if not rc.gamma_holds:
@@ -323,7 +313,7 @@ class BlockReport(_Report):
     bler_ci_high: float
     decode_failures: int
     cross_bin_duplicates: int
-    config: SimConfig = _meta(_config_keys)  # gains resolved
+    config: SimConfig  # gains resolved
 
 
 def derive_code_sizes(cfg: SimConfig, Q: int) -> tuple[int, int]:
@@ -461,7 +451,7 @@ class LeakageRunReport(_Report):
     input_entropy_bits: float
     residual_bits: float
     bias_bound_bits: float
-    config: SimConfig = _meta(_config_keys)  # gains resolved
+    config: SimConfig  # gains resolved
 
 
 def run_leakage(cfg: SimConfig) -> LeakageRunReport:

@@ -17,11 +17,9 @@ from secmac import (
     SimConfig,
     build_codebook,
     encode,
-    find_integer_relation,
     hard_decode,
     kg_profile,
     leakage_estimate,
-    min_distance,
     min_linear_form,
     normalize_gains,
     received_constellation,
@@ -83,7 +81,7 @@ def test_ac2_dmin_oracle_equivalence():
         diffs = np.abs(pts[:, None] - pts[None, :])
         np.fill_diagonal(diffs, np.inf)
         brute = float(diffs.min())
-        if min_distance(rc) != brute:  # bitwise
+        if rc.d_min != brute:  # bitwise
             mismatches += 1
     elapsed = time.monotonic() - t0
     ok = mismatches == 0 and elapsed < 30.0
@@ -136,7 +134,8 @@ def test_ac4_gamma_dichotomy():
             )
     rc_rat = received_constellation(NormalizedGains(g=(Fraction(1, 2), 1)), 2, 1.0)
     collision = rc_rat.gamma is GammaStatus.VIOLATED
-    p, q = find_integer_relation([Fraction(1, 2)])
+    rel = min_linear_form([0.5], 2)
+    p, q = rel.p, rel.q
     residual = Fraction(p) + sum(Fraction(qk) * g for qk, g in zip(q, [Fraction(1, 2)]))
     ok = all(holds) and collision and residual == 0
     report(

@@ -528,6 +528,22 @@ def test_failed_out_keeps_what_it_did_not_create(tmp_path, capsys, kind):
     code, _, err = run(capsys, "dmin", "--gains", "1.5,1", "--q", "1", "--a", "1", "--out", str(out))
     assert code == 2 and err.startswith("error: cannot write ")
     assert out.exists() and out.is_symlink() == (kind == "symlink") and target.exists()
+    assert out.read_text() == target.read_text() == "old\n"  # opened, never truncated
+
+
+@pytest.mark.parametrize("command", ["dmin", "entropy", "sweep"])
+def test_empty_out_exits_2(tmp_path, capsys, monkeypatch, command):
+    # "" names no file; the command is refused before it runs or prints
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "s.cfg").write_text(SWEEP_CONFIG)
+    argv = {
+        "dmin": ["--gains", "1.5,1", "--q", "1", "--a", "1"],
+        "entropy": ["--k", "2", "--q", "1"],
+        "sweep": ["--config", "s.cfg"],
+    }[command]
+    code, out, err = run(capsys, command, *argv, "--out", "")
+    assert (code, out, err) == (2, "", "error: --out needs a file name\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["s.cfg"]
 
 
 class _FullStream(io.StringIO):

@@ -14,7 +14,6 @@ from secmac import (
     SizeCapError,
     effective_power,
     hard_decode,
-    min_distance,
     pe_upper_bound,
     received_constellation,
     sample_gains,
@@ -22,7 +21,6 @@ from secmac import (
     select_params,
 )
 from secmac.constellation import (
-    ReceivedConstellation,
     _packed_order,
     mixed_radix_digits,
     mixed_radix_index,
@@ -420,38 +418,22 @@ class TestPackedKeyOrder:
 
 
 class TestMinDistance:
-    def test_adjacent_gap(self):
-        rc = ReceivedConstellation(
-            K=1,
-            Q=1,
-            points=np.array([0.0, 1.0, 3.0]),
-            index=np.array([0, 1, 2]),
-            gamma=GammaStatus.HOLDS,
-            d_min=1.0,
-        )
-        assert min_distance(rc) == 1.0
-
     def test_sqrt2_q2(self):
         rc = received_constellation(G_S2, 2, 1.0)
         oracle = brute_force_min_gap(rc.points)
-        assert min_distance(rc) == oracle  # bitwise
-        assert min_distance(rc) == pytest.approx(3 - 2 * S2, rel=1e-12)
+        assert rc.d_min == oracle  # bitwise
+        assert rc.d_min == pytest.approx(3 - 2 * S2, rel=1e-12)
 
     def test_scales_with_amplitude(self):
         base = received_constellation(G_S2, 2, 1.0)
         scaled = received_constellation(G_S2, 2, 10.0)
         assert scaled.d_min == pytest.approx(10 * base.d_min, rel=1e-12)
 
-    def test_needs_two_points(self):
-        rc = received_constellation(G_S2, 0, 1.0)
-        with pytest.raises(ParameterError):
-            min_distance(rc)
-
     def test_bitwise_oracle_agreement_seeded(self):
         for seed in range(10):
             gains = normalize_gains(sample_gains(seed, 2))
             rc = received_constellation(gains, 4, 1.0)
-            assert min_distance(rc) == brute_force_min_gap(rc.points)
+            assert rc.d_min == brute_force_min_gap(rc.points)
 
     def test_scaling_law_seeded(self):
         for seed, c in [(0, 2.0), (1, 0.25), (2, 7.5)]:

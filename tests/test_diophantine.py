@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -11,7 +10,6 @@ from secmac import diophantine
 from secmac import (
     ParameterError,
     SizeCapError,
-    find_integer_relation,
     kg_profile,
     min_linear_form,
     normalize_gains,
@@ -220,35 +218,3 @@ class TestKGProfile:
             kg_profile([S2], 0.5, (4, 4))
         with pytest.raises(ParameterError):
             kg_profile([S2], 0.5, ())
-
-
-class TestFindIntegerRelation:
-    def test_half(self):
-        rel = find_integer_relation([Fraction(1, 2)])
-        assert rel == (-1, (2,))
-
-    def test_clears_first_denominator(self):
-        rel = find_integer_relation([Fraction(3, 4), Fraction(1, 2)])
-        assert rel == (-3, (4, 0))
-
-    def test_empty_rejected(self):
-        with pytest.raises(ParameterError):
-            find_integer_relation([])
-
-    def test_float_rejected(self):
-        with pytest.raises(ParameterError):
-            find_integer_relation([0.5])
-
-    def test_residual_exactly_zero(self):
-        import random
-
-        rng = random.Random(11)
-        for _ in range(25):
-            g = [
-                Fraction(rng.randint(-40, 40), rng.randint(1, 40))
-                for _ in range(rng.randint(1, 4))
-            ]
-            p, q = find_integer_relation(g)
-            assert any(v != 0 for v in q)
-            assert p + sum(qk * gk for qk, gk in zip(q, g)) == 0
-

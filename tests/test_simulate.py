@@ -20,7 +20,12 @@ from secmac import (
 from secmac import simulate
 from secmac.channel import ChannelGains, normalize_gains, sample_gains, transmit
 from secmac.codec import encode, hard_decode, scale_to_channel
-from secmac.constellation import ENUMERATION_CAP, mixed_radix_digits, received_constellation
+from secmac.constellation import (
+    ENUMERATION_CAP,
+    mixed_radix_digits,
+    pe_upper_bound,
+    received_constellation,
+)
 from secmac.errors import AmbiguityError
 from secmac.secrecy import JOINT_TABLE_CAP, composition_counts, entropy_bits
 from secmac.simulate import (
@@ -240,6 +245,23 @@ class TestSymbolSweep:
         got = [round(r.pe_mc * cfg.trials) for r in run_symbol_sweep(cfg).rows]
         assert got == want
         assert cfg.variance == 0 or sum(want) > 0
+
+    @pytest.mark.parametrize("variance", [0.0, 1.0, 4.0])
+    def test_bound_columns_read_the_noise_variance(self, variance):
+        # the unit-variance bounds at d_min / sigma: Phi_bar(d_min / 2 sigma)
+        # and exp(-d_min^2 / 8 sigma^2), both 0 without noise
+        cfg = SimConfig(**dict(EXACT_PE_CFGS[0], variance=variance), trials=10)
+        row = run_symbol_sweep(cfg).rows[0]
+        sigma = math.sqrt(variance)
+        want = (0.0, 0.0)
+        if sigma:
+            want = (
+                0.5 * math.erfc(row.d_min / (2 * sigma * math.sqrt(2))),
+                math.exp(-(row.d_min**2) / (8 * variance)),
+            )
+        assert (row.pe_tail_bound, row.pe_exp_bound) == pytest.approx(want, rel=1e-12, abs=0)
+        if variance == 1:  # unit variance passes d_min itself
+            assert (row.pe_tail_bound, row.pe_exp_bound) == pe_upper_bound(row.d_min)
 
     @pytest.mark.parametrize("h,status", [((1.0, 1.0), "violated"), ((0.5 + 1e-13, 1.0), "suspect")])
     def test_gamma_not_holding_is_refused(self, h, status):
