@@ -153,7 +153,7 @@ def cmd_params(args) -> int:
 
 def cmd_dmin(args) -> int:
     g = normalize_ratios(parse_gain_list(args.gains))
-    rc = received_constellation(g, args.q, args.a)
+    rc = received_constellation(g, args.q, args.a, index=False)
     print(f"points = {rc.points.size}")
     print(f"gamma = {rc.gamma.value}")
     print(f"d_min = {fmt(rc.d_min)}")

@@ -151,7 +151,10 @@ def hard_decode(y: np.ndarray, rc: ReceivedConstellation) -> np.ndarray:
 
     Output is a (..., K) int64 array for samples of shape (...); a scalar
     counts as one sample.  Distance ties go to the smaller point value.
+    A constellation built with ``index=False`` is refused.
     """
+    if rc.index is None:
+        raise ParameterError("cannot hard-decode: the constellation has no tuple index")
     if not rc.gamma_holds:
         raise AmbiguityError(f"cannot hard-decode: gamma status is {rc.gamma.value}")
     y = np.atleast_1d(np.asarray(y, dtype=float))

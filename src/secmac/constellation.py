@@ -77,14 +77,15 @@ class ReceivedConstellation:
     ``points`` holds the distinct values A * sum_k g_k v_k in increasing
     order.  ``index`` is aligned with ``points`` and holds, per point, the
     mixed-radix index of its first symbol tuple (``mixed_radix_digits``
-    expands it).  ``d_min`` is the minimum adjacent gap, 0.0 when exact
-    collisions exist and +inf for a single-point set.
+    expands it); it is None for a set built with ``index=False``, which
+    cannot be hard-decoded.  ``d_min`` is the minimum adjacent gap, 0.0
+    when exact collisions exist and +inf for a single-point set.
     """
 
     K: int
     Q: int
     points: np.ndarray
-    index: np.ndarray
+    index: np.ndarray | None
     gamma: GammaStatus
     d_min: float
 
@@ -163,7 +164,9 @@ def _packed_order(sums: np.ndarray) -> np.ndarray:
     return key
 
 
-def received_constellation(g: NormalizedGains, Q: int, A: float) -> ReceivedConstellation:
+def received_constellation(
+    g: NormalizedGains, Q: int, A: float, *, index: bool = True
+) -> ReceivedConstellation:
     """Enumerate the received point set for symbol bound Q and amplitude A.
 
     Rational gain ratios are scaled by their common denominator D and
@@ -173,16 +176,18 @@ def received_constellation(g: NormalizedGains, Q: int, A: float) -> ReceivedCons
     land within 1e-9 * A of each other.  A set of more than
     ``ENUMERATION_CAP`` symbol tuples is refused before it is built.
 
-    Exact sums are ordered by one stable argsort, float sums by one sort
-    of packed (value, index) int64 keys (``_packed_order``).  Both orders
-    put equal sums in mixed-radix index order, so a collided point keeps
-    its first tuple.  Two distinct float sums too close for the truncated
-    key can come out of order; one stable argsort of the gathered, nearly
-    sorted sums then repairs the order.  A float build's peak RSS rises
-    by 24 bytes per tuple (240 MB at ``ENUMERATION_CAP``), 33 bytes
+    With ``index=False`` the sums are sorted in place by value and the
+    result's ``index`` is None; points, gamma and d_min are the same bit
+    for bit, as no sum is NaN or -0.0.  Otherwise exact sums are ordered
+    by one stable argsort, float sums by one sort of packed (value, index)
+    int64 keys (``_packed_order``).  Both put equal sums in mixed-radix
+    index order, so a collided point keeps its first tuple.  Two distinct
+    float sums too close for the truncated key can come out of order; one
+    stable argsort of the gathered, nearly sorted sums then repairs it.
+    A float build's peak RSS rises by 16 bytes per tuple without the index
+    (160 MB at ``ENUMERATION_CAP``), by 24 (240 MB) with it and by 33
     (330 MB) when it needs the repair.  A distinct-sum set whose smallest
-    gap times A underflows to 0 is refused rather than reported as
-    holding with d_min = 0.
+    gap times A underflows to 0 is refused, not reported as d_min = 0.
     """
     if Q < 0:
         raise ParameterError(f"Q must be >= 0, got {Q}")
@@ -199,15 +204,18 @@ def received_constellation(g: NormalizedGains, Q: int, A: float) -> ReceivedCons
         coefs = [int(r * D) for r in ratios]
         wide = max(D, K * max(Q, 1) * max(abs(c) for c in coefs)) >= 2**53
         sums = tuple_sums(coefs, Q, object if wide else np.int64)
-        order = np.argsort(sums, kind="stable")
     else:
         # |sum| <= Q * sum|g| (a Python float sum: inf past the range, no warning),
         # so both the sums and the points A * sum stay finite; Q = 0 is the point 0
         if Q and not math.isfinite(max(A, 1.0) * Q * sum(abs(float(x)) for x in g.g)):
             raise ParameterError("received points overflow float64")
         sums = tuple_sums(g.as_floats(), Q)
-        order = _packed_order(sums)
-    sv = sums[order]
+    if index:
+        order = np.argsort(sums, kind="stable") if g.exact else _packed_order(sums)
+        sv = sums[order]
+    else:
+        order, sv = None, sums
+        sv.sort()
     del sums
     collided = False
     if not (sv[1:] > sv[:-1]).all():
@@ -219,7 +227,9 @@ def received_constellation(g: NormalizedGains, Q: int, A: float) -> ReceivedCons
         keep = np.concatenate(([True], sv[1:] != sv[:-1]))
         collided = not keep.all()
         if collided:
-            sv, order = sv[keep], order[keep]
+            sv = sv[keep]
+            if index:
+                order = order[keep]
     if g.exact:
         try:
             with np.errstate(over="ignore"):  # refused below

@@ -227,16 +227,17 @@ def _constellation_gains(cfg: SimConfig, trials: int) -> ChannelGains:
 
 
 def _grid_point(
-    cfg: SimConfig, gains: ChannelGains, g, P: float
+    cfg: SimConfig, gains: ChannelGains, g, P: float, *, index: bool = True
 ) -> tuple[float, int, ReceivedConstellation, float]:
-    """(P_tilde, Q, received constellation, amplitude A) at P."""
+    """(P_tilde, Q, received constellation, amplitude A) at P; only a decoding
+    caller needs the constellation's ``index``."""
     P_t = effective_power(gains, P)
     Q, A = select_params(P_t, cfg.K, cfg.epsilon)
-    return P_t, Q, received_constellation(g, Q, A * abs(g.scale)), A
+    return P_t, Q, received_constellation(g, Q, A * abs(g.scale), index=index), A
 
 
 def _sweep_point(cfg: SimConfig, gains: ChannelGains, g, pi: int, P: float) -> SweepRow:
-    P_t, Q, rc, A = _grid_point(cfg, gains, g, P)
+    P_t, Q, rc, A = _grid_point(cfg, gains, g, P, index=False)
     tail, expb = pe_upper_bound(rc.d_min / math.sqrt(cfg.variance) if cfg.variance else math.inf)
 
     # a trial is correct iff the noisy sample's nearest point is its own

@@ -147,6 +147,13 @@ class TestHardDecode:
         with pytest.raises(AmbiguityError):
             hard_decode(np.zeros(1), rc)
 
+    @pytest.mark.parametrize("gains", [(S2, 1.0), (0.5, 1.0)])
+    def test_values_only_constellation_rejected(self, gains):
+        # a build without its tuple index has nothing to decode to (CLI exit 2)
+        rc = received_constellation(NormalizedGains(g=gains), 2, 1.0, index=False)
+        with pytest.raises(ParameterError, match="no tuple index"):
+            hard_decode(np.zeros(1), rc)
+
 
 def picked_positions(y, rc):
     """Sorted position of the point hard_decode picks for each sample."""

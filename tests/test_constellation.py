@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -11,6 +12,7 @@ from secmac import (
     GammaStatus,
     NormalizedGains,
     ParameterError,
+    SimConfig,
     SizeCapError,
     effective_power,
     hard_decode,
@@ -18,8 +20,11 @@ from secmac import (
     received_constellation,
     sample_gains,
     normalize_gains,
+    run_symbol_sweep,
     select_params,
 )
+from secmac import constellation
+from secmac.cli import main
 from secmac.constellation import (
     _packed_order,
     mixed_radix_digits,
@@ -415,6 +420,88 @@ class TestPackedKeyOrder:
         rc = received_constellation(normalize_gains(sample_gains(seed, 3)), 36, 1.0)
         assert argsort_calls == []
         assert rc.gamma is GammaStatus.HOLDS and rc.points.size == 73**3
+
+
+WIDE_EXACT = (Fraction(7, 10**12 - 11), Fraction(-3, 10**12 - 39), Fraction(1))  # D >= 2^53
+
+
+class TestValuesOnlyBuild:
+    """``index=False`` sorts the sums by value alone and drops the tuple
+    index; points, gamma and d_min must be those of the index build."""
+
+    @settings(max_examples=300, deadline=None)
+    @example(drawn=(NEAR_TIE, 4, 1.0))  # the packed order needs its repair: SUSPECT
+    @example(drawn=(NEAR_TIE, 8, 1.0))  # rounding adds exact ties: VIOLATED
+    @example(drawn=((0.5, 0.25, 1.0), 2, 1.0))  # exact float ties: VIOLATED
+    @example(drawn=((Fraction(1, 2), Fraction(1, 4), 1), 2, 1.0))  # exact ties: VIOLATED
+    @example(drawn=(WIDE_EXACT, 2, 1.0))  # Python-int sums
+    @example(drawn=((2.5, -0.75, 1.0), 0, 3.0))  # Q = 0: one point
+    @given(drawn=small_builds())
+    def test_matches_index_build_bitwise(self, drawn):
+        gains, Q, A = drawn
+        g = NormalizedGains(g=gains)
+        values = received_constellation(g, Q, A, index=False)
+        indexed = received_constellation(g, Q, A)
+        assert values.index is None and indexed.index is not None
+        assert values.points.dtype == indexed.points.dtype == np.float64
+        assert np.array_equal(float_bits(values.points), float_bits(indexed.points))
+        assert values.gamma is indexed.gamma
+        assert float_bits(values.d_min) == float_bits(indexed.d_min)
+
+    @pytest.fixture
+    def sorts(self, monkeypatch):
+        """Names of the index sorts (``np.argsort``, ``_packed_order``) called
+        while the test runs."""
+        calls = []
+
+        def spy(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np, "argsort", spy("argsort", np.argsort))
+        monkeypatch.setattr(
+            constellation, "_packed_order", spy("_packed_order", constellation._packed_order)
+        )
+        return calls
+
+    @pytest.mark.parametrize(
+        "gains", ["1.41421356237,1.7320508,1", "1/7,1", "1/2,1", "7/999999999989,-3/999999999961,1"]
+    )
+    def test_dmin_sorts_no_index(self, sorts, capsys, gains):
+        assert main(["dmin", "--gains", gains, "--q", "2", "--a", "1"]) == 0
+        assert "d_min = " in capsys.readouterr().out
+        assert sorts == []
+
+    def test_sweep_sorts_no_index(self, sorts):
+        cfg = SimConfig(K=2, epsilon=0.5, P_grid=(1e2, 1e4), h=(S2, 1.0), h_e=(1.0, 1.0), trials=100)
+        assert len(run_symbol_sweep(cfg).rows) == 2
+        assert sorts == []
+
+    def test_index_build_still_sorts_its_keys(self, sorts):
+        # the spy's control: the decoding build orders packed keys, or argsorts exact sums
+        received_constellation(G_S2, 2, 1.0)
+        received_constellation(NormalizedGains(g=(Fraction(1, 7), 1)), 2, 1.0)
+        assert sorts == ["_packed_order", "argsort"]
+
+    @pytest.mark.parametrize("index,peak_bytes,kept_bytes", [(False, 16, 8), (True, 24, 16)])
+    def test_bytes_per_tuple(self, index, peak_bytes, kept_bytes):
+        # K=3, Q=36 (M = 389,017), the benchmark's heaviest float build: the
+        # values-only build holds the sums and their gaps at its peak and keeps
+        # the points; the index build adds the tuple index to both
+        g = normalize_gains(sample_gains(0, 3))
+        M, slack = 73**3, 2**16  # slack: numpy and tracemalloc bookkeeping, 0.17 B/tuple
+        received_constellation(g, 36, 1.0, index=index)  # first-call allocations
+        tracemalloc.start()
+        try:
+            rc = received_constellation(g, 36, 1.0, index=index)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rc.gamma is GammaStatus.HOLDS and rc.points.size == M
+        assert peak <= peak_bytes * M + slack
+        assert kept <= kept_bytes * M + slack
 
 
 class TestMinDistance:
