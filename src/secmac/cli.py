@@ -23,15 +23,14 @@ from . import __version__
 from .channel import ChannelGains, effective_power, normalize_ratios
 from .constellation import received_constellation, select_params
 from .diophantine import kg_profile
-from .errors import AmbiguityError, ParameterError, SizeCapError
+from .errors import ParameterError, SizeCapError
 from .keyvalue import parse_value, read_key_values, read_text
 from .secrecy import achievable_region, load_mac_spec, sum_entropy
 from .simulate import SimConfig, csv_text, fmt, run_block_trials, run_leakage, run_symbol_sweep
 
 
 def parse_gain_token(tok: str) -> float | Fraction:
-    """Decimal literal -> float; 'a/b' -> exact Fraction."""
-    tok = tok.strip()
+    """A stripped token: decimal literal -> float; 'a/b' -> exact Fraction."""
     if "/" in tok:
         num, den = tok.split("/", 1)
         try:
@@ -44,11 +43,16 @@ def parse_gain_token(tok: str) -> float | Fraction:
         raise ParameterError(f"bad gain token {tok!r}") from None
 
 
-def parse_gain_list(text: str) -> list[float | Fraction]:
-    toks = [t for t in text.split(",") if t.strip()]
+def gain_tokens(text: str) -> list[str]:
+    """The comma-separated tokens of a gain list, whitespace stripped."""
+    toks = [t.strip() for t in text.split(",") if t.strip()]
     if not toks:
         raise ParameterError("empty gain list")
-    return [parse_gain_token(t) for t in toks]
+    return toks
+
+
+def parse_gain_list(text: str) -> list[float | Fraction]:
+    return [parse_gain_token(t) for t in gain_tokens(text)]
 
 
 # config schema: key -> parser
@@ -92,17 +96,21 @@ def parse_config(path: str, required: tuple[str, ...]) -> dict:
 
 def emit(args, csv: str, **fields) -> None:
     """Write a command's CSV and its metadata sidecar: the command, version
-    and wall time since ``args.t0``, then ``fields``.  Both files are opened
-    for appending and truncated only once both are open, so a file that
-    existed before keeps its content when either open fails.  When either
-    file cannot be written, the files this call created are removed again; a
-    path that existed before (a file, a symlink) is never removed."""
+    and wall time since ``args.t0``, then ``fields``; a value that holds a
+    line break is a ParameterError, and nothing is written.  Both files are
+    opened for appending and truncated only once both are open, so a file
+    that existed before keeps its content when either open fails.  When
+    either file cannot be written, the files this call created are removed
+    again; a path that existed before (a file, a symlink) is never removed."""
     meta = {
         "command": args.command,
         "version": __version__,
         "wall_time_s": f"{time.monotonic() - args.t0:.3f}",
         **fields,
     }
+    broken = [k for k, v in meta.items() if "\n" in str(v) or "\r" in str(v)]
+    if broken:  # the sidecar would not read back as 'key = value' lines
+        raise ParameterError(f"the .meta value of {broken[0]!r} holds a line break")
     sidecar = "# secmac metadata v1\n" + "".join(f"{k} = {v}\n" for k, v in meta.items())
     if args.out:
         paths = (args.out, args.out + ".meta")
@@ -127,7 +135,7 @@ def emit(args, csv: str, **fields) -> None:
         sys.stdout.write(sidecar)
 
 
-def cmd_params(args) -> int:
+def cmd_params(args) -> None:
     if args.p_tilde is not None:
         if args.p is not None or args.h_e is not None:
             raise ParameterError("give either --p-tilde or (--p and --h-e), not both")
@@ -148,18 +156,17 @@ def cmd_params(args) -> int:
     print(f"A = {fmt(A)}")
     print(f"power check: A^2 Q^2 = {fmt(A * A * Q * Q)} <= P_tilde: {ok}")
     emit(args, csv_text("P_tilde,K,epsilon,Q,A,power_ok", [(p_tilde, args.k, args.eps, Q, A, ok)]))
-    return 0
 
 
-def cmd_dmin(args) -> int:
+def cmd_dmin(args) -> None:
     g = normalize_ratios(parse_gain_list(args.gains))
     rc = received_constellation(g, args.q, args.a, index=False)
     print(f"points = {rc.points.size}")
     print(f"gamma = {rc.gamma.value}")
     print(f"d_min = {fmt(rc.d_min)}")
     row = (args.q, args.a, rc.points.size, rc.gamma.value, rc.d_min)
-    emit(args, csv_text("q,a,points,gamma,d_min", [row]), gains=args.gains, exact=int(g.exact))
-    return 0
+    emit(args, csv_text("q,a,points,gamma,d_min", [row]),
+         gains=",".join(gain_tokens(args.gains)), exact=int(g.exact))
 
 
 # Config-file commands: name -> (help, required keys, name of the runner in
@@ -175,7 +182,7 @@ RUNS = {
 }
 
 
-def cmd_run(args) -> int:
+def cmd_run(args) -> None:
     _, required, runner = RUNS[args.command]
     values = parse_config(args.config, required)
     if args.seed is not None:
@@ -183,10 +190,9 @@ def cmd_run(args) -> int:
     cfg = SimConfig(K=values.pop("k"), P_grid=values.pop("p_grid"), **values)
     report = globals()[runner](cfg)
     emit(args, report.to_csv(), **report.metadata())
-    return 0
 
 
-def cmd_kg(args) -> int:
+def cmd_kg(args) -> None:
     gains = _gain_floats(args.gains)
     try:
         n_list = [int(t) for t in args.n_list.split(",") if t.strip()]
@@ -195,70 +201,55 @@ def cmd_kg(args) -> int:
     profile = kg_profile(gains, args.eps, n_list)
     print(f"c_hat = {fmt(profile.c_hat)}")
     emit(args, csv_text("N,m,m_scaled", profile.rows),
-         gains=args.gains, epsilon=fmt(args.eps), c_hat=fmt(profile.c_hat))
-    return 0
+         gains=",".join(gain_tokens(args.gains)), epsilon=fmt(args.eps), c_hat=fmt(profile.c_hat))
 
 
-def cmd_region(args) -> int:
+def cmd_region(args) -> None:
     spec = load_mac_spec(args.spec)
     region = achievable_region(spec)
     rows = [*region.constraints, ((1 << region.K) - 1, region.sum_bound)]
     print(f"sum_bound = {fmt(region.sum_bound)}")
     emit(args, csv_text("subset_bitmask,bound_bits", rows), spec=args.spec)
-    return 0
 
 
-def cmd_entropy(args) -> int:
+def cmd_entropy(args) -> None:
     bits = sum_entropy(args.k, args.q)
     print(f"sum_entropy = {fmt(bits)} bits")
     emit(args, csv_text("k,q,bits", [(args.k, args.q, bits)]))
-    return 0
 
 
-def _canonical_cell(cell: str) -> str:
-    try:
-        return str(int(cell))
-    except ValueError:
-        pass
-    try:
-        return fmt(float(cell))
-    except ValueError:
-        return cell
+def _cell_value(cell: str) -> int | float | str:
+    """A CSV cell as the value ``fmt`` renders: an int, else a float, else text."""
+    for parse in (int, float):
+        try:
+            return parse(cell)
+        except ValueError:
+            pass
+    return cell
 
 
-def cmd_check(args) -> int:
-    """Re-parse a CSV produced by this tool and diff against a canonical re-emit;
-    the header's cells must be identifiers, and each row must have as many."""
+def cmd_check(args) -> None:
+    """Re-parse a CSV produced by this tool and diff it against ``csv_text``'s
+    re-emit of the parsed cells; the header's cells must be identifiers, and
+    each row must have as many.  The first fault found is a ParameterError."""
     original = read_text(args.file, newline="")  # a \r\n must not pass as \n
     lines = original.splitlines()
     if not lines:
         raise ParameterError(f"{args.file} is empty")
     header = lines[0].split(",")
-    bad = [c for c in header if not c.isidentifier()]
-    fault = f"header cell {bad[0]!r} is not an identifier" if bad else ""
-    rebuilt = [lines[0]]
-    for i, line in enumerate(lines[1:], 2):
-        cells = line.split(",") if line else []  # an empty line has no cells
-        if len(cells) != len(header) and not fault:
-            fault = f"line {i} has {len(cells)} cells, the header {len(header)}"
-        rebuilt.append(",".join(map(_canonical_cell, cells)))
-    if fault:
-        print(f"{args.file}: {fault}", file=sys.stderr)
-        return 2
-    new_text = "\n".join(rebuilt) + "\n"
-    if new_text == original:
-        print(f"{args.file}: ok ({len(lines) - 1} data row(s), zero diffs)")
-        return 0
-    for i, (a, b) in enumerate(zip(lines, new_text.splitlines())):
-        if a != b:
-            print(f"{args.file}: line {i + 1} differs", file=sys.stderr)
-            print(f"  file:      {a}", file=sys.stderr)
-            print(f"  canonical: {b}", file=sys.stderr)
-            break
-    else:  # every line matches, so a line break differs
-        why = "a line break other than \\n" if original[-1] in "\r\n" else "no final newline"
-        print(f"{args.file}: {why}", file=sys.stderr)
-    return 2
+    # an empty line has no cells
+    rows = [[_cell_value(c) for c in line.split(",")] if line else [] for line in lines[1:]]
+    canonical = csv_text(lines[0], rows)
+    faults = [f"header cell {c!r} is not an identifier" for c in header if not c.isidentifier()]
+    faults += [f"line {i} has {len(row)} cells, the header {len(header)}"
+               for i, row in enumerate(rows, 2) if len(row) != len(header)]
+    faults += [f"line {i} differs\n  file:      {a}\n  canonical: {b}"
+               for i, (a, b) in enumerate(zip(lines, canonical.splitlines()), 1) if a != b]
+    if canonical != original:  # when no line differs, a line break does
+        faults.append("a line break other than \\n" if original[-1] in "\r\n" else "no final newline")
+    if faults:
+        raise ParameterError(f"{args.file}: {faults[0]}")
+    print(f"{args.file}: ok ({len(rows)} data row(s), zero diffs)")
 
 
 @functools.cache
@@ -332,10 +323,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if getattr(args, "out", None) == "":  # not stdout: that is no --out at all
             raise ParameterError("--out needs a file name")
-        code = args.func(args)
+        args.func(args)
         sys.stdout.flush()  # a closed pipe or a full disk shows here at the latest
-        return code
-    except (ParameterError, AmbiguityError, SizeCapError) as exc:
+        return 0
+    except (ParameterError, SizeCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, SizeCapError) else 2
     except OSError as exc:  # files fail as ParameterError, so stdout failed

@@ -21,7 +21,7 @@ from .errors import AmbiguityError, ParameterError
 from .rng import stream
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # ndarray fields: identity equality
 class Codebook:
     """Binned random code for one user: table has shape (B, L, n).
 
@@ -37,9 +37,9 @@ class Codebook:
     L: int
     user_k: int
     table: np.ndarray
-    _packed: bool = field(repr=False, compare=False, default=False)  # keys are int64 codes
-    _keys: np.ndarray = field(repr=False, compare=False, default=None)  # sorted row keys
-    _rows: np.ndarray = field(repr=False, compare=False, default=None)  # flat row of each key
+    _packed: bool = field(repr=False, default=False)  # keys are int64 codes
+    _keys: np.ndarray = field(repr=False, default=None)  # sorted row keys
+    _rows: np.ndarray = field(repr=False, default=None)  # flat row of each key
 
     def __post_init__(self):
         if min(self.n, self.B, self.L) < 1 or self.Q < 0:

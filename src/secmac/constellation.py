@@ -70,7 +70,7 @@ def select_params(P_tilde: float, K: int, epsilon: float) -> SelectedParams:
     return SelectedParams(Q=Q, A=A)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # ndarray fields: identity equality
 class ReceivedConstellation:
     """Sorted distinct receiver points with their symbol decompositions.
 

@@ -64,12 +64,12 @@ def min_linear_form(g: Sequence[float], N: int) -> LinearFormResult:
     best_q: tuple[int, ...] | None = None
     best_s = 0.0
 
-    # Canonical region: q_j > 0 for the first nonzero coordinate j, the
-    # coordinates before it zero and the rest free.  A block holds the rows
-    # of consecutive q_j; row-major order over (q_j, tail index) is
-    # lexicographic order of q, so argmin's first hit is the block's
-    # smallest tied q.
-    for j in range(m):
+    # Canonical region j: q_j > 0 for the first nonzero coordinate j, the
+    # coordinates before it zero and the rest free.  Regions run j = m-1 ... 0
+    # and a block holds consecutive q_j in row-major order over (q_j, tail
+    # index), so q is visited in ascending lexicographic order and the first
+    # strict minimum (argmin's first hit in its block) is the smallest tied q.
+    for j in reversed(range(m)):
         tail = g[j + 1 :]
         with np.errstate(over="ignore", invalid="ignore"):  # overflowed rows are skipped below
             inner = tuple_sums(tail, N)
@@ -84,14 +84,11 @@ def min_linear_form(g: Sequence[float], N: int) -> LinearFormResult:
                 vals[np.isnan(vals).any(axis=1)] = math.inf
                 k = int(vals.argmin())
             v = float(vals.flat[k])
-            if v > best_val or v == math.inf:
+            if v >= best_val:
                 continue
             row, idx = divmod(k, inner.size)
-            q = (0,) * j + (int(qs[row]),) + tuple(mixed_radix_digits(idx, len(tail), N).tolist())
-            if v < best_val or q < best_q:
-                best_val = v
-                best_q = q
-                best_s = float(s[row, idx])
+            best_val, best_s = v, float(s[row, idx])
+            best_q = (0,) * j + (int(qs[row]),) + tuple(mixed_radix_digits(idx, len(tail), N).tolist())
 
     assert best_q is not None
     p = int(np.rint(-best_s))

@@ -1,7 +1,8 @@
 """Exception types shared across the toolkit.
 
-There are three: the CLI maps ParameterError and AmbiguityError to exit
-code 2, and SizeCapError to exit code 3.
+The CLI maps two classes to exit code 2: ParameterError, and its subclass
+AmbiguityError, which lets a library caller catch a gamma refusal on its
+own.  SizeCapError maps to exit code 3.
 """
 
 
@@ -13,5 +14,5 @@ class SizeCapError(RuntimeError):
     """A computation would exceed its tractability cap."""
 
 
-class AmbiguityError(RuntimeError):
+class AmbiguityError(ParameterError):
     """Unique decomposability fails, so the requested lookup is ill-posed."""

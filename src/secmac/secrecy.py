@@ -36,7 +36,7 @@ def _check_pmf(arr: np.ndarray, name: str) -> None:
         raise ParameterError(f"{name} rows must sum to 1 within {PMF_TOL}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # ndarray fields: identity equality
 class DiscreteMACSpec:
     """Finite-alphabet K-user wiretap MAC with auxiliary inputs U_k.
 

@@ -288,7 +288,7 @@ def run_symbol_sweep(cfg: SimConfig) -> SweepReport:
     for pi, P in enumerate(cfg.P_grid):
         try:
             rows.append(_sweep_point(cfg, gains, g, pi, P))
-        except (ParameterError, AmbiguityError, SizeCapError) as exc:
+        except (ParameterError, SizeCapError) as exc:
             exc.args = (f"{exc.args[0] if exc.args else exc} [grid point P={P}]",)
             raise
     # the grid is strictly increasing and above P = 1, so two points always fit

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from secmac import ParameterError
 from secmac.cli import main, parse_gain_list
+from secmac.keyvalue import read_key_values
 
 ADDER_SPEC = """\
 k = 2
@@ -488,9 +489,19 @@ class TestCheck:
             ("\ufeffa,b\n1,2\n", "header cell '\\ufeffa' is not an identifier"),  # a UTF-8 BOM
         ):
             path.write_bytes(text.encode())
-            code, _, err = run(capsys, "check", str(path))
+            code, out, err = run(capsys, "check", str(path))
             assert code == 2
             assert why in err
+            assert err.startswith(f"error: {path}: ") and out == ""
+
+    def test_differing_line_shows_file_and_canonical(self, tmp_path, capsys):
+        path = tmp_path / "t.csv"
+        path.write_text("a,b\n1,2\n0.10000000000000000555,2\n")
+        code, _, err = run(capsys, "check", str(path))
+        assert code == 2
+        assert err == (f"error: {path}: line 3 differs\n"
+                       "  file:      0.10000000000000000555,2\n"
+                       "  canonical: 0.10000000000000001,2\n")
 
     def test_missing_file_exits_2(self, capsys):
         code, _, _ = run(capsys, "check", "/nonexistent/file.csv")
@@ -544,6 +555,31 @@ def test_empty_out_exits_2(tmp_path, capsys, monkeypatch, command):
     code, out, err = run(capsys, command, *argv, "--out", "")
     assert (code, out, err) == (2, "", "error: --out needs a file name\n")
     assert [p.name for p in tmp_path.iterdir()] == ["s.cfg"]
+
+
+@pytest.mark.parametrize("command", ["dmin", "kg"])
+def test_sidecar_records_stripped_gain_tokens(tmp_path, capsys, command):
+    # whitespace around a token, a line break included, is not part of the gain
+    out = tmp_path / "x.csv"
+    argv = {"dmin": ["--q", "1", "--a", "1"], "kg": ["--eps", "0.5", "--n-list", "2"]}[command]
+    assert run(capsys, command, "--gains", " 1.5,\n1 ", *argv, "--out", str(out))[0] == 0
+    assert read_key_values(f"{out}.meta")["gains"][1] == "1.5,1"
+
+
+@pytest.mark.parametrize("argv", [
+    ["dmin", "--gains", "1\n/2,1", "--q", "1", "--a", "1"],  # int() reads "1\n" as 1
+    ["region", "--spec", "adder\n.spec"],
+    ["region", "--spec", "adder\r.spec"],
+])
+def test_sidecar_value_with_line_break_exits_2(tmp_path, capsys, monkeypatch, argv):
+    # such a value would split its 'key = value' line, so nothing is written
+    monkeypatch.chdir(tmp_path)
+    for name in ("adder\n.spec", "adder\r.spec"):
+        (tmp_path / name).write_text(ADDER_SPEC)
+    code, _, err = run(capsys, *argv, "--out", "x.csv")
+    assert code == 2
+    assert err.startswith("error: the .meta value of ") and err.count("\n") == 1
+    assert not (tmp_path / "x.csv").exists() and not (tmp_path / "x.csv.meta").exists()
 
 
 class _FullStream(io.StringIO):

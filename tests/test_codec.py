@@ -40,6 +40,15 @@ class TestBuildCodebook:
         b = build_codebook(n=4, Q=2, B=4, L=3, seed=9)
         assert np.array_equal(a.table, b.table)
 
+    def test_equality_is_identity(self):
+        # array fields have no truth value, so records compare by identity
+        a = build_codebook(n=4, Q=2, B=4, L=3, seed=9)
+        b = build_codebook(n=4, Q=2, B=4, L=3, seed=9)
+        assert a == a and a != b
+        assert len({a, b}) == 2
+        rc = received_constellation(NormalizedGains(g=(S2, 1.0)), 1, 1.0)
+        assert rc == rc and rc != received_constellation(NormalizedGains(g=(S2, 1.0)), 1, 1.0)
+
     def test_bad_args(self):
         with pytest.raises(ParameterError):
             build_codebook(n=0, Q=1, B=1, L=1, seed=0)
@@ -146,6 +155,11 @@ class TestHardDecode:
         rc = received_constellation(NormalizedGains(g=(0.5, 1.0)), 2, 1.0)
         with pytest.raises(AmbiguityError):
             hard_decode(np.zeros(1), rc)
+
+    def test_gamma_refusal_is_a_parameter_error(self):
+        # the CLI's exit 2 catches ParameterError alone; a library caller
+        # can still catch a gamma refusal on its own
+        assert issubclass(AmbiguityError, ParameterError)
 
     @pytest.mark.parametrize("gains", [(S2, 1.0), (0.5, 1.0)])
     def test_values_only_constellation_rejected(self, gains):
