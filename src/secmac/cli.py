@@ -2,8 +2,9 @@
 
 Commands: params, dmin, sweep, block, kg, region, entropy, leakage,
 check.  Configs are 'key = value' text files with '#' comments.  Every
-command but check accepts --out; with --out the CSV goes to the file
-and a metadata sidecar to '<out>.meta', otherwise both print to stdout.
+command but check prints and writes nothing itself: it hands its summary
+lines, CSV and sidecar fields to ``emit``, which writes the CSV to --out
+and a metadata sidecar to '<out>.meta', or prints all three to stdout.
 The commands that draw (sweep, block, leakage) accept --seed.
 Exit codes: 0 success, 2 validation error (including gains whose
 constellation is not uniquely decodable), 3 computational cap.
@@ -24,7 +25,7 @@ from .channel import ChannelGains, effective_power, normalize_ratios
 from .constellation import received_constellation, select_params
 from .diophantine import kg_profile
 from .errors import ParameterError, SizeCapError
-from .keyvalue import parse_value, read_key_values, read_text
+from .keyvalue import key_values, parse_value, read_key_values, read_text
 from .secrecy import achievable_region, load_mac_spec, sum_entropy
 from .simulate import SimConfig, csv_text, fmt, run_block_trials, run_leakage, run_symbol_sweep
 
@@ -94,24 +95,25 @@ def parse_config(path: str, required: tuple[str, ...]) -> dict:
     return values
 
 
-def emit(args, csv: str, **fields) -> None:
-    """Write a command's CSV and its metadata sidecar: the command, version
-    and wall time since ``args.t0``, then ``fields``; a value that holds a
-    line break is a ParameterError, and nothing is written.  Both files are
-    opened for appending and truncated only once both are open, so a file
-    that existed before keeps its content when either open fails.  When
-    either file cannot be written, the files this call created are removed
-    again; a path that existed before (a file, a symlink) is never removed."""
-    meta = {
-        "command": args.command,
-        "version": __version__,
-        "wall_time_s": f"{time.monotonic() - args.t0:.3f}",
-        **fields,
-    }
-    broken = [k for k, v in meta.items() if "\n" in str(v) or "\r" in str(v)]
-    if broken:  # the sidecar would not read back as 'key = value' lines
-        raise ParameterError(f"the .meta value of {broken[0]!r} holds a line break")
+def emit(args, summary: list[str], csv: str, **fields) -> None:
+    """The one place a command's output leaves the program: the ``summary``
+    lines, the CSV and a sidecar of the command, version, wall time since
+    ``args.t0`` and ``fields``.  A sidecar line that ``key_values`` does not
+    read back as written (a line break, a '#' or surrounding whitespace in
+    a value) is a ParameterError before anything is printed or written.
+    With --out both files are written (opened for appending, truncated only
+    once both are open; a failed write removes only the files this call
+    created, never a file or symlink that existed before), and then the
+    summary and a 'wrote' line print.  Without --out all three print."""
+    meta = {"command": args.command, "version": __version__,
+            "wall_time_s": f"{time.monotonic() - args.t0:.3f}", **fields}
+    for key, value in meta.items():
+        with contextlib.suppress(ParameterError):  # a value that splits its line
+            if key_values(f"{key} = {value}\n", ".meta") == {key: (1, str(value))}:
+                continue
+        raise ParameterError(f"the .meta value of {key!r} does not read back as written: {value!r}")
     sidecar = "# secmac metadata v1\n" + "".join(f"{k} = {v}\n" for k, v in meta.items())
+    text = "".join(f"{line}\n" for line in summary)
     if args.out:
         paths = (args.out, args.out + ".meta")
         created = [path for path in paths if not os.path.lexists(path)]
@@ -119,20 +121,19 @@ def emit(args, csv: str, **fields) -> None:
             with contextlib.ExitStack() as stack:  # both open before either is truncated
                 files = [stack.enter_context(open(p, "a", encoding="utf-8", newline="\n"))
                          for p in paths]
-                for fh, text in zip(files, (csv, sidecar)):
+                for fh, content in zip(files, (csv, sidecar)):
                     if os.fstat(fh.fileno()).st_size:  # a new file, a pipe or a device has none
                         fh.truncate(0)
-                    fh.write(text)
+                    fh.write(content)
         except OSError as exc:  # a missing directory, a directory, no permission
             for done in created:  # leave no new CSV without its sidecar
                 with contextlib.suppress(FileNotFoundError):  # not created: its open failed
                     os.remove(done)
             path = exc.filename or args.out
             raise ParameterError(f"cannot write {path}: {exc.strerror}") from None
-        print(f"wrote {args.out} and {args.out}.meta")
-    else:
-        sys.stdout.write(csv)
-        sys.stdout.write(sidecar)
+        sys.stdout.write(f"{text}wrote {args.out} and {args.out}.meta\n")
+    else:  # three writes: an unbuffered stdout reports a write cut short only at the next
+        sys.stdout.writelines((text, csv, sidecar))
 
 
 def cmd_params(args) -> None:
@@ -150,22 +151,18 @@ def cmd_params(args) -> None:
         policy = "P_tilde = min_k h_e[k]^2 * P"
     Q, A = select_params(p_tilde, args.k, args.eps)
     ok = A * A * Q * Q <= p_tilde
-    print(f"policy: {policy}")
-    print(f"P_tilde = {fmt(p_tilde)}")
-    print(f"Q = {Q}")
-    print(f"A = {fmt(A)}")
-    print(f"power check: A^2 Q^2 = {fmt(A * A * Q * Q)} <= P_tilde: {ok}")
-    emit(args, csv_text("P_tilde,K,epsilon,Q,A,power_ok", [(p_tilde, args.k, args.eps, Q, A, ok)]))
+    summary = [f"policy: {policy}", f"P_tilde = {fmt(p_tilde)}", f"Q = {Q}", f"A = {fmt(A)}",
+               f"power check: A^2 Q^2 = {fmt(A * A * Q * Q)} <= P_tilde: {ok}"]
+    emit(args, summary,
+         csv_text("P_tilde,K,epsilon,Q,A,power_ok", [(p_tilde, args.k, args.eps, Q, A, ok)]))
 
 
 def cmd_dmin(args) -> None:
     g = normalize_ratios(parse_gain_list(args.gains))
     rc = received_constellation(g, args.q, args.a, index=False)
-    print(f"points = {rc.points.size}")
-    print(f"gamma = {rc.gamma.value}")
-    print(f"d_min = {fmt(rc.d_min)}")
     row = (args.q, args.a, rc.points.size, rc.gamma.value, rc.d_min)
-    emit(args, csv_text("q,a,points,gamma,d_min", [row]),
+    summary = [f"points = {rc.points.size}", f"gamma = {rc.gamma.value}", f"d_min = {fmt(rc.d_min)}"]
+    emit(args, summary, csv_text("q,a,points,gamma,d_min", [row]),
          gains=",".join(gain_tokens(args.gains)), exact=int(g.exact))
 
 
@@ -189,7 +186,7 @@ def cmd_run(args) -> None:
         values["master_seed"] = args.seed
     cfg = SimConfig(K=values.pop("k"), P_grid=values.pop("p_grid"), **values)
     report = globals()[runner](cfg)
-    emit(args, report.to_csv(), **report.metadata())
+    emit(args, [], report.to_csv(), **report.metadata())
 
 
 def cmd_kg(args) -> None:
@@ -199,8 +196,7 @@ def cmd_kg(args) -> None:
     except ValueError:
         raise ParameterError(f"bad N list {args.n_list!r}: need comma-separated integers") from None
     profile = kg_profile(gains, args.eps, n_list)
-    print(f"c_hat = {fmt(profile.c_hat)}")
-    emit(args, csv_text("N,m,m_scaled", profile.rows),
+    emit(args, [f"c_hat = {fmt(profile.c_hat)}"], csv_text("N,m,m_scaled", profile.rows),
          gains=",".join(gain_tokens(args.gains)), epsilon=fmt(args.eps), c_hat=fmt(profile.c_hat))
 
 
@@ -208,14 +204,13 @@ def cmd_region(args) -> None:
     spec = load_mac_spec(args.spec)
     region = achievable_region(spec)
     rows = [*region.constraints, ((1 << region.K) - 1, region.sum_bound)]
-    print(f"sum_bound = {fmt(region.sum_bound)}")
-    emit(args, csv_text("subset_bitmask,bound_bits", rows), spec=args.spec)
+    emit(args, [f"sum_bound = {fmt(region.sum_bound)}"],
+         csv_text("subset_bitmask,bound_bits", rows), spec=args.spec)
 
 
 def cmd_entropy(args) -> None:
     bits = sum_entropy(args.k, args.q)
-    print(f"sum_entropy = {fmt(bits)} bits")
-    emit(args, csv_text("k,q,bits", [(args.k, args.q, bits)]))
+    emit(args, [f"sum_entropy = {fmt(bits)} bits"], csv_text("k,q,bits", [(args.k, args.q, bits)]))
 
 
 def _cell_value(cell: str) -> int | float | str:

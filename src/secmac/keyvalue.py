@@ -1,5 +1,5 @@
-"""The text files the CLI reads: 'key = value' simulation configs and
-channel specs, and its own CSVs."""
+"""The text the CLI reads: 'key = value' configs and channel specs, the
+sidecars it reads back before it writes them, and its own CSVs."""
 
 from __future__ import annotations
 
@@ -16,22 +16,27 @@ def read_text(path: str, newline: str | None = None) -> str:
         raise ParameterError(f"cannot read {path}: {exc}") from None
 
 
-def read_key_values(path: str) -> dict[str, tuple[int, str]]:
-    """The 'key = value' lines of a text file as key -> (line number, value);
-    '#' starts a comment.  An unreadable file, a line without '=' and a
-    repeated key are each a ParameterError."""
+def key_values(text: str, source: str) -> dict[str, tuple[int, str]]:
+    """The 'key = value' lines of ``text``, its line breaks read as a text
+    file's, as key -> (line number, value); '#' starts a comment.  A line
+    without '=' and a repeated key are each a ParameterError at ``source``."""
     entries: dict[str, tuple[int, str]] = {}
-    for lineno, raw in enumerate(read_text(path).split("\n"), 1):
+    for lineno, raw in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ParameterError(f"{path}:{lineno}: expected 'key = value'")
+            raise ParameterError(f"{source}:{lineno}: expected 'key = value'")
         key, val = (s.strip() for s in line.split("=", 1))
         if key in entries:
-            raise ParameterError(f"{path}:{lineno}: duplicate key {key!r}")
+            raise ParameterError(f"{source}:{lineno}: duplicate key {key!r}")
         entries[key] = (lineno, val)
     return entries
+
+
+def read_key_values(path: str) -> dict[str, tuple[int, str]]:
+    """``key_values`` of a text file, which must be readable."""
+    return key_values(read_text(path), path)
 
 
 def parse_value(path: str, key: str, lineno: int, parse, text: str):

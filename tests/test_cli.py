@@ -9,12 +9,13 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from secmac import ParameterError
+from secmac import ParameterError, __version__, cli
 from secmac.cli import main, parse_gain_list
 from secmac.keyvalue import read_key_values
 
@@ -577,9 +578,73 @@ def test_sidecar_value_with_line_break_exits_2(tmp_path, capsys, monkeypatch, ar
     for name in ("adder\n.spec", "adder\r.spec"):
         (tmp_path / name).write_text(ADDER_SPEC)
     code, _, err = run(capsys, *argv, "--out", "x.csv")
+    key = {"dmin": "gains", "region": "spec"}[argv[0]]
     assert code == 2
-    assert err.startswith("error: the .meta value of ") and err.count("\n") == 1
+    assert err == f"error: the .meta value of {key!r} does not read back as written: {argv[2]!r}\n"
     assert not (tmp_path / "x.csv").exists() and not (tmp_path / "x.csv.meta").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["dmin", "--gains", "1\n/2,1", "--q", "1", "--a", "1", "--out", "x.csv"],
+    ["kg", "--gains", "1.5", "--eps", "0.5", "--n-list", "2,4", "--out", "x2.csv"],
+    ["region", "--spec", "a#b.spec", "--out", "x.csv"],  # '#' would start a comment
+], ids=["dmin-line-break", "kg-meta-directory", "region-hash"])
+def test_refused_output_prints_and_writes_nothing(tmp_path, capsys, monkeypatch, argv):
+    # a command's summary leaves only once its sidecar reads back and both files are written
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a#b.spec").write_text(ADDER_SPEC)
+    (tmp_path / "x2.csv.meta").mkdir()
+    before = sorted(tmp_path.iterdir())
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert sorted(tmp_path.iterdir()) == before
+
+
+# spec file names and gain lists with whitespace (line breaks among it) at
+# their ends, around numbers and before a '/'; str.strip removes all of it
+_SPACE = st.text(st.sampled_from(" \t\n\r\x0b\x1c\x85\u2028"), max_size=2)
+SPEC_NAMES = st.one_of(
+    st.text(st.sampled_from("aé.="), min_size=1, max_size=4),
+    st.tuples(_SPACE, st.text(st.sampled_from("aé.=# "), min_size=1, max_size=4), _SPACE).map(
+        "".join),
+).filter(lambda name: name not in (".", ".."))
+GAIN_TEXT = st.lists(
+    st.tuples(_SPACE, st.sampled_from(["1", "3", "1.5", "#"]), _SPACE, st.sampled_from(["", "/2"])),
+    min_size=1, max_size=3,
+).map(lambda tokens: ",".join("".join(token) for token in tokens))
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=st.one_of(st.tuples(st.just("region"), SPEC_NAMES),
+                       st.tuples(st.just("dmin"), GAIN_TEXT)))
+@example(drawn=("region", "a#b.spec"))
+@example(drawn=("region", " adder.spec "))
+@example(drawn=("dmin", "1 /2,1"))
+@example(drawn=("dmin", "1\n/2,1"))
+def test_sidecar_reads_back_or_nothing_is_output(tmp_path_factory, drawn):
+    # the run writes a sidecar whose fields read back as emitted, or it
+    # prints and writes nothing
+    command, text = drawn
+    where = tmp_path_factory.mktemp("readback")
+    if command == "region":
+        (where / text).write_text(ADDER_SPEC)
+        argv = ["region", f"--spec={text}"]
+    else:
+        argv = ["dmin", f"--gains={text}", "--q", "1", "--a", "1"]
+    before = sorted(where.iterdir())
+    with contextlib.chdir(where), mock.patch("secmac.cli.emit", wraps=cli.emit) as emit:
+        code, out, err, _ = run_quietly(argv + ["--out", "x.csv"])
+    if code:
+        assert (code, out) == (2, ""), (argv, err)
+        assert sorted(where.iterdir()) == before
+        return
+    fields = {k: str(v) for k, v in emit.call_args.kwargs.items()}
+    if command == "region":
+        assert fields == {"spec": text}
+    back = {k: v for k, (_, v) in read_key_values(where / "x.csv.meta").items()}
+    assert back.pop("wall_time_s")
+    assert back == {"command": command, "version": __version__, **fields}
 
 
 class _FullStream(io.StringIO):

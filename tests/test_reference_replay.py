@@ -7,10 +7,21 @@ and pass ``perfbench/checks.compare`` against its entry: exact commands
 byte for byte, Monte Carlo commands cell for cell on their deterministic
 columns and within Wilson intervals on their counts.  The harness's
 modules are loaded from their files and only read.
+
+The replay also hashes each command's exit code, CSV bytes and ``.meta``
+less its ``wall_time_s`` line into one SHA-256 per workload, pinned in
+``REPLAY_DIGESTS``.  The pin is tighter than ``checks.compare``: it holds
+every Monte Carlo cell and every sidecar byte of the program as it is,
+where ``compare`` lets Monte Carlo counts move within Wilson intervals and
+reads no sidecar.  It does not replace ``compare``, which ties the program
+to the stored reference.  A change to a stream layout, a CSV cell or a
+sidecar line re-pins the digest and says so in CHANGES.md, as with
+``tests/test_golden.py``.
 """
 
 import contextlib
 import functools
+import hashlib
 import importlib
 import importlib.util
 import io
@@ -38,13 +49,20 @@ def reference(workload):
     return json.loads((PERFBENCH / "reference" / f"{workload}.json").read_text())["commands"]
 
 
+REPLAY_DIGESTS = {
+    "campaign": "d4f251d3fb862e4bd02f0c9b00751c0691487ec03be9fa355ad75dec6eb6a0b6",
+    "block": "221c1af9cd62af43d84f1baa0b75e176f95657b57b186e13c48bcdd1f72c70ca",
+    "analysis": "6f0eccd5b816582e3a15df683ba9dfe255ba1bdfaf3ae36baa757167b7616bf2",
+}
+
+
 @pytest.mark.parametrize("workload", ["campaign", "block", "analysis"])
 def test_reference_commands_replay(workload, tmp_path, monkeypatch):
     checks = load_perfbench("checks", monkeypatch)
     entries = reference(workload)
     assert len(entries) == 400
     monkeypatch.chdir(tmp_path)
-    failures = []
+    failures, digest = [], hashlib.sha256()
     for cid, entry in entries.items():
         for name, text in entry["files"].items():
             Path(name).write_text(text, encoding="utf-8")
@@ -55,9 +73,15 @@ def test_reference_commands_replay(workload, tmp_path, monkeypatch):
         reason = checks.compare(entry["kind"], entry, Path(out).read_text()) if code == 0 else None
         if code != 0 or reason is not None:
             failures.append((cid, code, reason or sink.getvalue()[-200:]))
+        digest.update(f"{cid} {code}\n".encode())
+        if code == 0:
+            meta = Path(out + ".meta").read_bytes().splitlines(keepends=True)
+            digest.update(Path(out).read_bytes())
+            digest.update(b"".join(line for line in meta if not line.startswith(b"wall_time_s =")))
         Path(out).unlink(missing_ok=True)
         Path(out + ".meta").unlink(missing_ok=True)
     assert not failures, failures[:5]
+    assert digest.hexdigest() == REPLAY_DIGESTS[workload]
 
 
 # Sites that the tracer lists as missing since the toolkit stopped importing
