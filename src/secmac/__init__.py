@@ -21,7 +21,6 @@ from .codec import (
     build_codebook,
     encode,
     hard_decode,
-    scale_to_channel,
 )
 from .constellation import (
     GammaStatus,

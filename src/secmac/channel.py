@@ -2,10 +2,9 @@
 
 K single-antenna users share one real channel toward the intended
 receiver (gains h_k) while an eavesdropper listens through its own gains
-h_{k,e}.  All gains are fixed and known everywhere.  ``transmit``
-simulates one receiver: the sum of its gains times the inputs plus
-Gaussian noise of a given variance.  The Monte Carlo commands send it
-noiseless received values with unit gain, so that it adds the noise.
+h_{k,e}.  All gains are fixed and known everywhere.  The Monte Carlo
+commands form each receiver's noiseless values themselves, and
+``transmit`` adds its Gaussian noise of a given variance.
 """
 
 from __future__ import annotations
@@ -141,28 +140,12 @@ def effective_power(gains: ChannelGains, P: float) -> float:
     return min(he * he for he in gains.h_e) * P
 
 
-def transmit(
-    x: np.ndarray, h, variance: float = 1.0, seed: int | np.random.SeedSequence = 0
-) -> np.ndarray:
-    """Send K blocks of n symbols to one receiver with gains ``h``; with
-    K = 1 and h = (1.0,), add noise to n noiseless received values.
-
-    ``x`` has shape (K, n); the result is y_i = sum_k h[k] x[k,i] plus
-    Gaussian noise of the given ``variance`` from the (seed,
-    "transmit/main") stream, so repeated calls are bit-identical.
-    """
+def transmit(y: np.ndarray, variance: float, seed: int | np.random.SeedSequence) -> np.ndarray:
+    """Noiseless received values ``y`` plus Gaussian noise of the given
+    ``variance`` from the (seed, "transmit/main") stream, so repeated calls
+    are bit-identical; at variance 0 no stream is derived."""
     if not 0 <= variance < math.inf:
         raise ParameterError(f"variance must be >= 0 and finite, got {variance}")
-    x = np.asarray(x, dtype=float)
-    h = np.asarray(h, dtype=float)
-    if x.ndim != 2:
-        raise ParameterError(f"x must be (K, n), got shape {x.shape}")
-    if x.shape[0] != h.size:
-        raise ParameterError(f"x has {x.shape[0]} rows for K={h.size} users")
-    n = x.shape[1]
-    if n < 1:
-        raise ParameterError("block length must be >= 1")
-    y = h @ x
     if variance > 0:
-        y = y + np.sqrt(variance) * stream(seed, "transmit/main").standard_normal(n)
+        y = y + np.sqrt(variance) * stream(seed, "transmit/main").standard_normal(np.shape(y))
     return y

@@ -124,17 +124,6 @@ def encode(cb: Codebook, w, seed) -> np.ndarray:
     return cb.table[w, slot]
 
 
-def scale_to_channel(x_tilde: np.ndarray, A: float, h_e_k) -> np.ndarray:
-    """Channel input A * x_tilde / h_e_k (pre-inverts the eavesdropper gain).
-
-    ``h_e_k`` is one user's gain, or one gain per user along the last axis.
-    """
-    h_e_k = np.asarray(h_e_k, dtype=float)
-    if np.any(h_e_k == 0):
-        raise ParameterError("eavesdropper gain is zero")
-    return A * np.asarray(x_tilde) / h_e_k
-
-
 def nearer(y: np.ndarray, pts: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Sorted position of the nearer of the points at ``idx - 1`` and ``idx``
     (``idx`` clipped to [1, M-1]) for each sample of ``y``, a tie going to the

@@ -7,16 +7,16 @@ distributed over workers.  Sweep, block and leakage draw from one batch
 generator: uniform integers (sweep's sorted point positions, leakage's
 tuples, block's messages) and a batch seed for the noise and block's
 encoder slots.  All three observe a sample in one step: a noiseless
-received value goes through ``transmit`` with unit gain, which adds the
-batch's noise (none at variance 0).  With inputs x_k = A*v_k/h_{k,e},
-the eavesdropper receives the aligned sum A*sum_k v_k, and the intended
-receiver, with the sign of the last ratio s divided out, the point
-A*|s|*sum_k g_k v_k of the received constellation.  The sweep sends its
-drawn point and tests the sample with hard decoding's ``codec.nearer``,
-block sends each channel use's point and hard-decodes the samples, and
-leakage sends each tuple's aligned sum, formed exactly, and bins the
-samples.  Each report's ``.meta`` holds the run's ``SimConfig`` with its
-gains resolved, under the config-file keys, so that those lines rerun it
+received value goes through ``transmit``, which adds the batch's noise
+(none at variance 0).  With inputs x_k = A*v_k/h_{k,e}, the eavesdropper
+receives the aligned sum A*sum_k v_k, and the intended receiver, with
+the sign of the last ratio s divided out, the point A*|s|*sum_k g_k v_k
+of the received constellation.  The sweep sends its drawn point and
+tests the sample with hard decoding's ``codec.nearer``, block sends each
+channel use's point and hard-decodes the samples, and leakage sends each
+tuple's aligned sum, formed exactly, and bins the samples.  Each
+report's ``.meta`` holds the run's ``SimConfig`` with its gains
+resolved, under the config-file keys, so that those lines rerun it
 (sampled gains included), and names its ``stream_layout``.
 """
 
@@ -245,7 +245,7 @@ def _sweep_point(cfg: SimConfig, gains: ChannelGains, g, pi: int, P: float) -> S
         raise AmbiguityError(f"cannot hard-decode: gamma status is {rc.gamma.value}")
     errors, pts = 0, rc.points
     for pos, seed in _uniform_batches(cfg.master_seed, "sweep", 1, 0, pts.size - 1, cfg.trials, pi):
-        y = transmit(pts[pos.T], (1.0,), cfg.variance, seed)
+        y = transmit(pts[pos[:, 0]], cfg.variance, seed)
         pos = pos[:, 0]  # the nearer of a sample's point and its neighbour on y's side
         errors += int(np.count_nonzero(nearer(y, pts, pos + (y >= pts[pos])) != pos))
 
@@ -386,7 +386,7 @@ def _block_batch(run: _BlockRun, msgs: np.ndarray, seed) -> tuple[np.ndarray, np
     bs*n received points laid out trial-major."""
     K, n = run.cfg.K, run.cfg.n
     v = np.stack([encode(cb, msgs[:, k], seed) for k, cb in enumerate(run.codebooks)], axis=-1)
-    y = transmit((v.reshape(-1, K) @ run.coefs)[None], (1.0,), run.cfg.variance, seed)
+    y = transmit(v.reshape(-1, K) @ run.coefs, run.cfg.variance, seed)
     dec = hard_decode(y, run.rc).reshape(len(msgs), n, K)
     recovered = np.stack([cb.bin_of(dec[..., k]) for k, cb in enumerate(run.codebooks)], axis=-1)
     return np.any(recovered != msgs, axis=1), np.any(recovered < 0, axis=1)
@@ -459,14 +459,13 @@ def run_leakage(cfg: SimConfig) -> LeakageRunReport:
     """Send input tuples to the eavesdropper and estimate leakage.
 
     Each sample is the aligned sum A * sum_k v_k, formed exactly and sent
-    through ``transmit`` with unit gain, so noiseless tuples that share a
-    sum share a bin.  Noiseless runs enumerate the input tuples
-    exhaustively when they fit in the sample budget, which removes
-    sampling error entirely; other runs draw uniform tuples from the
-    shared batches.  The default bin width A/10 suits noiseless runs; for
-    noisy runs pick a width commensurate with the noise scale, or the
-    plug-in bias (roughly occupied cells / (2 n ln 2) bits) dominates the
-    estimate.
+    through ``transmit``, so noiseless tuples that share a sum share a
+    bin.  Noiseless runs enumerate the input tuples exhaustively when they
+    fit in the sample budget, which removes sampling error entirely; other
+    runs draw uniform tuples from the shared batches.  The default bin
+    width A/10 suits noiseless runs; for noisy runs pick a width
+    commensurate with the noise scale, or the plug-in bias (roughly
+    occupied cells / (2 n ln 2) bits) dominates the estimate.
     """
     if cfg.leakage_samples < MIN_LEAKAGE_SAMPLES:
         raise ParameterError(
@@ -493,7 +492,7 @@ def run_leakage(cfg: SimConfig) -> LeakageRunReport:
         batches = [(mixed_radix_digits(np.arange(reps * M) % M, cfg.K, Q), None)]
     else:
         batches = _uniform_batches(cfg.master_seed, "leakage", cfg.K, -Q, Q, cfg.leakage_samples)
-    observed = ((v, transmit(A * v.sum(axis=1)[None], (1.0,), cfg.variance, s)) for v, s in batches)
+    observed = ((v, transmit(A * v.sum(axis=1), cfg.variance, s)) for v, s in batches)
     tuples, z = map(np.concatenate, zip(*observed))
 
     mi, bias = leakage_estimate(tuples, z, width, Q)

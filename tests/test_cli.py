@@ -660,13 +660,18 @@ def test_full_stdout_exits_2(capsys, monkeypatch):
     assert err == "error: cannot write stdout: No space left on device\n"
 
 
-def test_closed_stdout_pipe_exits_2():
+@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+def test_closed_stdout_pipe_exits_2(unbuffered):
     # a one-page pipe, closed after the first line of a 26 kB CSV: the writer
-    # meets a broken pipe, and the interpreter's final flush must print nothing
+    # meets a broken pipe, and the interpreter's final flush must print nothing;
+    # an unbuffered stdout, whose write to the pipe can end short, exits 2 too
     read_fd, write_fd = os.pipe()
     fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, 4096)
     n_list = ",".join(map(str, range(1, 3001)))
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
     proc = subprocess.Popen(
         [sys.executable, "-m", "secmac.cli", "kg", "--gains", "1.5", "--eps", "0.5",
          "--n-list", n_list],

@@ -17,9 +17,7 @@ from secmac import (
     hard_decode,
     normalize_gains,
     received_constellation,
-    scale_to_channel,
     select_params,
-    transmit,
 )
 from secmac.codec import Codebook, nearer
 from secmac.constellation import mixed_radix_digits, mixed_radix_index
@@ -103,29 +101,18 @@ class TestEncode:
             encode(cb, -1, seed=0)
 
 
-class TestScaleToChannel:
-    def test_arithmetic(self):
-        out = scale_to_channel(np.array([1, -1]), A=2.0, h_e_k=0.5)
-        assert out.tolist() == [4.0, -4.0]
-
-    def test_zero_vector(self):
-        assert np.all(scale_to_channel(np.zeros(5), 3.0, 1.5) == 0)
-
-    def test_zero_gain(self):
-        with pytest.raises(ParameterError):
-            scale_to_channel(np.ones(2), 1.0, 0.0)
-
-    def test_power_contract(self):
-        # (Q, A) from the power split keep per-symbol power within P
-        P = 1e6 / 0.8**2  # so that P_tilde = h_e^2 P = 1e6
-        Q, A = select_params(0.8**2 * P, 2, 0.1)
-        assert Q == 19
-        rng = np.random.default_rng(0)
-        x_tilde = rng.integers(-Q, Q + 1, size=100_000)
-        x = scale_to_channel(x_tilde, A, 0.8)
-        assert np.mean(x**2) <= P * (1 + 1e-9)
-        # even the all +/-Q worst case satisfies the constraint
-        assert (A * Q / 0.8) ** 2 <= P * (1 + 1e-12)
+def test_power_contract():
+    # (Q, A) from the power split keep the per-symbol power of the channel
+    # input x = A * x_tilde / h_e within P
+    P = 1e6 / 0.8**2  # so that P_tilde = h_e^2 P = 1e6
+    Q, A = select_params(0.8**2 * P, 2, 0.1)
+    assert Q == 19
+    rng = np.random.default_rng(0)
+    x_tilde = rng.integers(-Q, Q + 1, size=100_000)
+    x = A * x_tilde / 0.8
+    assert np.mean(x**2) <= P * (1 + 1e-9)
+    # even the all +/-Q worst case satisfies the constraint
+    assert (A * Q / 0.8) ** 2 <= P * (1 + 1e-12)
 
 
 class TestHardDecode:
@@ -426,12 +413,8 @@ class TestEndToEndNoiseless:
         for seed in range(25):
             cbs = [build_codebook(n, Q, B=4, L=2, seed=seed, user_k=k) for k in range(K)]
             msgs = [int(stream(seed, "msg", k).integers(0, 4)) for k in range(K)]
-            x = np.stack(
-                [
-                    scale_to_channel(encode(cbs[k], msgs[k], seed=seed), A, 1.0)
-                    for k in range(K)
-                ]
-            )
-            y = transmit(x, ch.h, 0.0, seed=seed)
+            # the physical channel: inputs x_k = A*v_k/h_{k,e}, output sum_k h_k x_k
+            v = np.stack([encode(cbs[k], msgs[k], seed=seed) for k in range(K)])
+            y = np.array(ch.h) @ (A * v / np.array(ch.h_e)[:, None])
             dec = hard_decode(y, rc)
             assert [cb.bin_of(dec[:, k]) for k, cb in enumerate(cbs)] == msgs

@@ -84,8 +84,9 @@ def test_reference_commands_replay(workload, tmp_path, monkeypatch):
     assert digest.hexdigest() == REPLAY_DIGESTS[workload]
 
 
-# Sites that the tracer lists as missing since the toolkit stopped importing
-# them (ROADMAP item 4); no other site may go missing.
+# Sites that the tracer lists as missing because the functions are gone from
+# the toolkit (`codec.scale_to_channel`, `simulate.decode_messages`) while the
+# tracer still names them (ROADMAP item 4); no other site may go missing.
 KNOWN_MISSING_SITES = {"secmac.simulate:scale_to_channel", "secmac.simulate:decode_messages"}
 
 

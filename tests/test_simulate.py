@@ -19,7 +19,7 @@ from secmac import (
 )
 from secmac import simulate
 from secmac.channel import ChannelGains, normalize_gains, sample_gains, transmit
-from secmac.codec import encode, hard_decode, scale_to_channel
+from secmac.codec import encode, hard_decode
 from secmac.constellation import (
     ENUMERATION_CAP,
     mixed_radix_digits,
@@ -67,6 +67,30 @@ EXACT_PE_CFGS = (
     dict(K=3, epsilon=0.3, P_grid=(1e5,), h=(S2, S3, 1.0), h_e=(1.0,) * 3, variance=2.0),
     dict(K=2, epsilon=0.5, P_grid=(1e6,), h=(1.3, -0.9), h_e=(1.0, 1.1), variance=300.0),
     dict(K=4, epsilon=0.3, P_grid=(1e8,), h=(S2, S3, 1.0, math.sqrt(5)), h_e=(1.0,) * 4),
+)
+
+# Block configs against the codebook-conditional exact error probability,
+# as (K, epsilon, P, n, variance, master_seed) with sampled gains: K=2 and
+# K=3, variances 0.25 to 4, code errors (first matches in another bin) in
+# some, and a 65,536-row table (K=2, P=1e6, n=5).  Two more give explicit
+# gains: a 65,536-row table at variance 8 and a negative normalisation scale.
+EXACT_BLOCK_CFGS = tuple(
+    dict(K=K, epsilon=eps, P_grid=(P,), n=n, variance=var, master_seed=seed)
+    for K, eps, P, n, var, seed in (
+        (2, 0.1, 1e3, 2, 0.25, 85), (2, 0.1, 1e4, 2, 1.0, 60), (2, 0.1, 1e4, 4, 0.25, 55),
+        (2, 0.1, 1e5, 3, 0.25, 3), (2, 0.1, 1e5, 4, 1.0, 17), (2, 0.1, 1e6, 2, 0.25, 8),
+        (2, 0.1, 1e6, 5, 0.25, 67), (2, 0.3, 1e3, 2, 0.25, 25), (2, 0.3, 1e3, 4, 0.25, 80),
+        (2, 0.3, 1e4, 3, 4.0, 13), (2, 0.3, 1e4, 4, 0.25, 57), (2, 0.5, 1e4, 5, 4.0, 5),
+        (2, 0.5, 1e5, 3, 4.0, 9), (3, 0.1, 1e5, 3, 0.25, 73), (3, 0.1, 1e6, 5, 0.25, 98),
+        (3, 0.3, 1e3, 3, 0.25, 97), (3, 0.3, 1e4, 4, 0.25, 42), (3, 0.3, 1e5, 2, 1.0, 4),
+        (3, 0.3, 1e6, 5, 1.0, 62), (3, 0.5, 1e3, 5, 1.0, 27), (3, 0.5, 1e5, 3, 0.25, 56),
+        (3, 0.5, 1e6, 4, 4.0, 2),
+    )
+) + (
+    dict(K=2, epsilon=0.3, P_grid=(1e6,), h=(S2, 1.0), h_e=(1.0, 1.0), n=6, variance=8.0,
+         master_seed=3),
+    dict(K=2, epsilon=0.5, P_grid=(1e5,), h=(1.3, -0.9), h_e=(1.0, 1.1), n=4, variance=16.0,
+         master_seed=1),
 )
 
 # Noiseless block configs whose small tables hold cross-bin duplicates: K=2
@@ -229,7 +253,7 @@ class TestSymbolSweep:
     )
     def test_error_counts_match_hard_decoding(self, cfg):
         # the decision-cell count against a full hard decode of the same
-        # draws: uniform sorted positions, their points sent with unit gain
+        # draws: uniform sorted positions, their points sent through transmit
         cfg = SimConfig(**cfg, trials=TRIAL_BATCH + 500)
         gains = cfg.resolve_gains()
         g = normalize_gains(gains)
@@ -238,7 +262,7 @@ class TestSymbolSweep:
             rc = _grid_point(cfg, gains, g, P)[2]
             M, errors = rc.points.size, 0
             for pos, seed in _uniform_batches(cfg.master_seed, "sweep", 1, 0, M - 1, cfg.trials, pi):
-                y = transmit(rc.points[pos.T], (1.0,), cfg.variance, seed)
+                y = transmit(rc.points[pos[:, 0]], cfg.variance, seed)
                 sent = mixed_radix_digits(rc.index[pos[:, 0]], rc.K, rc.Q)
                 errors += int(np.count_nonzero(np.any(hard_decode(y, rc) != sent, axis=1)))
             want.append(errors)
@@ -312,10 +336,10 @@ class TestSymbolSweep:
 def test_uniform_batches_do_not_depend_on_the_total(command, grid):
     # the first T draws and received samples of a run with T + TRIAL_BATCH
     # draws are those of a run with T, across a batch boundary; the sweep
-    # draws sorted positions on [0, M-1] and sends their points with unit
-    # gain, leakage tuples on [-Q, Q] whose aligned sums A*sum(v) are sent,
-    # and block messages on [0, B-1], sent here as tuples through the
-    # received point's coefficients A*|s|*g
+    # draws sorted positions on [0, M-1] and sends their points, leakage
+    # tuples on [-Q, Q] whose aligned sums A*sum(v) are sent, and block
+    # messages on [0, B-1], sent here as tuples through the received
+    # point's coefficients A*|s|*g
     g = normalize_gains(ChannelGains(h=(S2, S3, 1.0), h_e=(1.3, 0.7, 1.1)))
     pts = received_constellation(g, 4, 3.5 * abs(g.scale)).points
     coefs = g.as_floats() * (3.5 * abs(g.scale))
@@ -326,7 +350,7 @@ def test_uniform_batches_do_not_depend_on_the_total(command, grid):
     }[command]
 
     def receive(v, seed):
-        return transmit(received(v)[None], (1.0,), 2.0, seed)
+        return transmit(received(v), 2.0, seed)
 
     def draw(total):
         batches = _uniform_batches(7, command, K, low, high, total, *grid)
@@ -352,18 +376,18 @@ def test_negating_every_gain_leaves_the_csv(command):
 
 @pytest.mark.parametrize("K,seed,negate", [(2, 1, False), (3, 2, False), (2, 3, True), (3, 4, True)])
 def test_samples_are_the_physical_channel_outputs(monkeypatch, K, seed, negate):
-    # x = A*v/h_e (codec.scale_to_channel) through the K-row transmit: the
-    # intended receiver's output times the sign of the last ratio is what
-    # block sends, and the eavesdropper's is what leakage sends, each within
-    # a few ulps of the sum of its terms' magnitudes
+    # the physical channel, inputs x_k = A*v_k/h_{k,e} and a receiver's output
+    # sum_k h_k x_k: the intended receiver's output times the sign of the last
+    # ratio is what block sends, and the eavesdropper's (gains h_e) is what
+    # leakage sends, each within a few ulps of the sum of its terms' magnitudes
     gains = sample_gains(seed, K)
     if negate:  # a negative last ratio
         gains = ChannelGains(h=gains.h[:-1] + (-gains.h[-1],), h_e=gains.h_e)
     sent = []
 
-    def record(x, h, variance, seed):
-        sent.append(x[0])
-        return transmit(x, h, variance, seed)
+    def record(y, variance, seed):
+        sent.append(y)
+        return transmit(y, variance, seed)
 
     monkeypatch.setattr(simulate, "transmit", record)
     cfg = SimConfig(K=K, epsilon=0.3, P_grid=(1e6,), n=3, h=gains.h, h_e=gains.h_e,
@@ -376,7 +400,7 @@ def test_samples_are_the_physical_channel_outputs(monkeypatch, K, seed, negate):
     v = np.stack([encode(cb, msgs[:, k], batch_seed) for k, cb in enumerate(run.codebooks)], -1)
     v = v.reshape(-1, K)
     sgn = math.copysign(1.0, gains.h[-1] / gains.h_e[-1])
-    main = sgn * transmit(scale_to_channel(v, run.A, gains.h_e).T, gains.h, 0.0)
+    main = sgn * ((run.A * v / np.array(gains.h_e)) @ np.array(gains.h))
     assert np.all(np.abs(sent[-1] - main) <= ulps * (np.abs(v) @ np.abs(run.coefs)))
 
     sent.clear()
@@ -384,7 +408,7 @@ def test_samples_are_the_physical_channel_outputs(monkeypatch, K, seed, negate):
     Q, A = rep.Q, rep.A
     batches = _uniform_batches(cfg.master_seed, "leakage", K, -Q, Q, cfg.leakage_samples)
     v = np.concatenate([v for v, _ in batches])
-    eve = transmit(scale_to_channel(v, A, gains.h_e).T, gains.h_e, 0.0)
+    eve = (A * v / np.array(gains.h_e)) @ np.array(gains.h_e)
     assert np.all(np.abs(np.concatenate(sent) - eve) <= ulps * A * np.abs(v).sum(axis=1))
 
 
@@ -469,6 +493,20 @@ class TestBlockTrials:
             lo, hi = wilson_interval(rep.block_errors, rep.trials, ORACLE_Z)
             assert hi >= 1 - (1 - sym_lo) ** rep.n, c
             assert lo <= 1 - (1 - sym_hi) ** rep.n, c
+
+    @pytest.mark.parametrize("cfg", EXACT_BLOCK_CFGS)
+    def test_matches_codebook_conditional_exact_error(self, cfg):
+        # given the run's own codebooks, messages and slots, only the noise is
+        # random: trial t succeeds with probability p_t (block_success), short
+        # only by a misdecoded sequence that lands in the sent bin, which can
+        # only lower the error count; the errors lie within z = 4 of
+        # sum(1 - p_t), so in particular at most sum(1 - p_t) + 4 sd
+        cfg = SimConfig(**cfg, trials=4000)
+        p = block_success(cfg)
+        mean, sd = np.sum(1 - p), math.sqrt(np.sum(p * (1 - p)))
+        assert sd > 0 and 0.02 * cfg.trials < mean < 0.9 * cfg.trials
+        errors = run_block_trials(cfg).block_errors
+        assert abs(errors - mean) <= ORACLE_Z * sd, (errors, mean, sd)
 
     @pytest.mark.parametrize("K,eps,P,n,B", [(3, 0.3, 1e6, 20, 2**26), (2, 0.5, 1e8, 40, 2**36)])
     def test_bin_count_past_table_cap_is_refused(self, K, eps, P, n, B, monkeypatch):
@@ -566,6 +604,29 @@ def exact_symbol_error(points, variance):
     that is 2/M times the sum of Qf over the M-1 gaps."""
     tail = np.vectorize(lambda x: 0.5 * math.erfc(x / math.sqrt(2)))
     return float(2 * tail(np.diff(points) / (2 * math.sqrt(variance))).sum() / points.size)
+
+
+def block_success(cfg):
+    """Success probability p_t of each trial of a block run, given its draws:
+    each channel use t decodes to its own point with probability
+    c(x_t) = 1 - Qf(g_l/2sd) - Qf(g_r/2sd), with g_l and g_r the gaps to the
+    point's neighbours (none past either end), and p_t is the product of
+    c(x_t) over the block times 1 when every user's sent sequence has its
+    first table match in the sent bin, else 0."""
+    run = _block_setup(cfg)
+    pts, cbs = run.rc.points, run.codebooks
+    gaps, which = np.unique(np.diff(pts), return_inverse=True)
+    tail = np.array([0.5 * math.erfc(g / (2 * math.sqrt(2 * cfg.variance))) for g in gaps])[which]
+    stay = 1 - np.append(tail, 0.0) - np.insert(tail, 0, 0.0)
+    p = []
+    for msgs, seed in _uniform_batches(cfg.master_seed, "block", cfg.K, 0, cbs[0].B - 1, cfg.trials):
+        v = np.stack([encode(cb, msgs[:, k], seed) for k, cb in enumerate(cbs)], axis=-1)
+        x = v.reshape(-1, cfg.K) @ run.coefs
+        pos = np.searchsorted(pts, x - gaps[0] / 2)  # the one point within d_min/2
+        assert np.allclose(pts[pos], x, rtol=1e-12, atol=0)
+        first = np.all([cb.bin_of(v[..., k]) == msgs[:, k] for k, cb in enumerate(cbs)], axis=0)
+        p.append(stay[pos].reshape(len(msgs), cfg.n).prod(axis=1) * first)
+    return np.concatenate(p)
 
 
 def exact_leakage_bits(K, Q, A, variance, width):
