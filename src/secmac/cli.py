@@ -1,11 +1,12 @@
 """Command-line front end.
 
-Commands: params, dmin, sweep, block, kg, region, entropy, leakage,
-check.  Configs are 'key = value' text files with '#' comments.  Every
-command but check prints and writes nothing itself: it hands its summary
-lines, CSV and sidecar fields to ``emit``, which writes the CSV to --out
-and a metadata sidecar to '<out>.meta', or prints all three to stdout.
-The commands that draw (sweep, block, leakage) accept --seed.
+Commands, in parser order: params, dmin, sweep, block, leakage, kg,
+region and entropy, each declared once in the ``COMMANDS`` table, then
+check.  The ones that draw (sweep, block, leakage) accept --seed.  Configs
+are 'key = value' text files with '#' comments.  Every command but check
+prints and writes nothing itself: it hands its summary lines, CSV and
+sidecar fields to ``emit``, which writes the CSV to --out and a metadata
+sidecar to '<out>.meta', or prints all three to stdout.
 Exit codes: 0 success, 2 validation error (including gains whose
 constellation is not uniquely decodable), 3 computational cap.
 """
@@ -166,21 +167,17 @@ def cmd_dmin(args) -> None:
          gains=",".join(gain_tokens(args.gains)), exact=int(g.exact))
 
 
-# Config-file commands: name -> (help, required keys, name of the runner in
-# this module).  The runner is looked up by name at call time, so a wrapper
-# installed on this module's attribute sees every call.
+# Config-file commands: name -> (required keys, runner name); the runner is
+# looked up at call time, so a wrapper on this module's attribute sees every call.
 RUNS = {
-    "sweep": ("Monte Carlo symbol error sweep over a power grid",
-              ("k", "epsilon", "p_grid", "trials"), "run_symbol_sweep"),
-    "block": ("full random-binning block trials",
-              ("k", "epsilon", "p_grid", "trials", "n"), "run_block_trials"),
-    "leakage": ("plug-in eavesdropper leakage estimate",
-                ("k", "epsilon", "p_grid"), "run_leakage"),
+    "sweep": (("k", "epsilon", "p_grid", "trials"), "run_symbol_sweep"),
+    "block": (("k", "epsilon", "p_grid", "trials", "n"), "run_block_trials"),
+    "leakage": (("k", "epsilon", "p_grid"), "run_leakage"),
 }
 
 
 def cmd_run(args) -> None:
-    _, required, runner = RUNS[args.command]
+    required, runner = RUNS[args.command]
     values = parse_config(args.config, required)
     if args.seed is not None:
         values["master_seed"] = args.seed
@@ -211,6 +208,29 @@ def cmd_region(args) -> None:
 def cmd_entropy(args) -> None:
     bits = sum_entropy(args.k, args.q)
     emit(args, [f"sum_entropy = {fmt(bits)} bits"], csv_text("k,q,bits", [(args.k, args.q, bits)]))
+
+
+# name -> (help, handler, options), an option being (flag, type, required, help)
+RUN_OPTIONS = (("--config", None, True, None), ("--seed", int, False, "master seed override"))
+COMMANDS = {
+    "params": ("power-split parameters (Q, A)", cmd_params, (
+        ("--p-tilde", float, False, None), ("--p", float, False, None),
+        ("--h-e", None, False, "comma list of eavesdropper gains"),
+        ("--k", int, True, None), ("--eps", float, True, None))),
+    "dmin": ("received constellation and minimum distance", cmd_dmin, (
+        ("--gains", None, True, "comma list; a/b tokens are exact"),
+        ("--q", int, True, None), ("--a", float, True, None))),
+    "sweep": ("Monte Carlo symbol error sweep over a power grid", cmd_run, RUN_OPTIONS),
+    "block": ("full random-binning block trials", cmd_run, RUN_OPTIONS),
+    "leakage": ("plug-in eavesdropper leakage estimate", cmd_run, RUN_OPTIONS),
+    "kg": ("Khintchine-Groshev linear-form profile", cmd_kg, (
+        ("--gains", None, True, None), ("--eps", float, True, None),
+        ("--n-list", None, True, "comma list of search bounds N"))),
+    "region": ("achievable secrecy rate region of a discrete MAC", cmd_region,
+               (("--spec", None, True, "channel spec file"),)),
+    "entropy": ("exact entropy of a sum of uniform inputs", cmd_entropy,
+                (("--k", int, True, None), ("--q", int, True, None))),
+}
 
 
 def _cell_value(cell: str) -> int | float | str:
@@ -257,42 +277,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"secmac {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, func, help_text: str) -> argparse.ArgumentParser:
-        """A subcommand running ``func`` that writes a CSV, to ``--out`` if given."""
+    for name, (help_text, func, options) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p.add_argument("--out", default=None, help="write CSV here (+ .meta sidecar)")
+        for flag, type_, required, option_help in options:
+            p.add_argument(flag, type=type_, required=required, help=option_help)
         p.set_defaults(func=func)
-        return p
-
-    p = add("params", cmd_params, "power-split parameters (Q, A)")
-    p.add_argument("--p-tilde", type=float, default=None)
-    p.add_argument("--p", type=float, default=None)
-    p.add_argument("--h-e", default=None, help="comma list of eavesdropper gains")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--eps", type=float, required=True)
-
-    p = add("dmin", cmd_dmin, "received constellation and minimum distance")
-    p.add_argument("--gains", required=True, help="comma list; a/b tokens are exact")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--a", type=float, required=True)
-
-    for name, (help_text, _, _) in RUNS.items():
-        p = add(name, cmd_run, help_text)
-        p.add_argument("--config", required=True)
-        p.add_argument("--seed", type=int, default=None, help="master seed override")
-
-    p = add("kg", cmd_kg, "Khintchine-Groshev linear-form profile")
-    p.add_argument("--gains", required=True)
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--n-list", required=True, help="comma list of search bounds N")
-
-    p = add("region", cmd_region, "achievable secrecy rate region of a discrete MAC")
-    p.add_argument("--spec", required=True, help="channel spec file")
-
-    p = add("entropy", cmd_entropy, "exact entropy of a sum of uniform inputs")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
 
     p = sub.add_parser("check", help="verify a CSV re-parses with zero diffs", allow_abbrev=False)
     p.add_argument("file")

@@ -372,6 +372,8 @@ def _block_setup(cfg: SimConfig) -> _BlockRun:
         raise SizeCapError(
             f"codebooks need K*B*L*n = {cfg.K * B * L * cfg.n} cells, cap is {JOINT_TABLE_CAP}"
         )
+    if not rc.gamma_holds:  # after the caps: a run past them exits 3 whatever its gains
+        raise AmbiguityError(f"cannot hard-decode: gamma status is {rc.gamma.value}")
     codebooks = tuple(
         build_codebook(cfg.n, Q, B, L, substream(cfg.master_seed, "block/codebook"), user_k=k)
         for k in range(cfg.K)

@@ -320,9 +320,54 @@ class TestBlockAndLeakage:
         assert code == 3
         assert err.startswith("error: codebook needs B = ") and err.count("\n") == 1
 
+    def test_block_refuses_undecodable_gains_before_any_codebook(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        def no_codebook(*args, **kwargs):
+            raise AssertionError("a codebook was drawn")
+
+        monkeypatch.setattr("secmac.simulate.build_codebook", no_codebook)
+        cfg = tmp_path / "block.cfg"
+        cfg.write_text(SWEEP_CONFIG.replace("h = 1.4142135623730951,1", "h = 1,1") + "n = 4\n")
+        code, out, err = run(capsys, "block", "--config", str(cfg))
+        assert (code, out, err) == (2, "", "error: cannot hard-decode: gamma status is violated\n")
+
+
+OUT_OPTION = ("--out", False, None, None, "write CSV here (+ .meta sidecar)")
+RUN_OPTION_SURFACE = [OUT_OPTION, ("--config", True, None, None, None),
+                      ("--seed", False, int, None, "master seed override")]
+# each subcommand's options in parser order: (flag, required, type, default, help)
+OPTION_SURFACE = {
+    "params": [OUT_OPTION, ("--p-tilde", False, float, None, None),
+               ("--p", False, float, None, None),
+               ("--h-e", False, None, None, "comma list of eavesdropper gains"),
+               ("--k", True, int, None, None), ("--eps", True, float, None, None)],
+    "dmin": [OUT_OPTION, ("--gains", True, None, None, "comma list; a/b tokens are exact"),
+             ("--q", True, int, None, None), ("--a", True, float, None, None)],
+    "sweep": RUN_OPTION_SURFACE,
+    "block": RUN_OPTION_SURFACE,
+    "leakage": RUN_OPTION_SURFACE,
+    "kg": [OUT_OPTION, ("--gains", True, None, None, None), ("--eps", True, float, None, None),
+           ("--n-list", True, None, None, "comma list of search bounds N")],
+    "region": [OUT_OPTION, ("--spec", True, None, None, "channel spec file")],
+    "entropy": [OUT_OPTION, ("--k", True, int, None, None), ("--q", True, int, None, None)],
+    "check": [("file", True, None, None, None)],
+}
+
 
 class TestOptionSurface:
     """Options exist only where a command reads them."""
+
+    def test_each_command_has_its_options_in_order(self):
+        import argparse
+
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert list(sub.choices) == list(OPTION_SURFACE)
+        for name, command in sub.choices.items():
+            options = [(a.option_strings[0] if a.option_strings else a.dest, a.required, a.type,
+                        a.default, a.help)
+                       for a in command._actions if not isinstance(a, argparse._HelpAction)]
+            assert options == OPTION_SURFACE[name], name
 
     def test_config_keys_are_the_simconfig_fields(self):
         from dataclasses import fields
