@@ -268,7 +268,5 @@ def pe_upper_bound(d_min: float) -> tuple[float, float]:
     """
     if d_min < 0:
         raise ParameterError(f"d_min must be >= 0, got {d_min}")
-    if math.isinf(d_min):
-        return 0.0, 0.0
     tail = 0.5 * math.erfc(d_min / (2.0 * math.sqrt(2.0)))
     return tail, math.exp(-d_min * d_min / 8.0)

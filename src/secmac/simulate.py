@@ -137,11 +137,18 @@ class SimConfig:
 
 
 @dataclass(frozen=True)
-class SweepRow:
+class GridPoint:
+    """The scheme at grid power P: P_tilde = min_k h_{k,e}^2 P and its split
+    (Q, A) from ``select_params``; each Monte Carlo report's first columns."""
+
     P: float
     P_tilde: float
     Q: int
     A: float
+
+
+@dataclass(frozen=True)
+class SweepRow(GridPoint):
     d_min: float
     pe_tail_bound: float
     pe_exp_bound: float
@@ -226,23 +233,29 @@ def _constellation_gains(cfg: SimConfig, trials: int) -> ChannelGains:
     return cfg.resolve_gains()
 
 
-def _grid_point(
-    cfg: SimConfig, gains: ChannelGains, g, P: float, *, index: bool = True
-) -> tuple[float, int, ReceivedConstellation, float]:
-    """(P_tilde, Q, received constellation, amplitude A) at P; only a decoding
-    caller needs the constellation's ``index``."""
+def _grid_point(cfg: SimConfig, gains: ChannelGains, P: float) -> GridPoint:
+    """The grid point at P, with no constellation built: a caller can check
+    its caps on Q first."""
     P_t = effective_power(gains, P)
-    Q, A = select_params(P_t, cfg.K, cfg.epsilon)
-    return P_t, Q, received_constellation(g, Q, A * abs(g.scale), index=index), A
+    return GridPoint(P, P_t, *select_params(P_t, cfg.K, cfg.epsilon))
+
+
+def _constellation(g, point: GridPoint, *, index: bool = True) -> ReceivedConstellation:
+    """The receiver's constellation at ``point``, amplitude A*|s|; only a
+    decoding caller needs its ``index``.  Raises ``AmbiguityError`` unless
+    gamma holds, as hard decoding needs each tuple to have its own point."""
+    rc = received_constellation(g, point.Q, point.A * abs(g.scale), index=index)
+    if not rc.gamma_holds:
+        raise AmbiguityError(f"cannot hard-decode: gamma status is {rc.gamma.value}")
+    return rc
 
 
 def _sweep_point(cfg: SimConfig, gains: ChannelGains, g, pi: int, P: float) -> SweepRow:
-    P_t, Q, rc, A = _grid_point(cfg, gains, g, P, index=False)
+    point = _grid_point(cfg, gains, P)
+    rc = _constellation(g, point, index=False)
     tail, expb = pe_upper_bound(rc.d_min / math.sqrt(cfg.variance) if cfg.variance else math.inf)
 
     # a trial is correct iff the noisy sample's nearest point is its own
-    if not rc.gamma_holds:
-        raise AmbiguityError(f"cannot hard-decode: gamma status is {rc.gamma.value}")
     errors, pts = 0, rc.points
     for pos, seed in _uniform_batches(cfg.master_seed, "sweep", 1, 0, pts.size - 1, cfg.trials, pi):
         y = transmit(pts[pos[:, 0]], cfg.variance, seed)
@@ -251,13 +264,9 @@ def _sweep_point(cfg: SimConfig, gains: ChannelGains, g, pi: int, P: float) -> S
 
     pe_mc = errors / cfg.trials
     ci_low, ci_high = wilson_interval(errors, cfg.trials)
-    r_sum = sum_rate_lower_bound(cfg.K, Q, pe_mc)
-    eta = r_sum / (0.5 * math.log2(P))
+    r_sum = sum_rate_lower_bound(cfg.K, point.Q, pe_mc)
     return SweepRow(
-        P=P,
-        P_tilde=P_t,
-        Q=Q,
-        A=A,
+        **vars(point),
         d_min=rc.d_min,
         pe_tail_bound=tail,
         pe_exp_bound=expb,
@@ -265,7 +274,7 @@ def _sweep_point(cfg: SimConfig, gains: ChannelGains, g, pi: int, P: float) -> S
         pe_mc_ci_low=ci_low,
         pe_mc_ci_high=ci_high,
         r_sum_bound_bits=r_sum,
-        eta_running=eta,
+        eta_running=r_sum / (0.5 * math.log2(P)),
     )
 
 
@@ -297,12 +306,8 @@ def run_symbol_sweep(cfg: SimConfig) -> SweepReport:
 
 
 @dataclass(frozen=True)
-class BlockReport(_Report):
+class BlockReport(_Report, GridPoint):
     command: ClassVar[str] = "block"
-    P: float
-    P_tilde: float
-    Q: int
-    A: float
     n: int
     B: int
     L: int
@@ -347,39 +352,37 @@ def derive_code_sizes(cfg: SimConfig, Q: int) -> tuple[int, int]:
 
 class _BlockRun(NamedTuple):
     """The fixed parts of a block run: its config with the gains resolved,
-    the top grid point, each user's coefficient A*|s|*g_k in the received
-    point and one codebook per user."""
+    the top grid point and its constellation, each user's coefficient
+    A*|s|*g_k in the received point and one codebook per user."""
 
     cfg: SimConfig
-    P_tilde: float
-    Q: int
-    A: float
+    point: GridPoint
     rc: ReceivedConstellation
     coefs: np.ndarray
     codebooks: tuple[Codebook, ...]
 
 
 def _block_setup(cfg: SimConfig) -> _BlockRun:
-    """Grid point and codebooks for a block run at the top of the power grid."""
+    """Grid point, constellation and codebooks for a block run at the top of
+    the power grid.  The code sizes need only Q: their caps are checked
+    before any array is built, gamma before any codebook is drawn."""
     gains = _constellation_gains(cfg, cfg.trials)
-    g = normalize_gains(gains)
-    P_t, Q, rc, A = _grid_point(cfg, gains, g, cfg.P_grid[-1])
-    B, L = derive_code_sizes(cfg, Q)
-    # both refused before any table is drawn
+    point = _grid_point(cfg, gains, cfg.P_grid[-1])
+    B, L = derive_code_sizes(cfg, point.Q)
     if B > TABLE_CAP:
         raise SizeCapError(f"codebook needs B = {B} bins per user, cap is {TABLE_CAP}")
     if cfg.K * B * L * cfg.n > JOINT_TABLE_CAP:
         raise SizeCapError(
             f"codebooks need K*B*L*n = {cfg.K * B * L * cfg.n} cells, cap is {JOINT_TABLE_CAP}"
         )
-    if not rc.gamma_holds:  # after the caps: a run past them exits 3 whatever its gains
-        raise AmbiguityError(f"cannot hard-decode: gamma status is {rc.gamma.value}")
+    g = normalize_gains(gains)
+    rc = _constellation(g, point)
     codebooks = tuple(
-        build_codebook(cfg.n, Q, B, L, substream(cfg.master_seed, "block/codebook"), user_k=k)
+        build_codebook(cfg.n, point.Q, B, L, substream(cfg.master_seed, "block/codebook"), user_k=k)
         for k in range(cfg.K)
     )
     cfg = replace(cfg, h=gains.h, h_e=gains.h_e)
-    return _BlockRun(cfg, P_t, Q, A, rc, g.as_floats() * (A * abs(g.scale)), codebooks)
+    return _BlockRun(cfg, point, rc, g.as_floats() * (point.A * abs(g.scale)), codebooks)
 
 
 def _block_batch(run: _BlockRun, msgs: np.ndarray, seed) -> tuple[np.ndarray, np.ndarray]:
@@ -416,10 +419,7 @@ def run_block_trials(cfg: SimConfig) -> BlockReport:
     ci_low, ci_high = wilson_interval(errors, cfg.trials)
     cross = sum(cb.duplicate_stats() for cb in run.codebooks)
     return BlockReport(
-        P=cfg.P_grid[-1],
-        P_tilde=run.P_tilde,
-        Q=run.Q,
-        A=run.A,
+        **vars(run.point),
         n=cfg.n,
         B=cb0.B,
         L=cb0.L,
@@ -436,15 +436,11 @@ def run_block_trials(cfg: SimConfig) -> BlockReport:
 
 
 @dataclass(frozen=True)
-class LeakageRunReport(_Report):
+class LeakageRunReport(_Report, GridPoint):
     """A leakage run's grid point, its estimate and the exact entropies of
     uniform inputs on [-Q, Q]^K, whether or not the samples reach its edge."""
 
     command: ClassVar[str] = "leakage"
-    P: float
-    P_tilde: float
-    Q: int
-    A: float
     variance: float
     bin_width: float
     samples: int
@@ -478,9 +474,8 @@ def run_leakage(cfg: SimConfig) -> LeakageRunReport:
             f"{cfg.leakage_samples} samples of {cfg.K} inputs exceed cap {JOINT_TABLE_CAP}"
         )
     gains = cfg.resolve_gains()
-    P = cfg.P_grid[-1]
-    P_t = effective_power(gains, P)
-    Q, A = select_params(P_t, cfg.K, cfg.epsilon)
+    point = _grid_point(cfg, gains, cfg.P_grid[-1])
+    Q, A = point.Q, point.A
     if cfg.K * Q >= 2**63:  # the tuples and their noiseless sums are int64
         raise SizeCapError(f"symbol bound Q = {Q} overflows the int64 input draw")
     width = cfg.bin_width if cfg.bin_width is not None else A / 10.0
@@ -500,10 +495,7 @@ def run_leakage(cfg: SimConfig) -> LeakageRunReport:
     mi, bias = leakage_estimate(tuples, z, width, Q)
     h_sum, h_in = sum_entropy(cfg.K, Q), cfg.K * math.log2(2 * Q + 1)
     return LeakageRunReport(
-        P=P,
-        P_tilde=P_t,
-        Q=Q,
-        A=A,
+        **vars(point),
         variance=cfg.variance,
         bin_width=width,
         samples=int(tuples.shape[0]),

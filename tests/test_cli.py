@@ -287,16 +287,19 @@ class TestBlockAndLeakage:
             ("block", "10", 1, 10**5, "error: codebooks need K*B*L*n = 13107200000 cells"),
             ("block", "10", 1, 10**30, f"error: block length n = {10**30} needs over"),
             ("block", "10", 1, 10**400, f"error: block length n = {10**400} needs over"),
+            # Q = 1568: M = 9,840,769 points, within ENUMERATION_CAP
+            ("block", "9e31", 10, 40, "error: block length n = 40 needs over"),
         ],
         ids=["block-trials", "sweep-trials", "block-trials-1e30", "n-1e4", "n-1e5", "n-1e30",
-             "n-1e400"],
+             "n-1e400", "near-cap-n40"],
     )
     def test_run_past_cap_exits_3_up_front(self, tmp_path, capsys, monkeypatch, command, p_grid,
                                            trials, n, message):
-        # refused before any codebook or trial is drawn
+        # refused before any constellation is built or codebook or trial drawn
         def no_draw(*args, **kwargs):
-            raise AssertionError("a codebook or a trial was drawn")
+            raise AssertionError("a constellation was built or a codebook or a trial drawn")
 
+        monkeypatch.setattr("secmac.simulate.received_constellation", no_draw)
         monkeypatch.setattr("secmac.simulate.build_codebook", no_draw)
         monkeypatch.setattr("secmac.simulate.stream", no_draw)
         cfg = tmp_path / "run.cfg"
@@ -309,7 +312,11 @@ class TestBlockAndLeakage:
         assert err.startswith(message) and err.count("\n") == 1
 
     @pytest.mark.parametrize("k,eps,p,n", [(3, 0.3, "1e6", 20), (2, 0.5, "1e8", 40)])
-    def test_block_table_past_cap_exits_3(self, tmp_path, capsys, k, eps, p, n):
+    def test_block_table_past_cap_exits_3(self, tmp_path, capsys, monkeypatch, k, eps, p, n):
+        def no_build(*args, **kwargs):  # refused before any constellation is built
+            raise AssertionError("a constellation was built")
+
+        monkeypatch.setattr("secmac.simulate.received_constellation", no_build)
         cfg = tmp_path / "block.cfg"
         ones = ",".join(["1"] * k)
         cfg.write_text(

@@ -39,7 +39,7 @@ from secmac.secrecy import (
     mutual_information,
     sum_entropy,
 )
-from secmac.simulate import SimConfig, _grid_point
+from secmac.simulate import SimConfig, _constellation, _grid_point
 from test_simulate import exact_leakage_bits, exact_symbol_error
 
 S2, S3 = math.sqrt(2), math.sqrt(3)
@@ -60,8 +60,8 @@ def grid_point(K, h, P, index=True):
     gains = ChannelGains(h=h, h_e=(1.0,) * K)
     g = normalize_gains(gains)
     cfg = SimConfig(K=K, epsilon=0.5, P_grid=(P,), h=h, h_e=gains.h_e)
-    _, Q, rc, A = _grid_point(cfg, gains, g, P, index=index)
-    return Q, A, rc, g
+    point = _grid_point(cfg, gains, P)
+    return point.Q, point.A, _constellation(g, point, index=index), g
 
 
 def hard_decision_channel(K, h, P, variance):

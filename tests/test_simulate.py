@@ -34,6 +34,7 @@ from secmac.simulate import (
     WILSON_Z,
     _block_batch,
     _block_setup,
+    _constellation,
     _grid_point,
     _uniform_batches,
     derive_code_sizes,
@@ -259,7 +260,7 @@ class TestSymbolSweep:
         g = normalize_gains(gains)
         want = []
         for pi, P in enumerate(cfg.P_grid):
-            rc = _grid_point(cfg, gains, g, P)[2]
+            rc = _constellation(g, _grid_point(cfg, gains, P))
             M, errors = rc.points.size, 0
             for pos, seed in _uniform_batches(cfg.master_seed, "sweep", 1, 0, M - 1, cfg.trials, pi):
                 y = transmit(rc.points[pos[:, 0]], cfg.variance, seed)
@@ -301,7 +302,7 @@ class TestSymbolSweep:
         # interval of the exact error probability of nearest-point decoding
         cfg = SimConfig(**cfg, trials=200_000)
         gains = cfg.resolve_gains()
-        rc = _grid_point(cfg, gains, normalize_gains(gains), cfg.P_grid[0])[2]
+        rc = _constellation(normalize_gains(gains), _grid_point(cfg, gains, cfg.P_grid[0]))
         exact = exact_symbol_error(rc.points, cfg.variance)
         errors = round(run_symbol_sweep(cfg).rows[0].pe_mc * cfg.trials)
         low, high = wilson_interval(errors, cfg.trials, ORACLE_Z)
@@ -400,7 +401,7 @@ def test_samples_are_the_physical_channel_outputs(monkeypatch, K, seed, negate):
     v = np.stack([encode(cb, msgs[:, k], batch_seed) for k, cb in enumerate(run.codebooks)], -1)
     v = v.reshape(-1, K)
     sgn = math.copysign(1.0, gains.h[-1] / gains.h_e[-1])
-    main = sgn * ((run.A * v / np.array(gains.h_e)) @ np.array(gains.h))
+    main = sgn * ((run.point.A * v / np.array(gains.h_e)) @ np.array(gains.h))
     assert np.all(np.abs(sent[-1] - main) <= ulps * (np.abs(v) @ np.abs(run.coefs)))
 
     sent.clear()
@@ -510,13 +511,15 @@ class TestBlockTrials:
 
     @pytest.mark.parametrize("K,eps,P,n,B", [(3, 0.3, 1e6, 20, 2**26), (2, 0.5, 1e8, 40, 2**36)])
     def test_bin_count_past_table_cap_is_refused(self, K, eps, P, n, B, monkeypatch):
-        # refused before any table is drawn (the first would need 10.7 GB)
+        # refused before any constellation is built or table drawn (the
+        # first table would need 10.7 GB)
         cfg = SimConfig(K=K, epsilon=eps, P_grid=(P,), n=n, h=(1.0,) * K, h_e=(1.0,) * K)
         assert derive_code_sizes(cfg, select_params(P, K, eps).Q)[0] == B > TABLE_CAP
 
         def no_table(*args, **kwargs):
-            raise AssertionError("a codebook was drawn")
+            raise AssertionError("a constellation was built or a codebook drawn")
 
+        monkeypatch.setattr("secmac.simulate.received_constellation", no_table)
         monkeypatch.setattr("secmac.simulate.build_codebook", no_table)
         with pytest.raises(SizeCapError, match=f"B = {B} bins per user, cap is 65536"):
             run_block_trials(cfg)
