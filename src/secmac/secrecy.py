@@ -262,17 +262,22 @@ def leakage_estimate(
     input tuples and quantized z, and its first-order bias bound
     (occupied joint cells - 1) / (2 n ln 2).
 
-    ``x_tuples`` is (n, K) integers drawn from [-Q, Q]^K, ``z`` is (n,)
-    reals quantized to bins of the given width.  The estimator carries
-    no bias correction; the bound stands in for one.
+    ``x_tuples`` is (n, K) signed integers in [-Q, Q]^K, ``z`` is (n,)
+    reals quantized to bins of the given width.  One sorted int64 key per
+    sample, tuple code * bin slots + bin slot, gives the joint counts (its
+    runs) and the tuple counts (runs summed per code).  Bins spanning n or
+    more slots, and codes whose key would pass int64, are ranked first.
+    The estimator carries no bias correction; the bound stands in for one.
     """
     x_tuples = np.asarray(x_tuples)
     z = np.asarray(z, dtype=float)
     if x_tuples.ndim != 2 or z.ndim != 1 or x_tuples.shape[0] != z.size:
         raise ParameterError("need (n, K) tuples aligned with n observations")
-    if x_tuples.size and int(np.abs(x_tuples).max()) > Q:
+    if x_tuples.dtype.kind != "i":
+        raise ParameterError(f"input tuples must be signed integers, got dtype {x_tuples.dtype}")
+    if x_tuples.size and not -Q <= int(x_tuples.min()) <= int(x_tuples.max()) <= Q:
         raise ParameterError(f"input tuples leave the alphabet [-{Q}, {Q}]")
-    n = z.size
+    n, K = x_tuples.shape
     if n < MIN_LEAKAGE_SAMPLES:
         raise ParameterError(f"need at least {MIN_LEAKAGE_SAMPLES} samples, got {n}")
     if not bin_width > 0:
@@ -286,19 +291,28 @@ def leakage_estimate(
         )
     bins = cells.astype(np.int64)
 
-    K = x_tuples.shape[1]
-    if (2 * Q + 1) ** K < 2**63:
-        _, tuple_ids = np.unique(mixed_radix_index(x_tuples, K, Q), return_inverse=True)
-    else:  # no int64 key for this alphabet: compare whole rows
-        _, tuple_ids = np.unique(x_tuples, axis=0, return_inverse=True)
-    _, bin_ids, bin_counts = np.unique(bins, return_inverse=True, return_counts=True)
-    # only occupied cells are counted: joint keys stay below n^2
-    joint = tuple_ids * bin_counts.size + bin_ids
-    _, joint_counts = np.unique(joint, return_counts=True)
+    lo, hi = int(bins.min()), int(bins.max())
+    if hi - lo < n:
+        slots, n_slots = bins - lo, hi - lo + 1
+    else:  # a bincount over the span would dwarf the samples: rank the bins
+        _, slots = np.unique(bins, return_inverse=True)
+        n_slots = int(slots.max()) + 1
+    n_codes = (2 * Q + 1) ** K
+    if n_codes >= 2**63:  # no int64 code for this alphabet: rank whole rows
+        _, codes = np.unique(x_tuples, axis=0, return_inverse=True)
+    else:
+        codes = mixed_radix_index(x_tuples, K, Q)
+        if n_codes * n_slots >= 2**63:  # rank the codes, so the key fits int64
+            _, codes = np.unique(codes, return_inverse=True)
+    key = codes * n_slots + slots
+    key.sort()
+    runs = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    joint_counts, run_codes = np.diff(runs, append=n), key[runs] // n_slots
+    tuple_runs = np.flatnonzero(np.r_[True, run_codes[1:] != run_codes[:-1]])
     mi = max(
         0.0,
-        entropy_bits(np.bincount(tuple_ids) / n)
-        + entropy_bits(bin_counts / n)
+        entropy_bits(np.add.reduceat(joint_counts, tuple_runs) / n)
+        + entropy_bits(np.bincount(slots) / n)  # empty bins add no entropy
         - entropy_bits(joint_counts / n),
     )
     return mi, (joint_counts.size - 1) / (2.0 * n * math.log(2.0))

@@ -258,9 +258,10 @@ def _sweep_point(cfg: SimConfig, gains: ChannelGains, g, pi: int, P: float) -> S
     # a trial is correct iff the noisy sample's nearest point is its own
     errors, pts = 0, rc.points
     for pos, seed in _uniform_batches(cfg.master_seed, "sweep", 1, 0, pts.size - 1, cfg.trials, pi):
-        y = transmit(pts[pos[:, 0]], cfg.variance, seed)
-        pos = pos[:, 0]  # the nearer of a sample's point and its neighbour on y's side
-        errors += int(np.count_nonzero(nearer(y, pts, pos + (y >= pts[pos])) != pos))
+        pos = pos[:, 0]
+        x = pts[pos]  # decoded as the nearer of x and its neighbour on y's side
+        y = transmit(x, cfg.variance, seed)
+        errors += int(np.count_nonzero(nearer(y, pts, pos + (y >= x)) != pos))
 
     pe_mc = errors / cfg.trials
     ci_low, ci_high = wilson_interval(errors, cfg.trials)
@@ -489,7 +490,7 @@ def run_leakage(cfg: SimConfig) -> LeakageRunReport:
         batches = [(mixed_radix_digits(np.arange(reps * M) % M, cfg.K, Q), None)]
     else:
         batches = _uniform_batches(cfg.master_seed, "leakage", cfg.K, -Q, Q, cfg.leakage_samples)
-    observed = ((v, transmit(A * v.sum(axis=1), cfg.variance, s)) for v, s in batches)
+    observed = ((v, transmit(A * sum(v.T), cfg.variance, s)) for v, s in batches)
     tuples, z = map(np.concatenate, zip(*observed))
 
     mi, bias = leakage_estimate(tuples, z, width, Q)

@@ -4,7 +4,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from secmac import (
@@ -23,6 +23,8 @@ from secmac import (
     sum_rate_lower_bound,
 )
 from secmac.cli import main as cli_main
+from secmac.constellation import mixed_radix_index
+from secmac.secrecy import entropy_bits
 from secmac.simulate import fmt
 
 
@@ -492,6 +494,66 @@ class TestLeakageEstimate:
         want, occupied = self.dense_reference(tuples, z, 0.5)
         assert mi == pytest.approx(want, abs=1e-12)
         assert bias == (occupied - 1) / (2 * 1200 * math.log(2))
+
+    def test_most_negative_int64_is_outside_alphabet(self):
+        # |-2^63| wraps to -2^63 in int64, which an abs-based check lets through
+        tuples = self.exhaustive_tuples(2, 1, 120)
+        tuples[0, 0] = np.iinfo(np.int64).min
+        z = tuples[:, 1].astype(float)
+        with pytest.raises(ParameterError, match="alphabet"):
+            leakage_estimate(tuples, z, 0.5, 1)
+
+    def test_float_tuples_are_refused(self):
+        # a cast to int64 would alias every tuple on (-1, 1)^2 to (0, 0)
+        rng = np.random.default_rng(3)
+        tuples = rng.uniform(-1, 1, size=(1200, 2))
+        with pytest.raises(ParameterError, match="signed integers"):
+            leakage_estimate(tuples, tuples.sum(axis=1), 0.1, 1)
+
+    @staticmethod
+    def three_unique_reference(tuples, z, bin_width, Q):
+        """(mi_bits, bias_bound_bits) counted by three ``np.unique`` passes:
+        tuple ids, bin ids with their counts, and the joint ids."""
+        n, K = tuples.shape
+        bins = np.floor(z / bin_width).astype(np.int64)
+        if (2 * Q + 1) ** K < 2**63:
+            _, tuple_ids = np.unique(mixed_radix_index(tuples, K, Q), return_inverse=True)
+        else:
+            _, tuple_ids = np.unique(tuples, axis=0, return_inverse=True)
+        _, bin_ids, bin_counts = np.unique(bins, return_inverse=True, return_counts=True)
+        _, joint_counts = np.unique(tuple_ids * bin_counts.size + bin_ids, return_counts=True)
+        mi = max(
+            0.0,
+            entropy_bits(np.bincount(tuple_ids) / n)
+            + entropy_bits(bin_counts / n)
+            - entropy_bits(joint_counts / n),
+        )
+        return mi, (joint_counts.size - 1) / (2.0 * n * math.log(2.0))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        K=st.integers(1, 5),
+        Q=st.integers(0, 5),
+        shift=st.sampled_from([0.0, -40.0, -3e5]),
+        sd=st.sampled_from([0.0, 0.3, 2.0, 1e4]),
+        bin_width=st.sampled_from([1e-3, 0.25, 1.0, 7.0, math.inf]),
+        one_tuple=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # (2*3000 + 1)^5 * bin slots >= 2^63: the codes are ranked before packing
+    @example(K=5, Q=3000, shift=0.0, sd=0.0, bin_width=100.0, one_tuple=False, seed=7)
+    # (2*77 + 1)^12 >= 2^63: the rows are ranked (and the bins, which span past n)
+    @example(K=12, Q=77, shift=0.0, sd=1.0, bin_width=0.5, one_tuple=False, seed=1)
+    def test_counts_match_three_unique_reference(
+        self, K, Q, shift, sd, bin_width, one_tuple, seed
+    ):
+        rng = np.random.default_rng(seed)
+        tuples = rng.integers(-Q, Q + 1, size=(1200, K))
+        if one_tuple:
+            tuples[:] = tuples[0]
+        z = shift + tuples.sum(axis=1) + sd * rng.standard_normal(1200)
+        got = leakage_estimate(tuples, z, bin_width, Q)
+        assert got == self.three_unique_reference(tuples, z, bin_width, Q)
 
     def test_bias_bound_formula(self):
         tuples = self.exhaustive_tuples(2, 1, 112)
