@@ -26,7 +26,7 @@ from .channel import ChannelGains, effective_power, normalize_ratios
 from .constellation import received_constellation, select_params
 from .diophantine import kg_profile
 from .errors import ParameterError, SizeCapError
-from .keyvalue import key_values, parse_value, read_key_values, read_text
+from .keyvalue import key_values, parse_value, read_text
 from .secrecy import achievable_region, load_mac_spec, sum_entropy
 from .simulate import SimConfig, csv_text, fmt, run_block_trials, run_leakage, run_symbol_sweep
 
@@ -86,7 +86,7 @@ CONFIG_KEYS = {
 
 def parse_config(path: str, required: tuple[str, ...]) -> dict:
     values: dict = {}
-    for key, (lineno, val) in read_key_values(path).items():
+    for key, (lineno, val) in key_values(read_text(path), path).items():
         if key not in CONFIG_KEYS:
             raise ParameterError(f"{path}:{lineno}: unknown key {key!r}")
         values[key] = parse_value(path, key, lineno, CONFIG_KEYS[key], val)

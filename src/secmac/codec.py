@@ -64,16 +64,18 @@ class Codebook:
 
     def _key(self, rows) -> np.ndarray:
         """Exact key of each row, (..., n) -> (...): its code, or -1 where a symbol
-        is outside [-Q, Q] (a code would alias); unpacked, the row's bytes.  Rows
-        must be a signed-integer array: a float cast would alias 0.3 to 0."""
+        is outside [-Q, Q] (the encoder refuses those rows); unpacked, the row's
+        bytes.  Rows must be a signed-integer array: a float cast would alias 0.3 to 0."""
         if rows.dtype.kind != "i":
             raise ParameterError(f"symbols must be signed integers, got dtype {rows.dtype}")
         if not self._packed:
             return np.ascontiguousarray(rows, dtype=np.int64).view(f"V{8 * self.n}")[..., 0]
-        if not rows.size or (rows.min() >= -self.Q and rows.max() <= self.Q):
+        try:
             return mixed_radix_index(rows, self.n, self.Q)
-        inside = ((rows >= -self.Q) & (rows <= self.Q)).all(axis=-1)
-        return np.where(inside, self._key(np.clip(rows, -self.Q, self.Q)), -1)
+        except ParameterError:  # some row leaves the alphabet: clipping moves it
+            clipped = np.clip(rows, -self.Q, self.Q)
+            codes = mixed_radix_index(clipped, self.n, self.Q)
+            return np.where((clipped == rows).all(axis=-1), codes, -1)
 
     def bin_of(self, sequence: np.ndarray) -> np.ndarray:
         """Bin of the first exact table match (``searchsorted`` of the key),
@@ -139,7 +141,8 @@ def hard_decode(y: np.ndarray, rc: ReceivedConstellation) -> np.ndarray:
     """Per-sample nearest constellation point, returned as symbol tuples.
 
     Output is a (..., K) int64 array for samples of shape (...); a scalar
-    counts as one sample.  Distance ties go to the smaller point value.
+    counts as one sample.  Distance ties go to the smaller point value;
+    -inf and +inf decode to the end points, a NaN sample is refused.
     A constellation built with ``index=False`` is refused.
     """
     if rc.index is None:
@@ -147,5 +150,7 @@ def hard_decode(y: np.ndarray, rc: ReceivedConstellation) -> np.ndarray:
     if not rc.gamma_holds:
         raise AmbiguityError(f"cannot hard-decode: gamma status is {rc.gamma.value}")
     y = np.atleast_1d(np.asarray(y, dtype=float))
+    if np.isnan(y).any():
+        raise ParameterError("cannot hard-decode a NaN sample")
     pos = nearer(y, rc.points, np.searchsorted(rc.points, y))
     return mixed_radix_digits(rc.index[pos], rc.K, rc.Q)

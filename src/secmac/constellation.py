@@ -112,17 +112,21 @@ def mixed_radix_digits(index, K: int, Q: int) -> np.ndarray:
 def mixed_radix_index(digits, K: int, Q: int) -> np.ndarray:
     """Mixed-radix indices of symbol tuples in [-Q, Q]^K, shape (..., K) -> (...).
 
-    The inverse of ``mixed_radix_digits``.  Raises ``SizeCapError`` when
-    (2Q+1)^K does not fit in int64, so an index never wraps around.
+    The inverse of ``mixed_radix_digits``.  No tuple takes another's index:
+    ``SizeCapError`` when (2Q+1)^K does not fit int64, ``ParameterError`` for
+    digits outside [-Q, Q] or not signed integers (floats truncate, uint64 wraps).
     """
     base = 2 * Q + 1
     if base**K > 2**63:
         raise SizeCapError(f"(2Q+1)^K = {base}^{K} does not fit an int64 index")
-    digits = np.asarray(digits, dtype=np.int64)
-    index = np.zeros(digits.shape[:-1], dtype=np.int64)
-    for k in range(K):
-        index = index * base + (digits[..., k] + Q)
-    return index
+    digits = np.asarray(digits)
+    if digits.dtype.kind != "i":
+        raise ParameterError(f"digits must be signed integers, got dtype {digits.dtype}")
+    shifted = np.add(digits, Q, dtype=np.int64)  # a shift past 2^63 - 1 wraps negative
+    try:
+        return np.ravel_multi_index(tuple(np.moveaxis(shifted, -1, 0)), (base,) * K)
+    except ValueError:  # a shifted digit outside [0, 2Q], or a tuple not K long
+        raise ParameterError(f"digits leave the alphabet [-{Q}, {Q}]^{K}") from None
 
 
 def tuple_sums(coefs, Q: int, dtype=float) -> np.ndarray:

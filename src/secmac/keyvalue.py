@@ -34,11 +34,6 @@ def key_values(text: str, source: str) -> dict[str, tuple[int, str]]:
     return entries
 
 
-def read_key_values(path: str) -> dict[str, tuple[int, str]]:
-    """``key_values`` of a text file, which must be readable."""
-    return key_values(read_text(path), path)
-
-
 def parse_value(path: str, key: str, lineno: int, parse, text: str):
     """``parse(text)``, with a ValueError reported at the key's line."""
     try:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .constellation import mixed_radix_index
 from .errors import ParameterError, SizeCapError
-from .keyvalue import parse_value, read_key_values
+from .keyvalue import key_values, parse_value, read_text
 
 JOINT_TABLE_CAP = 10_000_000
 PMF_TOL = 1e-12
@@ -116,20 +116,13 @@ def entropy_bits(p: np.ndarray) -> float:
 
 
 def mutual_information(joint: np.ndarray) -> float:
-    """I(A;B) in bits from a 2-way joint pmf table."""
+    """I(A;B) in bits from a 2-way joint pmf table, checked as one pmf by
+    ``_check_pmf``: a NaN or inf entry is refused, not read as 0 bits."""
     joint = np.asarray(joint, dtype=float)
     if joint.ndim != 2:
         raise ParameterError(f"joint table must be 2-D, got {joint.ndim}-D")
-    if np.any(joint < 0):
-        raise ParameterError("joint table has negative entries")
-    total = joint.sum()
-    if abs(total - 1.0) > PMF_TOL:
-        raise ParameterError(f"joint table sums to {total}, not 1 within {PMF_TOL}")
-    val = (
-        entropy_bits(joint.sum(axis=1))
-        + entropy_bits(joint.sum(axis=0))
-        - entropy_bits(joint)
-    )
+    _check_pmf(joint.ravel(), "joint table")
+    val = entropy_bits(joint.sum(axis=1)) + entropy_bits(joint.sum(axis=0)) - entropy_bits(joint)
     return max(0.0, val)
 
 
@@ -262,21 +255,19 @@ def leakage_estimate(
     input tuples and quantized z, and its first-order bias bound
     (occupied joint cells - 1) / (2 n ln 2).
 
-    ``x_tuples`` is (n, K) signed integers in [-Q, Q]^K, ``z`` is (n,)
-    reals quantized to bins of the given width.  One sorted int64 key per
-    sample, tuple code * bin slots + bin slot, gives the joint counts (its
-    runs) and the tuple counts (runs summed per code).  Bins spanning n or
-    more slots, and codes whose key would pass int64, are ranked first.
-    The estimator carries no bias correction; the bound stands in for one.
+    ``x_tuples`` is (n, K) signed integers in [-Q, Q]^K (others are
+    refused), ``z`` is (n,) reals quantized to bins of the given width.
+    One sorted int64 key per sample, tuple code * bin slots + bin slot,
+    gives the joint counts (its runs) and the tuple counts (runs summed
+    per code).  Bins spanning n or more slots are ranked first; where
+    (2Q+1)^K * slots would reach 2^63, the tuples are ranked as whole rows
+    in place of their codes.  The estimator carries no bias correction;
+    the bound stands in for one.
     """
     x_tuples = np.asarray(x_tuples)
     z = np.asarray(z, dtype=float)
     if x_tuples.ndim != 2 or z.ndim != 1 or x_tuples.shape[0] != z.size:
         raise ParameterError("need (n, K) tuples aligned with n observations")
-    if x_tuples.dtype.kind != "i":
-        raise ParameterError(f"input tuples must be signed integers, got dtype {x_tuples.dtype}")
-    if x_tuples.size and not -Q <= int(x_tuples.min()) <= int(x_tuples.max()) <= Q:
-        raise ParameterError(f"input tuples leave the alphabet [-{Q}, {Q}]")
     n, K = x_tuples.shape
     if n < MIN_LEAKAGE_SAMPLES:
         raise ParameterError(f"need at least {MIN_LEAKAGE_SAMPLES} samples, got {n}")
@@ -297,13 +288,12 @@ def leakage_estimate(
     else:  # a bincount over the span would dwarf the samples: rank the bins
         _, slots = np.unique(bins, return_inverse=True)
         n_slots = int(slots.max()) + 1
-    n_codes = (2 * Q + 1) ** K
-    if n_codes >= 2**63:  # no int64 code for this alphabet: rank whole rows
+    if (2 * Q + 1) ** K * n_slots < 2**63:
+        codes = mixed_radix_index(x_tuples, K, Q)  # refuses a float or a tuple outside [-Q, Q]
+    else:  # the key would pass int64: rank whole rows, which keeps code order
+        if x_tuples.dtype.kind != "i" or not -Q <= int(x_tuples.min()) <= int(x_tuples.max()) <= Q:
+            raise ParameterError(f"tuples must be signed integers in the alphabet [-{Q}, {Q}]")
         _, codes = np.unique(x_tuples, axis=0, return_inverse=True)
-    else:
-        codes = mixed_radix_index(x_tuples, K, Q)
-        if n_codes * n_slots >= 2**63:  # rank the codes, so the key fits int64
-            _, codes = np.unique(codes, return_inverse=True)
     key = codes * n_slots + slots
     key.sort()
     runs = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
@@ -333,7 +323,7 @@ def load_mac_spec(path: str) -> DiscreteMACSpec:
     (row-major over (x_1, ..., x_K, y, z)).  Values are separated by
     whitespace.  '#' starts a comment.
     """
-    entries = read_key_values(path)
+    entries = key_values(read_text(path), path)
 
     def take(key: str, count: int, parse=float) -> list:
         """The ``count`` values of ``key``."""

@@ -185,11 +185,6 @@ def _config_keys(cfg: SimConfig) -> dict:
     }
 
 
-def _fit_keys(fit: SlopeFit | None) -> dict:
-    """The S-DoF fit's ``.meta`` keys; none without a fit (a one-point grid)."""
-    return {} if fit is None else dict(zip(("slope", "intercept", "fit_residual"), map(fmt, fit)))
-
-
 class _Report:
     """The CSV writer and ``.meta`` builder of the run reports.
 
@@ -208,8 +203,9 @@ class _Report:
         return csv_text(",".join(cols), ([getattr(r, c) for c in cols] for r in rows))
 
     def metadata(self) -> dict:
-        fit = _fit_keys(getattr(self, "fit", None))  # only a sweep has a fit
-        return {**_config_keys(self.config), **fit, "stream_layout": STREAM_LAYOUT[self.command]}
+        fit = getattr(self, "fit", None) or ()  # only a sweep has a fit; a one-point grid has none
+        fit_keys = dict(zip(("slope", "intercept", "fit_residual"), map(fmt, fit)))
+        return _config_keys(self.config) | fit_keys | {"stream_layout": STREAM_LAYOUT[self.command]}
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from secmac import ParameterError, __version__, cli
 from secmac.cli import main, parse_gain_list
-from secmac.keyvalue import read_key_values
+from secmac.keyvalue import key_values, read_text
 
 ADDER_SPEC = """\
 k = 2
@@ -616,7 +616,7 @@ def test_sidecar_records_stripped_gain_tokens(tmp_path, capsys, command):
     out = tmp_path / "x.csv"
     argv = {"dmin": ["--q", "1", "--a", "1"], "kg": ["--eps", "0.5", "--n-list", "2"]}[command]
     assert run(capsys, command, "--gains", " 1.5,\n1 ", *argv, "--out", str(out))[0] == 0
-    assert read_key_values(f"{out}.meta")["gains"][1] == "1.5,1"
+    assert key_values(read_text(f"{out}.meta"), f"{out}.meta")["gains"][1] == "1.5,1"
 
 
 @pytest.mark.parametrize("argv", [
@@ -694,7 +694,8 @@ def test_sidecar_reads_back_or_nothing_is_output(tmp_path_factory, drawn):
     fields = {k: str(v) for k, v in emit.call_args.kwargs.items()}
     if command == "region":
         assert fields == {"spec": text}
-    back = {k: v for k, (_, v) in read_key_values(where / "x.csv.meta").items()}
+    meta = where / "x.csv.meta"
+    back = {k: v for k, (_, v) in key_values(read_text(meta), meta).items()}
     assert back.pop("wall_time_s")
     assert back == {"command": command, "version": __version__, **fields}
 

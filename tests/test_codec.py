@@ -138,6 +138,16 @@ class TestHardDecode:
         y = np.array([100.0 * (S2 - 1) + 0.3])
         assert hard_decode(y, rc)[0].tolist() == [1, -1]
 
+    def test_nan_sample_rejected(self):
+        # searchsorted puts NaN past the last point, which would decode to (1, 1)
+        rc = received_constellation(self.g, 1, 1.0)
+        with pytest.raises(ParameterError, match="NaN"):
+            hard_decode(np.array([np.nan]), rc)
+
+    def test_infinite_samples_decode_to_the_end_points(self):
+        rc = received_constellation(self.g, 1, 1.0)
+        assert hard_decode(np.array([-np.inf, np.inf]), rc).tolist() == [[-1, -1], [1, 1]]
+
     def test_gamma_violation_rejected(self):
         rc = received_constellation(NormalizedGains(g=(0.5, 1.0)), 2, 1.0)
         with pytest.raises(AmbiguityError):

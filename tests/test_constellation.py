@@ -225,6 +225,17 @@ class TestReceivedConstellation:
         with pytest.raises(SizeCapError):
             mixed_radix_index(np.zeros((1, 12), dtype=np.int64), 12, 77)
 
+    @pytest.mark.parametrize("digits", [
+        np.array([[0.7, -0.3]]),  # a float would truncate to (0, 0)
+        np.array([[-1, 2]]),  # would take the index of (0, -1)
+        np.array([[2**64 - 1, 0]], dtype=np.uint64),  # would wrap to -1
+        np.array([[-2**63, 0]], dtype=np.int64),
+        np.array([[2**63 - 1, 0]], dtype=np.int64),  # its shift by Q wraps
+    ], ids=["float", "past-q", "uint64-max", "int64-min", "int64-max"])
+    def test_mixed_radix_index_refuses_digits_that_would_alias(self, digits):
+        with pytest.raises(ParameterError):
+            mixed_radix_index(digits, 2, 1)
+
     @staticmethod
     def digit_table_sums(coefs, Q, dtype):
         """The sums as built from the full (M, K) digit table."""

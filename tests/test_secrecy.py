@@ -170,6 +170,12 @@ class TestMutualInformation:
         with pytest.raises(ParameterError):
             mutual_information(np.array([[1.1, -0.1]]))
 
+    def test_nan_entry(self):
+        # NaN fails every comparison: the sum test alone let this table through,
+        # and its NaN cells dropped out of the entropies (0.0 bits came back)
+        with pytest.raises(ParameterError, match="non-finite"):
+            mutual_information(np.array([[np.nan, 0.5], [0.25, 0.25]]))
+
 
 class TestAchievableRegion:
     def test_adder_constant_z(self):
@@ -494,6 +500,15 @@ class TestLeakageEstimate:
         want, occupied = self.dense_reference(tuples, z, 0.5)
         assert mi == pytest.approx(want, abs=1e-12)
         assert bias == (occupied - 1) / (2 * 1200 * math.log(2))
+
+    @pytest.mark.parametrize("entry", [78, -2**63, 0.5], ids=["past-q", "int64-min", "float"])
+    def test_ranked_rows_keep_the_alphabet(self, entry):
+        # the row ranking takes no code, so it checks the tuples itself
+        tuples = np.random.default_rng(1).integers(-77, 78, size=(1200, 12))
+        tuples = tuples.astype(type(entry))
+        tuples[7, 3] = entry
+        with pytest.raises(ParameterError, match="alphabet"):
+            leakage_estimate(tuples, np.zeros(1200), 0.5, 77)
 
     def test_most_negative_int64_is_outside_alphabet(self):
         # |-2^63| wraps to -2^63 in int64, which an abs-based check lets through
