@@ -1,7 +1,7 @@
 """Seeded Monte Carlo engine: power sweeps, block trials, leakage runs.
 
 Every random draw is keyed by (master seed, purpose, grid index, batch
-index) with a fixed batch size of ``TRIAL_BATCH``, so reports are
+index) in batches of ``TRIAL_BATCH[command]`` trials, so reports are
 bit-identical across runs and do not depend on how trials might be
 distributed over workers.  Sweep, block and leakage draw from one batch
 generator: uniform integers (sweep's sorted point positions, leakage's
@@ -50,21 +50,24 @@ from .secrecy import (
     sum_rate_lower_bound,
 )
 
-TRIAL_BATCH = 8192
+# Trials per batch, part of the stream layout.  A block trial holds n*K
+# symbols and decode temporaries, so block keeps the smaller batch.
+TRIAL_BATCH = {"sweep": 65_536, "block": 8192, "leakage": 65_536}
 WILSON_Z = 1.959963984540054  # two-sided 95%
 # Version of each command's random stream layout, recorded in .meta; it
 # changes whenever a stream key, a draw order or a batch shape changes.
-STREAM_LAYOUT = {"sweep": 2, "block": 4, "leakage": 2}
+STREAM_LAYOUT = {"sweep": 3, "block": 4, "leakage": 3}
 TABLE_CAP = 65_536  # max codebook sequences per user in block runs
 TRIAL_CAP = 10**8  # max trials of a sweep (over all grid points) or a block run
 
 
 def _uniform_batches(seed: int, command: str, K: int, low: int, high: int, total: int, *grid):
     """(draws, batch seed) of each batch of ``total`` uniform (bs, K) integers on
-    [low, high]: batch bi of ``TRIAL_BATCH`` draws from (seed, f"{command}/input",
-    *grid, bi) and gives the (seed, f"{command}/noise", *grid, bi) substream."""
-    for bi, b0 in enumerate(range(0, total, TRIAL_BATCH)):
-        bs = min(TRIAL_BATCH, total - b0)
+    [low, high]: batch bi of ``TRIAL_BATCH[command]`` draws from (seed,
+    f"{command}/input", *grid, bi) and gives the (seed, f"{command}/noise",
+    *grid, bi) substream."""
+    for bi, b0 in enumerate(range(0, total, TRIAL_BATCH[command])):
+        bs = min(TRIAL_BATCH[command], total - b0)
         v = stream(seed, f"{command}/input", *grid, bi).integers(low, high + 1, size=(bs, K))
         yield v, substream(seed, f"{command}/noise", *grid, bi)
 
@@ -399,8 +402,8 @@ def run_block_trials(cfg: SimConfig) -> BlockReport:
 
     A trial errs when any user's recovered bin differs from its message
     (a sequence missing from the table counts as an error too).  Trials
-    run in batches of ``TRIAL_BATCH``: each draws its (bs, K) messages on
-    [0, B-1] from ``_uniform_batches`` and its slots and noise from that
+    run in batches of ``TRIAL_BATCH["block"]``: each draws its (bs, K) messages
+    on [0, B-1] from ``_uniform_batches`` and its slots and noise from that
     batch's seed (``_block_batch``), so no stream is derived per trial.
     Every draw is a prefix of the full batch's, so a trial's flags never
     depend on the trial count.

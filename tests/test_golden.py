@@ -34,6 +34,16 @@ FILES = {
         "h_e = 1,1\n"
         "master_seed = 11\n"
     ),
+    "block_batches.cfg": (  # past one block batch of 8,192 trials
+        "k = 2\n"
+        "epsilon = 0.3\n"
+        "p_grid = 1e4\n"
+        "trials = 8300\n"
+        "n = 5\n"
+        "h = 1.4142135623730951,1\n"
+        "h_e = 1,1\n"
+        "master_seed = 17\n"
+    ),
     "leak_noisy.cfg": (
         "k = 2\n"
         "epsilon = 0.5\n"
@@ -92,6 +102,13 @@ GOLDEN = {
         (
             "P,P_tilde,Q,A,n,B,L,rate_bits_per_user,trials,block_errors,bler,bler_ci_low,bler_ci_high,decode_failures,cross_bin_duplicates\n"
             "10000,10000,4,24.620924014946269,5,16,14,0.80000000000000004,400,102,0.255,0.21475670087938903,0.2999043233444163,102,0\n"
+        ),
+    ),
+    "block_batches": (
+        ["block", "--config", "block_batches.cfg"],
+        (
+            "P,P_tilde,Q,A,n,B,L,rate_bits_per_user,trials,block_errors,bler,bler_ci_low,bler_ci_high,decode_failures,cross_bin_duplicates\n"
+            "10000,10000,4,24.620924014946269,5,16,14,0.80000000000000004,8300,2105,0.2536144578313253,0.24436987096493537,0.26308700664013651,2105,0\n"
         ),
     ),
     "leakage_noisy": (
@@ -187,7 +204,7 @@ GOLDEN_META = {
         "slope = 0.68845954278145538\n"
         "intercept = -3.4305196460385354\n"
         "fit_residual = 1.3322676295501878e-15\n"
-        "stream_layout = 2\n"
+        "stream_layout = 3\n"
     ),
     "block": (
         "# secmac metadata v1\n"
@@ -199,6 +216,22 @@ GOLDEN_META = {
         "trials = 400\n"
         "n = 5\n"
         "master_seed = 11\n"
+        "variance = 1\n"
+        "h = 1.4142135623730951,1\n"
+        "h_e = 1,1\n"
+        "leakage_samples = 100000\n"
+        "stream_layout = 4\n"
+    ),
+    "block_batches": (
+        "# secmac metadata v1\n"
+        "command = block\n"
+        f"version = {__version__}\n"
+        "k = 2\n"
+        "epsilon = 0.29999999999999999\n"
+        "p_grid = 10000\n"
+        "trials = 8300\n"
+        "n = 5\n"
+        "master_seed = 17\n"
         "variance = 1\n"
         "h = 1.4142135623730951,1\n"
         "h_e = 1,1\n"
@@ -220,7 +253,7 @@ GOLDEN_META = {
         "h_e = 1,1\n"
         "bin_width = 1\n"
         "leakage_samples = 5000\n"
-        "stream_layout = 2\n"
+        "stream_layout = 3\n"
     ),
     "leakage_exhaustive": (
         "# secmac metadata v1\n"
@@ -236,7 +269,7 @@ GOLDEN_META = {
         "h = 1.5,1\n"
         "h_e = 1,1\n"
         "leakage_samples = 1000\n"
-        "stream_layout = 2\n"
+        "stream_layout = 3\n"
     ),
 }
 

@@ -255,7 +255,7 @@ class TestSymbolSweep:
     def test_error_counts_match_hard_decoding(self, cfg):
         # the decision-cell count against a full hard decode of the same
         # draws: uniform sorted positions, their points sent through transmit
-        cfg = SimConfig(**cfg, trials=TRIAL_BATCH + 500)
+        cfg = SimConfig(**cfg, trials=TRIAL_BATCH["sweep"] + 500)
         gains = cfg.resolve_gains()
         g = normalize_gains(gains)
         want = []
@@ -335,12 +335,12 @@ class TestSymbolSweep:
 
 @pytest.mark.parametrize("command,grid", [("sweep", (1,)), ("leakage", ()), ("block", ())])
 def test_uniform_batches_do_not_depend_on_the_total(command, grid):
-    # the first T draws and received samples of a run with T + TRIAL_BATCH
-    # draws are those of a run with T, across a batch boundary; the sweep
-    # draws sorted positions on [0, M-1] and sends their points, leakage
-    # tuples on [-Q, Q] whose aligned sums A*sum(v) are sent, and block
-    # messages on [0, B-1], sent here as tuples through the received
-    # point's coefficients A*|s|*g
+    # the first T draws and received samples of a run with T + batch draws
+    # are those of a run with T, across one of the command's batch
+    # boundaries; the sweep draws sorted positions on [0, M-1] and sends
+    # their points, leakage tuples on [-Q, Q] whose aligned sums A*sum(v)
+    # are sent, and block messages on [0, B-1], sent here as tuples through
+    # the received point's coefficients A*|s|*g
     g = normalize_gains(ChannelGains(h=(S2, S3, 1.0), h_e=(1.3, 0.7, 1.1)))
     pts = received_constellation(g, 4, 3.5 * abs(g.scale)).points
     coefs = g.as_floats() * (3.5 * abs(g.scale))
@@ -357,9 +357,10 @@ def test_uniform_batches_do_not_depend_on_the_total(command, grid):
         batches = _uniform_batches(7, command, K, low, high, total, *grid)
         return [np.concatenate(p) for p in zip(*((v, receive(v, s)) for v, s in batches))]
 
-    T = TRIAL_BATCH + 300
+    batch = TRIAL_BATCH[command]
+    T = batch + 300
     v, y = draw(T)
-    v_long, y_long = draw(T + TRIAL_BATCH)
+    v_long, y_long = draw(T + batch)
     assert v.shape == (T, K) and (v.min(), v.max()) == (low, high)
     assert np.array_equal(v, v_long[:T])
     assert np.array_equal(y, y_long[:T])
@@ -525,8 +526,8 @@ class TestBlockTrials:
             run_block_trials(cfg)
 
     def test_flags_do_not_depend_on_trial_count(self):
-        # the first T trials of a run with T + TRIAL_BATCH trials are the
-        # trials of a run with T, across a batch boundary
+        # the first T trials of a run with T + TRIAL_BATCH["block"] trials
+        # are the trials of a run with T, across a batch boundary
         cfg = SimConfig(**ORACLE_CFGS[0], trials=1)
         run = _block_setup(cfg)
         assert run.codebooks[0].L > 1  # the slot draws take part
@@ -537,9 +538,9 @@ class TestBlockTrials:
             parts = [_block_batch(run, msgs, seed) for msgs, seed in batches]
             return [np.concatenate([p[i] for p in parts]) for i in (0, 1)]
 
-        T = TRIAL_BATCH + 300
+        T = TRIAL_BATCH["block"] + 300
         err, fail = flags(T)
-        err_long, fail_long = flags(T + TRIAL_BATCH)
+        err_long, fail_long = flags(T + TRIAL_BATCH["block"])
         assert np.array_equal(err, err_long[:T])
         assert np.array_equal(fail, fail_long[:T])
         assert 0 < fail.sum() <= err.sum() < T
