@@ -32,53 +32,42 @@ from .simulate import SimConfig, csv_text, fmt, run_block_trials, run_leakage, r
 
 
 def parse_gain_token(tok: str) -> float | Fraction:
-    """A stripped token: decimal literal -> float; 'a/b' -> exact Fraction."""
-    if "/" in tok:
-        num, den = tok.split("/", 1)
-        try:
-            return Fraction(int(num), int(den))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParameterError(f"bad rational gain token {tok!r}: {exc}") from None
-    try:
-        return float(tok)
-    except ValueError:
-        raise ParameterError(f"bad gain token {tok!r}") from None
+    """A stripped token: 'a/b' -> exact Fraction, else float.  A bad token
+    raises int's, float's or Fraction's own error, for ``comma_list`` to report."""
+    num, slash, den = tok.partition("/")
+    return Fraction(int(num), int(den)) if slash else float(tok)
 
 
-def gain_tokens(text: str) -> list[str]:
-    """The comma-separated tokens of a gain list, whitespace stripped."""
+def comma_list(text: str, parse=str) -> list:
+    """``parse`` of each comma-separated token of ``text``, stripped; empty
+    tokens are skipped.  No token at all, or a ValueError or ArithmeticError
+    of ``parse`` (such as '1/0', or an 'a/b' past float64), is a
+    ParameterError that quotes ``text``."""
     toks = [t.strip() for t in text.split(",") if t.strip()]
     if not toks:
-        raise ParameterError("empty gain list")
-    return toks
+        raise ParameterError(f"empty list {text!r}")
+    try:
+        return [parse(t) for t in toks]
+    except (ValueError, ArithmeticError) as exc:
+        raise ParameterError(f"bad list {text!r}: {exc}") from None
 
 
-def parse_gain_list(text: str) -> list[float | Fraction]:
-    return [parse_gain_token(t) for t in gain_tokens(text)]
+def _reals(text: str) -> tuple[float, ...]:
+    """A comma list of reals; an 'a/b' token is read exactly, then rounded."""
+    return tuple(comma_list(text, lambda t: float(parse_gain_token(t))))
 
 
 # config schema: key -> parser
-def _float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(t) for t in text.split(",") if t.strip())
-
-
-def _gain_floats(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(v) for v in parse_gain_list(text))
-    except OverflowError:
-        raise ParameterError("a gain lies outside the float64 range") from None
-
-
 CONFIG_KEYS = {
     "k": int,
     "epsilon": float,
-    "p_grid": _float_list,
+    "p_grid": _reals,
     "trials": int,
     "n": int,
     "master_seed": int,
     "variance": float,
-    "h": _gain_floats,
-    "h_e": _gain_floats,
+    "h": _reals,
+    "h_e": _reals,
     "bin_width": float,
     "leakage_samples": int,
 }
@@ -146,7 +135,7 @@ def cmd_params(args) -> None:
     else:
         if args.p is None or args.h_e is None:
             raise ParameterError("need --p-tilde, or both --p and --h-e")
-        h_e = _gain_floats(args.h_e)
+        h_e = _reals(args.h_e)
         gains = ChannelGains(h=(1.0,) * len(h_e), h_e=h_e)
         p_tilde = effective_power(gains, args.p)
         policy = "P_tilde = min_k h_e[k]^2 * P"
@@ -159,12 +148,12 @@ def cmd_params(args) -> None:
 
 
 def cmd_dmin(args) -> None:
-    g = normalize_ratios(parse_gain_list(args.gains))
+    g = normalize_ratios(comma_list(args.gains, parse_gain_token))
     rc = received_constellation(g, args.q, args.a, index=False)
     row = (args.q, args.a, rc.points.size, rc.gamma.value, rc.d_min)
     summary = [f"points = {rc.points.size}", f"gamma = {rc.gamma.value}", f"d_min = {fmt(rc.d_min)}"]
     emit(args, summary, csv_text("q,a,points,gamma,d_min", [row]),
-         gains=",".join(gain_tokens(args.gains)), exact=int(g.exact))
+         gains=",".join(comma_list(args.gains)), exact=int(g.exact))
 
 
 # Config-file commands: name -> (required keys, runner name); the runner is
@@ -187,14 +176,9 @@ def cmd_run(args) -> None:
 
 
 def cmd_kg(args) -> None:
-    gains = _gain_floats(args.gains)
-    try:
-        n_list = [int(t) for t in args.n_list.split(",") if t.strip()]
-    except ValueError:
-        raise ParameterError(f"bad N list {args.n_list!r}: need comma-separated integers") from None
-    profile = kg_profile(gains, args.eps, n_list)
+    profile = kg_profile(_reals(args.gains), args.eps, comma_list(args.n_list, int))
     emit(args, [f"c_hat = {fmt(profile.c_hat)}"], csv_text("N,m,m_scaled", profile.rows),
-         gains=",".join(gain_tokens(args.gains)), epsilon=fmt(args.eps), c_hat=fmt(profile.c_hat))
+         gains=",".join(comma_list(args.gains)), epsilon=fmt(args.eps), c_hat=fmt(profile.c_hat))
 
 
 def cmd_region(args) -> None:
@@ -299,7 +283,7 @@ def main(argv: list[str] | None = None) -> int:
     for i in range(len(argv) - 1, 0, -1):
         if argv[i - 1] in ("--gains", "--h-e") and argv[i].startswith("-"):
             try:
-                parse_gain_list(argv[i])
+                comma_list(argv[i], parse_gain_token)
             except ParameterError:
                 continue
             argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]

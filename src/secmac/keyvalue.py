@@ -35,10 +35,9 @@ def key_values(text: str, source: str) -> dict[str, tuple[int, str]]:
 
 
 def parse_value(path: str, key: str, lineno: int, parse, text: str):
-    """``parse(text)``, with a ValueError reported at the key's line."""
+    """``parse(text)``, with a ValueError (a ParameterError among them)
+    reported at the key's line as '<path>:<line>: bad value for <key>: …'."""
     try:
         return parse(text)
-    except ParameterError:
-        raise
     except ValueError as exc:
         raise ParameterError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from None

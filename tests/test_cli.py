@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from secmac import ParameterError, __version__, cli
-from secmac.cli import main, parse_gain_list
+from secmac.cli import comma_list, main, parse_gain_token
 from secmac.keyvalue import key_values, read_text
 
 ADDER_SPEC = """\
@@ -86,10 +86,19 @@ class TestDmin:
         assert "gamma = holds" in out
 
     def test_exact_rational_collision(self, capsys):
-        code, out, _ = run(capsys, "dmin", "--gains", "1/2,1", "--q", "2", "--a", "1")
+        # every token is a/b, so the collision is decided in exact arithmetic
+        code, out, _ = run(capsys, "dmin", "--gains", "1/2,1/1", "--q", "2", "--a", "1")
         assert code == 0
         assert "gamma = violated" in out
         assert "d_min = 0" in out
+        assert "exact = 1" in out
+
+    def test_one_decimal_token_makes_the_list_float(self, capsys):
+        # a bare "1" is a decimal token: the same collision, found on the float path
+        code, out, _ = run(capsys, "dmin", "--gains", "1/2,1", "--q", "2", "--a", "1")
+        assert code == 0
+        assert "gamma = violated" in out
+        assert "exact = 0" in out
 
     def test_cap_exits_3(self, capsys):
         # 217^3 symbol tuples pass ENUMERATION_CAP = 10^7
@@ -154,6 +163,17 @@ class TestDmin:
         code, _, err = run(capsys, "dmin", "--gains", "x,y", "--q", "1", "--a", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [  # the bad list last
+        ("kg", "--gains", "1.5", "--eps", "0.5", "--n-list", "2,x"),
+        ("kg", "--gains", "1.5", "--eps", "0.5", "--n-list", ""),
+        ("dmin", "--q", "1", "--a", "1", "--gains", "1,1/0"),
+    ])
+    def test_bad_flag_list_quotes_it(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert repr(argv[-1]) in err
+
     @pytest.mark.parametrize(
         "gains,a",
         [("nan,1", "1"), ("1.5,1", "nan"), ("inf,1", "1")],
@@ -201,6 +221,30 @@ class TestSweep:
         code, _, err = run(capsys, "sweep", "--config", str(cfg))
         assert code == 2
         assert "p_grid" in err and "trials" in err
+
+    @pytest.mark.parametrize("key", ["p_grid", "h", "h_e"])
+    @pytest.mark.parametrize("value", ["1,x", "1,1/0", ","])
+    def test_bad_list_value_names_file_and_line(self, tmp_path, capsys, key, value):
+        config = {"k": "2", "epsilon": "0.5", "p_grid": "1e4", "trials": "1", "h": "1.5,1"}
+        config[key] = value
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in config.items()))
+        code, out, err = run(capsys, "sweep", "--config", str(cfg))
+        line = list(config).index(key) + 1
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {cfg}:{line}: bad value for {key!r}: ")
+        assert err.count("\n") == 1
+
+    def test_p_grid_reads_a_over_b(self, tmp_path, capsys):
+        # a grid token may be a/b, read exactly and then rounded, as in h and h_e
+        cfg = tmp_path / "sweep.cfg"
+        outs = []
+        for grid in ("1e2,1e4", "100/1,20000/2"):
+            cfg.write_text(SWEEP_CONFIG.replace("p_grid = 1e2,1e4", f"p_grid = {grid}"))
+            code, out, _ = run(capsys, "sweep", "--config", str(cfg))
+            assert code == 0
+            outs.append(re.sub(r"wall_time_s = \S+", "", out))
+        assert outs[0] == outs[1]
 
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -929,7 +973,7 @@ def argvs(draw):
 def reads_as_gains(token):
     """Whether ``token`` is a gain list that the parser must accept."""
     try:
-        parse_gain_list(token)
+        comma_list(token, parse_gain_token)
     except ParameterError:
         return False
     return True

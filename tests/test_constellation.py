@@ -478,7 +478,12 @@ class TestValuesOnlyBuild:
         return calls
 
     @pytest.mark.parametrize(
-        "gains", ["1.41421356237,1.7320508,1", "1/7,1", "1/2,1", "7/999999999989,-3/999999999961,1"]
+        "gains",
+        [
+            "1.41421356237,1.7320508,1", "1/7,1", "1/2,1", "7/999999999989,-3/999999999961,1",
+            # every token a/b: the exact build
+            "1/7,1/1", "1/2,1/1", "7/999999999989,-3/999999999961,1/1",
+        ],
     )
     def test_dmin_sorts_no_index(self, sorts, capsys, gains):
         assert main(["dmin", "--gains", gains, "--q", "2", "--a", "1"]) == 0
