@@ -118,6 +118,8 @@ def encode(cb: Codebook, w, seed) -> np.ndarray:
     (seed, "encode", user) stream, and no draw is made when L = 1.
     """
     w = np.asarray(w)
+    if w.dtype.kind not in "iu":  # a bool array would index as a mask, a float not at all
+        raise ParameterError(f"messages must be integers, got dtype {w.dtype}")
     if np.any((w < 0) | (w >= cb.B)):
         raise ParameterError(f"message {w} out of range [0, {cb.B})")
     if cb.L == 1:

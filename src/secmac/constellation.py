@@ -144,7 +144,8 @@ def tuple_sums(coefs, Q: int, dtype=float) -> np.ndarray:
 
 
 def _packed_order(sums: np.ndarray) -> np.ndarray:
-    """Candidate sorting permutation of float64 ``sums`` from one int64 sort.
+    """Candidate sorting permutation of float64 ``sums`` (a float build's,
+    or an exact build's integers below 2^53) from one int64 sort.
 
     Each key is the sum's bits mapped to an order-preserving int64, with
     its low bit_length(M-1) bits replaced by the tuple's mixed-radix
@@ -152,8 +153,8 @@ def _packed_order(sums: np.ndarray) -> np.ndarray:
     in all but those bits, which it orders by index.  Equal sums share
     their bits (no sum is -0.0: ``tuple_sums`` starts from +0.0, and a
     float sum is -0.0 only when both terms are), so they come out in
-    index order.  The caller repairs the gathered values with a stable
-    argsort when two of them come out of order.
+    index order, as from a stable argsort.  The caller repairs the
+    gathered values with a stable argsort when two come out of order.
     """
     M = sums.size
     low = (1 << (M - 1).bit_length()) - 1
@@ -174,20 +175,20 @@ def received_constellation(
     """Enumerate the received point set for symbol bound Q and amplitude A.
 
     Rational gain ratios are scaled by their common denominator D and
-    summed as integers (int64, or Python ints once D or K*Q*max|coef|
-    reaches 2^53), so collisions there are proofs.  Float ratios get
-    exact duplicate detection plus a "suspect" verdict when two points
-    land within 1e-9 * A of each other.  A set of more than
+    summed as integers (float64, exact below 2^53, or Python ints once D
+    or K*Q*max|coef| reaches 2^53), so collisions there are proofs.  Float
+    ratios get exact duplicate detection plus a "suspect" verdict when two
+    points land within 1e-9 * A of each other.  A set of more than
     ``ENUMERATION_CAP`` symbol tuples is refused before it is built.
 
     With ``index=False`` the sums are sorted in place by value and the
     result's ``index`` is None; points, gamma and d_min are the same bit
-    for bit, as no sum is NaN or -0.0.  Otherwise exact sums are ordered
-    by one stable argsort, float sums by one sort of packed (value, index)
-    int64 keys (``_packed_order``).  Both put equal sums in mixed-radix
-    index order, so a collided point keeps its first tuple.  Two distinct
-    float sums too close for the truncated key can come out of order; one
-    stable argsort of the gathered, nearly sorted sums then repairs it.
+    for bit, as no sum is NaN or -0.0.  Otherwise float64 sums, exact or
+    not, take one sort of packed (value, index) int64 keys
+    (``_packed_order``) and Python-int sums one stable argsort; both put
+    equal sums in mixed-radix index order, so a collided point keeps its
+    first tuple.  Distinct float64 sums too close for the truncated key can
+    come out of order; a stable argsort of the gathered sums repairs that.
     A float build's peak RSS rises by 16 bytes per tuple without the index
     (160 MB at ``ENUMERATION_CAP``), by 24 (240 MB) with it and by 33
     (330 MB) when it needs the repair.  A distinct-sum set whose smallest
@@ -207,7 +208,7 @@ def received_constellation(
         D = math.lcm(*(r.denominator for r in ratios))
         coefs = [int(r * D) for r in ratios]
         wide = max(D, K * max(Q, 1) * max(abs(c) for c in coefs)) >= 2**53
-        sums = tuple_sums(coefs, Q, object if wide else np.int64)
+        sums = tuple_sums(coefs, Q, object if wide else float)
     else:
         # |sum| <= Q * sum|g| (a Python float sum: inf past the range, no warning),
         # so both the sums and the points A * sum stay finite; Q = 0 is the point 0
@@ -215,7 +216,7 @@ def received_constellation(
             raise ParameterError("received points overflow float64")
         sums = tuple_sums(g.as_floats(), Q)
     if index:
-        order = np.argsort(sums, kind="stable") if g.exact else _packed_order(sums)
+        order = np.argsort(sums, kind="stable") if sums.dtype == object else _packed_order(sums)
         sv = sums[order]
     else:
         order, sv = None, sums
@@ -223,7 +224,7 @@ def received_constellation(
     del sums
     collided = False
     if not (sv[1:] > sv[:-1]).all():
-        if (sv[1:] < sv[:-1]).any():  # a float near-tie the packed key misordered
+        if (sv[1:] < sv[:-1]).any():  # a near-tie the packed key misordered
             fix = np.argsort(sv, kind="stable")
             order = order[fix]  # one array at a time, so the peak stays lower
             sv = sv[fix]
@@ -234,15 +235,12 @@ def received_constellation(
             sv = sv[keep]
             if index:
                 order = order[keep]
-    if g.exact:
-        try:
-            with np.errstate(over="ignore"):  # refused below
-                points = A * np.asarray(sv / D, dtype=float)
-        except OverflowError:  # an exact point past the float range
-            raise ParameterError("received points overflow float64") from None
-    else:
-        points = sv
-        points *= A
+    try:
+        with np.errstate(over="ignore"):  # refused below
+            points = np.asarray(sv / D, dtype=float) if g.exact else sv
+            points *= A
+    except OverflowError:  # a Python-int point past the float range
+        raise ParameterError("received points overflow float64") from None
     if not (np.isfinite(points[0]) and np.isfinite(points[-1])):
         raise ParameterError("received points overflow float64")
 

@@ -480,6 +480,7 @@ def run_leakage(cfg: SimConfig) -> LeakageRunReport:
         raise SizeCapError(f"symbol bound Q = {Q} overflows the int64 input draw")
     width = cfg.bin_width if cfg.bin_width is not None else A / 10.0
     M = (2 * Q + 1) ** cfg.K
+    h_sum, h_in = sum_entropy(cfg.K, Q), cfg.K * math.log2(2 * Q + 1)  # its cap, before any draw
 
     exhaustive = cfg.variance == 0 and M <= cfg.leakage_samples
     if exhaustive:
@@ -493,7 +494,6 @@ def run_leakage(cfg: SimConfig) -> LeakageRunReport:
     tuples, z = map(np.concatenate, zip(*observed))
 
     mi, bias = leakage_estimate(tuples, z, width, Q)
-    h_sum, h_in = sum_entropy(cfg.K, Q), cfg.K * math.log2(2 * Q + 1)
     return LeakageRunReport(
         **vars(point),
         variance=cfg.variance,

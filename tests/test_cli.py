@@ -920,6 +920,20 @@ class TestInputFileContract:
         cfg.write_text("k = 2\nepsilon = 0.1\np_grid = 1e308\nh = 1.5,1\nh_e = 1,1\n")
         self.check(["leakage", "--config", str(cfg)], 3)
 
+    def test_leakage_sum_entropy_cap_before_the_draw(self, tmp_path, monkeypatch):
+        def no_transmit(*args, **kwargs):
+            raise AssertionError("samples were transmitted")
+
+        monkeypatch.setattr("secmac.simulate.transmit", no_transmit)
+        cfg = tmp_path / "leak.cfg"
+        cfg.write_text(
+            "k = 2\nepsilon = 0.1\np_grid = 1e30\nh = 1,1\nh_e = 1,1\n"
+            "variance = 1\nleakage_samples = 100000\n"
+        )
+        code, _, err, _ = run_quietly(["leakage", "--config", str(cfg)])
+        assert code == 3
+        assert err == "error: composition counts need K * (2KQ+1) = 21461562 cells, cap 10000000\n"
+
     def test_float_sums_past_range_warn_nothing(self):
         self.check(["dmin", "--gains", "0,1e308,2.5", "--q", "5", "--a", "0.1"], 2)
         code, _, _, caught = run_quietly(["kg", "--gains", "0,1e308", "--eps", "0.5", "--n-list", "2"])

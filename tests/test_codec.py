@@ -100,6 +100,17 @@ class TestEncode:
         with pytest.raises(ParameterError):
             encode(cb, -1, seed=0)
 
+    @pytest.mark.parametrize("L", [1, 3])
+    def test_message_dtype(self, L):
+        # a bool array would select rows as a mask, a float one would not index
+        cb = build_codebook(n=3, Q=2, B=4, L=L, seed=0)
+        for w in (np.array([True, False, True, False]), np.array([0.0, 1.0]), 1.0):
+            with pytest.raises(ParameterError, match="messages must be integers"):
+                encode(cb, w, seed=1)
+        w = np.array([3, 0, 2, 2, 1])
+        x = encode(cb, w.astype(np.int32), seed=1)
+        assert x.shape == (5, 3) and np.array_equal(x, encode(cb, w, seed=1))
+
 
 def test_power_contract():
     # (Q, A) from the power split keep the per-symbol power of the channel

@@ -373,15 +373,19 @@ def small_builds(draw):
 
 
 class TestPackedKeyOrder:
-    """The float build sorts packed (value, index) int64 keys, the exact
-    build takes one stable argsort; both must return exactly what the
-    former argsort body returned."""
+    """Every float64 build, float or exact below 2^53, sorts packed (value,
+    index) int64 keys, and a build of Python-int sums takes one stable
+    argsort; each must return exactly what the former argsort body, with
+    its int64 exact sums, returned."""
 
     @settings(max_examples=300, deadline=None)
     @example(drawn=(NEAR_TIE, 4, 1.0))  # packed order misorders: repaired, SUSPECT
     @example(drawn=(NEAR_TIE, 8, 1.0))  # rounding adds exact ties: VIOLATED
     @example(drawn=((0.5, 0.25, 1.0), 2, 1.0))  # exact float ties: VIOLATED
     @example(drawn=((Fraction(1, 2), Fraction(1, 4), 1), 2, 1.0))  # exact ties: VIOLATED
+    @example(drawn=((Fraction(2**52 - 1), 1), 1, 1.0))  # 2(2^52 - 1) < 2^53: float64 sums
+    @example(drawn=((Fraction(2**50 + 4), Fraction(2**50 + 3), 1), 1, 1.0))  # exact: repaired
+    @example(drawn=((Fraction(2**52), 1), 1, 1.0))  # 2 * 2^52 = 2^53: Python-int sums
     @example(drawn=((-1.4142135623730951, 1.0), 3, 2.0))
     @example(drawn=((2.5, -0.75, 1.0), 0, 3.0))  # Q = 0: one point
     @given(drawn=small_builds())
@@ -419,11 +423,21 @@ class TestPackedKeyOrder:
         assert rc.gamma is GammaStatus.SUSPECT and rc.points.size == 81
         assert (np.diff(rc.points) > 0).all()
 
-    def test_exact_ties_take_one_stable_argsort(self, argsort_calls):
+    def test_exact_ties_take_the_packed_order(self, argsort_calls, monkeypatch):
+        packed = []
+
+        def spy(sums):
+            packed.append(sums.dtype)
+            return _packed_order(sums)
+
+        monkeypatch.setattr(constellation, "_packed_order", spy)
         g = NormalizedGains(g=(Fraction(1, 2), Fraction(1, 4), 1))
         rc = received_constellation(g, 2, 1.0)
-        assert [kind for kind, _ in argsort_calls] == ["stable"]
+        assert packed == [np.float64] and argsort_calls == []
         assert rc.gamma is GammaStatus.VIOLATED and rc.points.size < 5**3
+        # sums past 2^53 are Python ints: one stable argsort, no packed key
+        received_constellation(NormalizedGains(g=WIDE_EXACT), 2, 1.0)
+        assert packed == [np.float64] and [kind for kind, _ in argsort_calls] == ["stable"]
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_generic_gains_take_the_packed_order(self, argsort_calls, seed):
@@ -446,6 +460,8 @@ class TestValuesOnlyBuild:
     @example(drawn=((0.5, 0.25, 1.0), 2, 1.0))  # exact float ties: VIOLATED
     @example(drawn=((Fraction(1, 2), Fraction(1, 4), 1), 2, 1.0))  # exact ties: VIOLATED
     @example(drawn=(WIDE_EXACT, 2, 1.0))  # Python-int sums
+    @example(drawn=((Fraction(2**52 - 1), 1), 1, 1.0))  # 2(2^52 - 1) < 2^53: float64 sums
+    @example(drawn=((Fraction(2**52), 1), 1, 1.0))  # 2 * 2^52 = 2^53: Python-int sums
     @example(drawn=((2.5, -0.75, 1.0), 0, 3.0))  # Q = 0: one point
     @given(drawn=small_builds())
     def test_matches_index_build_bitwise(self, drawn):
@@ -496,10 +512,12 @@ class TestValuesOnlyBuild:
         assert sorts == []
 
     def test_index_build_still_sorts_its_keys(self, sorts):
-        # the spy's control: the decoding build orders packed keys, or argsorts exact sums
+        # the spy's control: the decoding build orders packed keys of float64
+        # sums, float or exact, and argsorts Python-int sums
         received_constellation(G_S2, 2, 1.0)
         received_constellation(NormalizedGains(g=(Fraction(1, 7), 1)), 2, 1.0)
-        assert sorts == ["_packed_order", "argsort"]
+        received_constellation(NormalizedGains(g=WIDE_EXACT), 2, 1.0)
+        assert sorts == ["_packed_order", "_packed_order", "argsort"]
 
     @pytest.mark.parametrize("index,peak_bytes,kept_bytes", [(False, 16, 8), (True, 24, 16)])
     def test_bytes_per_tuple(self, index, peak_bytes, kept_bytes):
