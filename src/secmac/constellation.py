@@ -15,12 +15,14 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .channel import NormalizedGains
 from .errors import ParameterError, SizeCapError
+
+if TYPE_CHECKING:  # channel's sampler imports normal_tail from here
+    from .channel import NormalizedGains
 
 ENUMERATION_CAP = 10_000_000
 SUSPECT_REL_GAP = 1e-9
@@ -260,15 +262,19 @@ def received_constellation(
     return ReceivedConstellation(K=K, Q=Q, points=points, index=order, gamma=gamma, d_min=d_min)
 
 
+def normal_tail(x: float) -> float:
+    """Phi_bar(x) = P(Z > x) for a standard normal Z; it underflows to 0 near x = 38.5."""
+    return 0.5 * math.erfc(x / math.sqrt(2.0))
+
+
 def pe_upper_bound(d_min: float) -> tuple[float, float]:
     """(Gaussian tail, exponential) bounds on the symbol error probability.
 
     Returns (Phi_bar(d_min/2), exp(-d_min^2/8)) for unit-variance noise, so
     the caller passes d_min / sigma for noise of standard deviation sigma;
     the tail bound never exceeds the exponential one.  An infinite d_min
-    (a single-point constellation, or no noise) gives (0, 0).
+    (a single-point constellation, or no noise) gives (0, 0); a NaN is refused.
     """
-    if d_min < 0:
+    if not d_min >= 0:
         raise ParameterError(f"d_min must be >= 0, got {d_min}")
-    tail = 0.5 * math.erfc(d_min / (2.0 * math.sqrt(2.0)))
-    return tail, math.exp(-d_min * d_min / 8.0)
+    return normal_tail(d_min / 2.0), math.exp(-d_min * d_min / 8.0)

@@ -3,12 +3,14 @@
 Every random draw is keyed by (master seed, purpose, grid index, batch
 index) in batches of ``TRIAL_BATCH[command]`` trials, so reports are
 bit-identical across runs and do not depend on how trials might be
-distributed over workers.  Sweep, block and leakage draw from one batch
-generator: uniform integers (sweep's sorted point positions, leakage's
-tuples, block's messages) and a batch seed for the noise and block's
-encoder slots.  All three observe a sample in one step: a noiseless
-received value goes through ``transmit``, which adds the batch's noise
-(none at variance 0).  With inputs x_k = A*v_k/h_{k,e}, the eavesdropper
+distributed over workers.  Sweep, block and leakage share one batch
+generator, which gives each batch's size, input stream and noise seed.
+Block draws its messages and leakage its tuples as uniform integers from
+the input stream; the sweep draws its far-trial count and their sorted
+point positions there, as only trials whose noise leaves the safe radius
+of ``_far_tail`` can err.  All three observe a sample in one step: a
+noiseless received value goes through ``transmit``, which adds the
+batch's noise (none at variance 0; for the sweep, beyond the radius).  With inputs x_k = A*v_k/h_{k,e}, the eavesdropper
 receives the aligned sum A*sum_k v_k, and the intended receiver, with
 the sign of the last ratio s divided out, the point A*|s|*sum_k g_k v_k
 of the received constellation.  The sweep sends its drawn point and
@@ -34,6 +36,7 @@ from .constellation import (
     ENUMERATION_CAP,
     ReceivedConstellation,
     mixed_radix_digits,
+    normal_tail,
     pe_upper_bound,
     received_constellation,
     select_params,
@@ -56,26 +59,28 @@ TRIAL_BATCH = {"sweep": 65_536, "block": 8192, "leakage": 65_536}
 WILSON_Z = 1.959963984540054  # two-sided 95%
 # Version of each command's random stream layout, recorded in .meta; it
 # changes whenever a stream key, a draw order or a batch shape changes.
-STREAM_LAYOUT = {"sweep": 3, "block": 4, "leakage": 3}
+STREAM_LAYOUT = {"sweep": 4, "block": 4, "leakage": 3}
 TABLE_CAP = 65_536  # max codebook sequences per user in block runs
 TRIAL_CAP = 10**8  # max trials of a sweep (over all grid points) or a block run
 
 
-def _uniform_batches(seed: int, command: str, K: int, low: int, high: int, total: int, *grid):
-    """(draws, batch seed) of each batch of ``total`` uniform (bs, K) integers on
-    [low, high]: batch bi of ``TRIAL_BATCH[command]`` draws from (seed,
-    f"{command}/input", *grid, bi) and gives the (seed, f"{command}/noise",
-    *grid, bi) substream."""
+def _batches(seed: int, command: str, total: int, *grid):
+    """(size, input stream, noise seed) of each batch of ``total`` trials:
+    batch bi of ``TRIAL_BATCH[command]`` trials draws its inputs from the
+    (seed, f"{command}/input", *grid, bi) stream and gives the
+    (seed, f"{command}/noise", *grid, bi) substream."""
     for bi, b0 in enumerate(range(0, total, TRIAL_BATCH[command])):
         bs = min(TRIAL_BATCH[command], total - b0)
-        v = stream(seed, f"{command}/input", *grid, bi).integers(low, high + 1, size=(bs, K))
-        yield v, substream(seed, f"{command}/noise", *grid, bi)
+        draw = stream(seed, f"{command}/input", *grid, bi)
+        yield bs, draw, substream(seed, f"{command}/noise", *grid, bi)
 
 
 def wilson_interval(errors: int, trials: int, z: float = WILSON_Z) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion (valid at 0 counts)."""
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
+    if not 0 < z < math.inf:
+        raise ParameterError(f"z must be positive and finite, got {z}")
     if not 0 <= errors <= trials:
         raise ParameterError(f"errors {errors} outside [0, {trials}]")
     p = errors / trials
@@ -249,17 +254,46 @@ def _constellation(g, point: GridPoint, *, index: bool = True) -> ReceivedConste
     return rc
 
 
+# Slack of the safe radius, in ulps of the largest |point| (``_far_tail``).
+SAFE_ULPS = 5
+
+
+def _far_tail(rc: ReceivedConstellation, variance: float) -> tuple[float, float]:
+    """(t, p_far): a trial whose noise sigma*Z has |Z| <= t decodes to its own
+    point, and p_far = P(|Z| > t) = 2 Phi_bar(t); (inf, 0) without noise.
+
+    t = max(0, d_min/2 - c*u)/sigma with u = spacing(max|point|) and c =
+    ``SAFE_ULPS``.  The float error, for |Z| <= t: r = d_min/2 - c*u is
+    exact (a multiple of ulp(d_min/2) <= u below d_min/2), so |sigma*Z| <=
+    r(1 + 2^-53)^2 < r + 2u; y = x + sigma*Z (|y| <= 2 max|point|) rounds
+    by at most u, so |y - x| < d_min/2 - (c - 3)u; and the float gaps that
+    give d_min (below 2 max|point|) exceed the true ones by at most u.  So y
+    stays (c - 3.5)u inside the midpoints next to x.  ``nearer`` compares
+    y - x with x' - y (x' the next point up), which rounding cannot reorder,
+    or y - x'' with x - y (x'' the next point down), which y - x'' (below
+    3 max|point|) rounds by at most 2u and x - y by u/2, a tie going down:
+    the true gap between them, over 2(c - 3.5)u, exceeds 2.5u for c > 4.75.
+    """
+    if variance == 0:
+        return math.inf, 0.0
+    u = float(np.spacing(max(-rc.points[0], rc.points[-1])))
+    t = max(0.0, rc.d_min / 2 - SAFE_ULPS * u) / math.sqrt(variance)
+    return t, 2 * normal_tail(t)
+
+
 def _sweep_point(cfg: SimConfig, gains: ChannelGains, g, pi: int, P: float) -> SweepRow:
     point = _grid_point(cfg, gains, P)
     rc = _constellation(g, point, index=False)
     tail, expb = pe_upper_bound(rc.d_min / math.sqrt(cfg.variance) if cfg.variance else math.inf)
 
-    # a trial is correct iff the noisy sample's nearest point is its own
+    # a trial errs iff its noisy sample's nearest point is another; only the
+    # Binomial(bs, p_far) trials of a batch whose noise passes t can
+    t, p_far = _far_tail(rc, cfg.variance)
     errors, pts = 0, rc.points
-    for pos, seed in _uniform_batches(cfg.master_seed, "sweep", 1, 0, pts.size - 1, cfg.trials, pi):
-        pos = pos[:, 0]
+    for bs, draw, seed in _batches(cfg.master_seed, "sweep", cfg.trials, pi) if p_far else ():
+        pos = draw.integers(0, pts.size, size=draw.binomial(bs, p_far))
         x = pts[pos]  # decoded as the nearer of x and its neighbour on y's side
-        y = transmit(x, cfg.variance, seed)
+        y = transmit(x, cfg.variance, seed, t)
         errors += int(np.count_nonzero(nearer(y, pts, pos + (y >= x)) != pos))
 
     pe_mc = errors / cfg.trials
@@ -281,11 +315,15 @@ def _sweep_point(cfg: SimConfig, gains: ChannelGains, g, pi: int, P: float) -> S
 def run_symbol_sweep(cfg: SimConfig) -> SweepReport:
     """Per-power-point symbol error simulation against the analytic bounds.
 
-    Each grid point builds its received constellation, draws a uniform
-    sorted position per trial (the point of a uniform symbol tuple, as
-    gamma must hold), adds noise to that point, counts the samples that
-    hard decoding would not map back to it, and gives a Wilson 95%
-    interval.  Any failing grid point aborts the sweep with
+    Each grid point builds its received constellation, counts the trials
+    whose noisy point hard decoding would not map back to it, and gives a
+    Wilson 95% interval.  A trial whose noise stays within the safe radius
+    t*sigma (``_far_tail``) cannot err, so each batch draws only its far
+    trials: a Binomial(bs, p_far) count, a uniform sorted position for each
+    (the point of a uniform symbol tuple, as gamma must hold) and noise
+    conditioned on |Z| > t.  The error count keeps its Binomial(trials, P_e)
+    law; without noise, or once p_far underflows, nothing is drawn.  Any
+    failing grid point aborts the sweep with
     the offending P in the message; a P <= 1, where eta and the S-DoF fit
     divide by log2 P, is refused before any gain is drawn.
     """
@@ -403,16 +441,16 @@ def run_block_trials(cfg: SimConfig) -> BlockReport:
     A trial errs when any user's recovered bin differs from its message
     (a sequence missing from the table counts as an error too).  Trials
     run in batches of ``TRIAL_BATCH["block"]``: each draws its (bs, K) messages
-    on [0, B-1] from ``_uniform_batches`` and its slots and noise from that
-    batch's seed (``_block_batch``), so no stream is derived per trial.
+    on [0, B-1] from its input stream (``_batches``) and its slots and noise
+    from its seed (``_block_batch``), so no stream is derived per trial.
     Every draw is a prefix of the full batch's, so a trial's flags never
     depend on the trial count.
     """
     run = _block_setup(cfg)
     cb0 = run.codebooks[0]
     errors = failures = 0
-    for msgs, seed in _uniform_batches(cfg.master_seed, "block", cfg.K, 0, cb0.B - 1, cfg.trials):
-        err, fail = _block_batch(run, msgs, seed)
+    for bs, draw, seed in _batches(cfg.master_seed, "block", cfg.trials):
+        err, fail = _block_batch(run, draw.integers(0, cb0.B, size=(bs, cfg.K)), seed)
         errors += int(np.count_nonzero(err))
         failures += int(np.count_nonzero(fail))
 
@@ -489,7 +527,10 @@ def run_leakage(cfg: SimConfig) -> LeakageRunReport:
         reps = math.ceil(MIN_LEAKAGE_SAMPLES / M)
         batches = [(mixed_radix_digits(np.arange(reps * M) % M, cfg.K, Q), None)]
     else:
-        batches = _uniform_batches(cfg.master_seed, "leakage", cfg.K, -Q, Q, cfg.leakage_samples)
+        batches = (
+            (draw.integers(-Q, Q + 1, size=(bs, cfg.K)), s)
+            for bs, draw, s in _batches(cfg.master_seed, "leakage", cfg.leakage_samples)
+        )
     observed = ((v, transmit(A * sum(v.T), cfg.variance, s)) for v, s in batches)
     tuples, z = map(np.concatenate, zip(*observed))
 

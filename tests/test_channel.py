@@ -13,8 +13,13 @@ from secmac import (
     sample_gains,
     transmit,
 )
-from secmac.channel import normalize_ratios
+from secmac.channel import TAIL_SWITCH, normalize_ratios, tail_normals
 from secmac.rng import stream
+
+# Tails for the conditioned sampler: plain draws, rejection, both sides of
+# the switch to Robert's proposal, and far out (p_far underflows near 38.5).
+TAILS = (0.0, 0.3, TAIL_SWITCH - 1e-9, TAIL_SWITCH + 1e-9, 3.0, 10.0, 37.0)
+TAIL_IDS = ["0", "0.3", "below-switch", "above-switch", "3", "10", "37"]
 
 
 class TestNormalizeGains:
@@ -163,3 +168,39 @@ class TestTransmit:
         y1 = transmit(2.5 * y, 0.0, seed=0)
         y2 = transmit(y, 0.0, seed=0)
         assert np.allclose(y1, 2.5 * y2, rtol=1e-12, atol=1e-12)
+
+
+class TestTailNormals:
+    @pytest.mark.parametrize("t", TAILS, ids=TAIL_IDS)
+    def test_conditioned_law(self, t):
+        # every draw beyond t, E[|Z| | |Z| > t] = phi(t) / Phi_bar(t) within
+        # 5 standard errors, and as many signs of each kind within 5 of theirs
+        n = 100_000
+        z = tail_normals(stream(3, "tail"), n, t)
+        assert z.shape == (n,) and np.all(np.abs(z) > t)
+        mills = math.exp(-t * t / 2) / math.sqrt(2 * math.pi) / (0.5 * math.erfc(t / math.sqrt(2)))
+        a = np.abs(z)
+        assert abs(a.mean() - mills) <= 5 * a.std() / math.sqrt(n)
+        assert abs(np.count_nonzero(z > 0) - n / 2) <= 5 * math.sqrt(n) / 2
+
+    @pytest.mark.parametrize("t", TAILS, ids=TAIL_IDS)
+    def test_reruns_are_bit_identical(self, t):
+        draws = [tail_normals(stream(8, "tail"), 5000, t) for _ in range(2)]
+        assert np.array_equal(*draws)
+        y = np.linspace(-3.0, 3.0, 5000)
+        assert np.array_equal(transmit(y, 2.0, 8, t), transmit(y, 2.0, 8, t))
+
+    def test_zero_tail_is_the_plain_draw(self):
+        want = stream(4, "transmit/main").standard_normal(300)
+        assert np.array_equal(tail_normals(stream(4, "transmit/main"), 300, 0.0), want)
+        assert np.array_equal(transmit(np.zeros((3, 100)), 1.0, 4, 0.0), want.reshape(3, 100))
+
+    def test_no_draws(self):
+        assert tail_normals(stream(1, "tail"), 0, 2.0).shape == (0,)
+
+    @pytest.mark.parametrize("tail", [-0.5, math.nan, math.inf, 38.6, 1e9])
+    def test_bad_tail_rejected(self, tail):
+        # past P(Z > tail) = 0 the proposal t + E/lam rounds to t: at t = 1e9
+        # every draw equalled t
+        with pytest.raises(ParameterError, match=r"noise tail must be >= 0 with P\(Z > tail\) > 0"):
+            transmit(np.zeros(3), 1.0, seed=0, tail=tail)

@@ -309,7 +309,7 @@ class TestBlockAndLeakage:
         assert float(row["mi_bits"]) == pytest.approx(float(row["sum_entropy_bits"]))
 
 
-    @pytest.mark.parametrize("command,layout", [("sweep", 3), ("block", 4), ("leakage", 3)])
+    @pytest.mark.parametrize("command,layout", [("sweep", 4), ("block", 4), ("leakage", 3)])
     def test_meta_records_stream_layout(self, tmp_path, capsys, command, layout):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(SWEEP_CONFIG + "n = 4\n")

@@ -584,6 +584,17 @@ class TestPeUpperBound:
         with pytest.raises(ParameterError):
             pe_upper_bound(-0.1)
 
+    def test_nan_rejected(self):
+        # a NaN distance gave (nan, nan)
+        with pytest.raises(ParameterError, match="d_min must be >= 0, got nan"):
+            pe_upper_bound(math.nan)
+
+    def test_tail_is_the_old_quotient_bit_for_bit(self):
+        # Phi_bar(d/2) is taken at (d/2)/sqrt(2); d/(2 sqrt(2)) rounds the same
+        for d in np.concatenate([np.logspace(-300, 300, 2001), [5e-324, 1.7e308, math.inf]]):
+            d = float(d)
+            assert pe_upper_bound(d)[0] == 0.5 * math.erfc(d / (2.0 * math.sqrt(2.0)))
+
     def test_tail_never_exceeds_exp_bound(self):
         for d in np.logspace(-3, 2, 60):
             tail, exp_b = pe_upper_bound(float(d))

@@ -24,6 +24,16 @@ FILES = {
         "variance = 1\n"
         "master_seed = 5\n"
     ),
+    "sweep_batches.cfg": (  # past one sweep batch of 65,536 trials; t = 0.44 and 0.64
+        "k = 2\n"
+        "epsilon = 0.3\n"
+        "p_grid = 1e4,3e4\n"
+        "trials = 65836\n"
+        "h = 1.4142135623730951,1\n"
+        "h_e = 1,1\n"
+        "variance = 4\n"
+        "master_seed = 19\n"
+    ),
     "block.cfg": (
         "k = 2\n"
         "epsilon = 0.3\n"
@@ -93,8 +103,16 @@ GOLDEN = {
         ["sweep", "--config", "sweep3.cfg"],
         (
             "P,P_tilde,Q,A,d_min,pe_tail_bound,pe_exp_bound,pe_mc,pe_mc_ci_low,pe_mc_ci_high,r_sum_bound_bits,eta_running\n"
-            "1000,1000,2,15.19911082952934,0.70658028308038467,0.3619354677721372,0.93950046794051978,0.44600000000000001,0.42829301138004455,0.4638451042822907,0,0\n"
-            "100000,100000,3,93.260334688322033,0.31706539957750124,0.43701852787553708,0.98751231791058391,0.10533333333333333,0.094848458510164435,0.11682764608369284,2.2870130973590248,0.27538381711258214\n"
+            "1000,1000,2,15.19911082952934,0.70658028308038467,0.3619354677721372,0.93950046794051978,0.441,0.42331971491932191,0.45883118923026661,0,0\n"
+            "100000,100000,3,93.260334688322033,0.31706539957750124,0.43701852787553708,0.98751231791058391,0.099000000000000005,0.088820063310378838,0.11020557336733258,2.3403528408781193,0.28180656221669054\n"
+        ),
+    ),
+    "sweep_batches": (
+        ["sweep", "--config", "sweep_batches.cfg"],
+        (
+            "P,P_tilde,Q,A,d_min,pe_tail_bound,pe_exp_bound,pe_mc,pe_mc_ci_low,pe_mc_ci_high,r_sum_bound_bits,eta_running\n"
+            "10000,10000,4,24.620924014946269,1.7497551958483726,0.33089657569198389,0.90875808674388103,0.24184336836988882,0.238587624026708,0.2451292372713226,0,0\n"
+            "30000,30000,4,36.079421619776305,2.5640855478894338,0.26075439388202493,0.81427738006263739,0.11991919314660672,0.11745979836605575,0.12242293994064107,0.49211746461784878,0.066177398293116571\n"
         ),
     ),
     "block": (
@@ -201,10 +219,29 @@ GOLDEN_META = {
         "h = 1.4142135623730951,1.7320508075688772,1\n"
         "h_e = 1,1,1\n"
         "leakage_samples = 100000\n"
-        "slope = 0.68845954278145538\n"
-        "intercept = -3.4305196460385354\n"
-        "fit_residual = 1.3322676295501878e-15\n"
-        "stream_layout = 3\n"
+        "slope = 0.70451640554172634\n"
+        "intercept = -3.5105292613171772\n"
+        "fit_residual = 2.0106994154417229e-15\n"
+        "stream_layout = 4\n"
+    ),
+    "sweep_batches": (
+        "# secmac metadata v1\n"
+        "command = sweep\n"
+        f"version = {__version__}\n"
+        "k = 2\n"
+        "epsilon = 0.29999999999999999\n"
+        "p_grid = 10000,30000\n"
+        "trials = 65836\n"
+        "n = 4\n"
+        "master_seed = 19\n"
+        "variance = 4\n"
+        "h = 1.4142135623730951,1\n"
+        "h_e = 1,1\n"
+        "leakage_samples = 100000\n"
+        "slope = 0.62098310135909784\n"
+        "intercept = -4.1257224217101447\n"
+        "fit_residual = 2.1812421540521875e-15\n"
+        "stream_layout = 4\n"
     ),
     "block": (
         "# secmac metadata v1\n"

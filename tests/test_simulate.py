@@ -19,7 +19,7 @@ from secmac import (
 )
 from secmac import simulate
 from secmac.channel import ChannelGains, normalize_gains, sample_gains, transmit
-from secmac.codec import encode, hard_decode
+from secmac.codec import encode, hard_decode, nearer
 from secmac.constellation import (
     ENUMERATION_CAP,
     mixed_radix_digits,
@@ -32,11 +32,12 @@ from secmac.simulate import (
     TABLE_CAP,
     TRIAL_BATCH,
     WILSON_Z,
+    _batches,
     _block_batch,
     _block_setup,
     _constellation,
+    _far_tail,
     _grid_point,
-    _uniform_batches,
     derive_code_sizes,
 )
 
@@ -62,13 +63,20 @@ ORACLE_CFGS = (
 ORACLE_Z = 4.0
 
 # Exact sweep P_e configs, one grid point each: K=2 at variance 4, K=3 at
-# variance 2, a negative normalisation scale at variance 300, and K=4.
+# variance 2, a negative normalisation scale at variance 300, and K=4; then
+# three whose safe radius t lies just past the sampler's switch to Robert's
+# proposal: K=2 at variance 2 (t = 0.62) and 1 (t = 0.88), K=3 at variance
+# 0.05 (t = 0.71).  Of the first four only K=3 (t = 0.11) rejects normals.
 EXACT_PE_CFGS = (
     dict(K=2, epsilon=0.5, P_grid=(1e4,), h=(S2, 1.0), h_e=(1.0, 1.0), variance=4.0),
     dict(K=3, epsilon=0.3, P_grid=(1e5,), h=(S2, S3, 1.0), h_e=(1.0,) * 3, variance=2.0),
     dict(K=2, epsilon=0.5, P_grid=(1e6,), h=(1.3, -0.9), h_e=(1.0, 1.1), variance=300.0),
     dict(K=4, epsilon=0.3, P_grid=(1e8,), h=(S2, S3, 1.0, math.sqrt(5)), h_e=(1.0,) * 4),
+    dict(K=2, epsilon=0.3, P_grid=(1e4,), h=(S2, 1.0), h_e=(1.0, 1.0), variance=2.0),
+    dict(K=2, epsilon=0.3, P_grid=(1e4,), h=(S2, 1.0), h_e=(1.0, 1.0), variance=1.0),
+    dict(K=3, epsilon=0.3, P_grid=(1e5,), h=(S2, S3, 1.0), h_e=(1.0,) * 3, variance=0.05),
 )
+EXACT_PE_IDS = ["k2-var4", "k3-var2", "negative-scale", "k4", "k2-var2", "k2-var1", "k3-var0.05"]
 
 # Block configs against the codebook-conditional exact error probability,
 # as (K, epsilon, P, n, variance, master_seed) with sampled gains: K=2 and
@@ -103,6 +111,24 @@ NOISELESS_DUPLICATE_CFGS = (
 )
 
 
+def uniform_batches(seed, command, K, low, high, total, *grid):
+    """(draws, noise seed) of each batch: the (bs, K) integers on [low, high]
+    that block and leakage draw from the batch's input stream."""
+    for bs, draw, noise in _batches(seed, command, total, *grid):
+        yield draw.integers(low, high + 1, size=(bs, K)), noise
+
+
+def sweep_far_draws(cfg, rc, pi):
+    """(sorted positions, received samples) of each batch's far trials at grid
+    index pi, drawn as the sweep draws them (stream layout 4): a Binomial(bs,
+    p_far) count, that many uniform positions, their points sent through
+    transmit with noise beyond the safe radius."""
+    t, p_far = _far_tail(rc, cfg.variance)
+    for bs, draw, noise in _batches(cfg.master_seed, "sweep", cfg.trials, pi) if p_far else ():
+        pos = draw.integers(0, rc.points.size, size=draw.binomial(bs, p_far))
+        yield pos, transmit(rc.points[pos], cfg.variance, noise, t)
+
+
 class TestWilson:
     def test_single_trial_spans_nearly_everything(self):
         low, high = wilson_interval(0, 1)
@@ -123,6 +149,12 @@ class TestWilson:
     def test_bad_counts(self):
         with pytest.raises(ParameterError):
             wilson_interval(2, 1)
+
+    @pytest.mark.parametrize("z", [-2.0, 0.0, math.nan, math.inf, -math.inf])
+    def test_z_must_be_positive_and_finite(self, z):
+        # z = -2 gave the inverted (0.609, 0.106) and z = nan gave (0, 1)
+        with pytest.raises(ParameterError, match="z must be positive and finite"):
+            wilson_interval(3, 10, z)
 
     @pytest.mark.parametrize("z", [WILSON_Z, ORACLE_Z])
     def test_ends_are_exact(self, z):
@@ -254,17 +286,17 @@ class TestSymbolSweep:
     )
     def test_error_counts_match_hard_decoding(self, cfg):
         # the decision-cell count against a full hard decode of the same
-        # draws: uniform sorted positions, their points sent through transmit
+        # draws: each batch's far trials (stream layout 4), their uniform
+        # sorted positions' points sent through transmit beyond the safe radius
         cfg = SimConfig(**cfg, trials=TRIAL_BATCH["sweep"] + 500)
         gains = cfg.resolve_gains()
         g = normalize_gains(gains)
         want = []
         for pi, P in enumerate(cfg.P_grid):
             rc = _constellation(g, _grid_point(cfg, gains, P))
-            M, errors = rc.points.size, 0
-            for pos, seed in _uniform_batches(cfg.master_seed, "sweep", 1, 0, M - 1, cfg.trials, pi):
-                y = transmit(rc.points[pos[:, 0]], cfg.variance, seed)
-                sent = mixed_radix_digits(rc.index[pos[:, 0]], rc.K, rc.Q)
+            errors = 0
+            for pos, y in sweep_far_draws(cfg, rc, pi):
+                sent = mixed_radix_digits(rc.index[pos], rc.K, rc.Q)
                 errors += int(np.count_nonzero(np.any(hard_decode(y, rc) != sent, axis=1)))
             want.append(errors)
         got = [round(r.pe_mc * cfg.trials) for r in run_symbol_sweep(cfg).rows]
@@ -296,7 +328,7 @@ class TestSymbolSweep:
         with pytest.raises(AmbiguityError, match=want):
             run_symbol_sweep(cfg)
 
-    @pytest.mark.parametrize("cfg", EXACT_PE_CFGS, ids=["k2-var4", "k3-var2", "negative-scale", "k4"])
+    @pytest.mark.parametrize("cfg", EXACT_PE_CFGS, ids=EXACT_PE_IDS)
     def test_matches_exact_symbol_error(self, cfg):
         # a uniform point plus noise, seed-free: pe_mc within a z=4 Wilson
         # interval of the exact error probability of nearest-point decoding
@@ -308,6 +340,21 @@ class TestSymbolSweep:
         low, high = wilson_interval(errors, cfg.trials, ORACLE_Z)
         assert low <= exact <= high, (errors / cfg.trials, exact)
         assert 0.01 < exact < 0.9
+
+    @pytest.mark.parametrize("variance", [0.0, 1e-6])
+    def test_no_stream_without_a_far_trial(self, monkeypatch, variance):
+        # no noise, or p_far = 2 Phi_bar(t) underflowing (t = d_min/2sigma ~ 3400
+        # here): no trial can err, so nothing is drawn
+        def no_stream(*args, **kwargs):
+            raise AssertionError("stream derived")
+
+        for name in ("stream", "substream", "transmit"):
+            monkeypatch.setattr(simulate, name, no_stream)
+        cfg = SimConfig(**dict(EXACT_PE_CFGS[0], variance=variance), trials=100_000)
+        row = run_symbol_sweep(cfg).rows[0]
+        rc = _constellation(normalize_gains(cfg.resolve_gains()), row)
+        assert _far_tail(rc, variance)[1] == 0.0
+        assert (row.pe_mc, row.pe_mc_ci_low, row.pe_tail_bound) == (0.0, 0.0, 0.0)
 
     def test_failing_grid_point_names_p(self):
         cfg = SimConfig(
@@ -333,37 +380,74 @@ class TestSymbolSweep:
             run_symbol_sweep(cfg)
 
 
+# Constellations whose largest |point| is 10^4 to 10^7 times d_min: K=2 at
+# Q=300, K=3 at Q=40, sampled K=4 gains and a negative normalisation scale.
+SAFE_RADIUS_CASES = {
+    "k2-q300": (ChannelGains(h=(S2, 1.0), h_e=(1.0, 1.0)), 300, 1e6),
+    "k3-q40": (ChannelGains(h=(S2, S3, 1.0), h_e=(1.0,) * 3), 40, 3.7),
+    "k4-sampled": (sample_gains(5, 4), 8, 1e-3),
+    "negative-scale": (ChannelGains(h=(1.3, -0.9), h_e=(1.0, 1.1)), 40, 123.0),
+}
+
+
+@pytest.mark.parametrize("case", SAFE_RADIUS_CASES)
+def test_safe_radius_decodes_to_the_sent_point(case):
+    # every point x sent with noise sigma*z, z = +-t or one ulp inside, is
+    # decoded to x by the sweep's test and by hard_decode: a trial within the
+    # safe radius t cannot err, so the sweep draws no noise for it
+    gains, Q, A = SAFE_RADIUS_CASES[case]
+    g = normalize_gains(gains)
+    rc = received_constellation(g, Q, A * abs(g.scale))
+    pts, pos = rc.points, np.arange(rc.points.size)
+    assert rc.gamma_holds and rc.d_min < 1e-3 * max(-pts[0], pts[-1])
+    sent = mixed_radix_digits(rc.index, rc.K, rc.Q)
+    for variance in (1.0, 0.37, (0.1 * rc.d_min) ** 2, (3.0 * rc.d_min) ** 2):
+        t = _far_tail(rc, variance)[0]
+        assert 0 < t < math.inf
+        for z in (t, -t, np.nextafter(t, 0), -np.nextafter(t, 0)):
+            y = pts + np.sqrt(variance) * np.full(pts.size, z)  # as transmit adds it
+            assert np.array_equal(nearer(y, pts, pos + (y >= pts)), pos)
+            assert np.array_equal(hard_decode(y, rc), sent)
+
+
 @pytest.mark.parametrize("command,grid", [("sweep", (1,)), ("leakage", ()), ("block", ())])
 def test_uniform_batches_do_not_depend_on_the_total(command, grid):
-    # the first T draws and received samples of a run with T + batch draws
-    # are those of a run with T, across one of the command's batch
-    # boundaries; the sweep draws sorted positions on [0, M-1] and sends
-    # their points, leakage tuples on [-Q, Q] whose aligned sums A*sum(v)
-    # are sent, and block messages on [0, B-1], sent here as tuples through
-    # the received point's coefficients A*|s|*g
+    # runs of T and T + batch draws, across one of the command's batch
+    # boundaries, share their full first batch of draws and received samples:
+    # the sweep's far trials (sorted positions on [0, M-1], their points
+    # sent), leakage's tuples on [-Q, Q], whose aligned sums A*sum(v) are
+    # sent, and block's messages on [0, B-1], sent here as tuples through
+    # the received point's coefficients A*|s|*g.  Leakage and block trials
+    # match one for one in the short last batch too; the sweep draws its
+    # far-trial count there on the batch size, so its last batches differ
     g = normalize_gains(ChannelGains(h=(S2, S3, 1.0), h_e=(1.3, 0.7, 1.1)))
-    pts = received_constellation(g, 4, 3.5 * abs(g.scale)).points
+    rc = received_constellation(g, 4, 3.5 * abs(g.scale))
     coefs = g.as_floats() * (3.5 * abs(g.scale))
     K, low, high, received = {
-        "sweep": (1, 0, pts.size - 1, lambda pos: pts[pos[:, 0]]),
+        "sweep": (1, 0, rc.points.size - 1, None),
         "leakage": (3, -4, 4, lambda v: 3.5 * v.sum(axis=1)),
         "block": (3, 0, 9, lambda v: v @ coefs),
     }[command]
 
-    def receive(v, seed):
-        return transmit(received(v), 2.0, seed)
-
     def draw(total):
-        batches = _uniform_batches(7, command, K, low, high, total, *grid)
-        return [np.concatenate(p) for p in zip(*((v, receive(v, s)) for v, s in batches))]
+        if command == "sweep":
+            cfg = SimConfig(K=3, epsilon=0.5, P_grid=(1e4,), trials=total, variance=2.0,
+                            master_seed=7)
+            return list(sweep_far_draws(cfg, rc, *grid))
+        batches = uniform_batches(7, command, K, low, high, total)
+        return [(v, transmit(received(v), 2.0, s)) for v, s in batches]
 
     batch = TRIAL_BATCH[command]
-    T = batch + 300
-    v, y = draw(T)
-    v_long, y_long = draw(T + batch)
-    assert v.shape == (T, K) and (v.min(), v.max()) == (low, high)
-    assert np.array_equal(v, v_long[:T])
-    assert np.array_equal(y, y_long[:T])
+    (v, y), (v_end, y_end) = draw(batch + 300)
+    (v_long, y_long), (v_long_end, y_long_end) = draw(2 * batch + 300)[:2]
+    assert np.array_equal(v, v_long) and np.array_equal(y, y_long)
+    assert (v.min(), v.max()) == (low, high)
+    if command == "sweep":
+        assert v.size < batch and len(v_end) < 300
+    else:
+        assert v.shape == (batch, K) and v_end.shape == (300, K)
+        assert np.array_equal(v_end, v_long_end[:300])
+        assert np.array_equal(y_end, y_long_end[:300])
 
 
 @pytest.mark.parametrize("command", ["sweep", "block"])
@@ -397,7 +481,7 @@ def test_samples_are_the_physical_channel_outputs(monkeypatch, K, seed, negate):
     ulps = 4 * np.finfo(float).eps
 
     run = _block_setup(cfg)
-    msgs, batch_seed = next(_uniform_batches(5, "block", K, 0, run.codebooks[0].B - 1, 500))
+    msgs, batch_seed = next(uniform_batches(5, "block", K, 0, run.codebooks[0].B - 1, 500))
     _block_batch(run, msgs, batch_seed)
     v = np.stack([encode(cb, msgs[:, k], batch_seed) for k, cb in enumerate(run.codebooks)], -1)
     v = v.reshape(-1, K)
@@ -408,7 +492,7 @@ def test_samples_are_the_physical_channel_outputs(monkeypatch, K, seed, negate):
     sent.clear()
     rep = run_leakage(cfg)
     Q, A = rep.Q, rep.A
-    batches = _uniform_batches(cfg.master_seed, "leakage", K, -Q, Q, cfg.leakage_samples)
+    batches = uniform_batches(cfg.master_seed, "leakage", K, -Q, Q, cfg.leakage_samples)
     v = np.concatenate([v for v, _ in batches])
     eve = (A * v / np.array(gains.h_e)) @ np.array(gains.h_e)
     assert np.all(np.abs(np.concatenate(sent) - eve) <= ulps * A * np.abs(v).sum(axis=1))
@@ -534,7 +618,7 @@ class TestBlockTrials:
 
         def flags(trials):
             B = run.codebooks[0].B
-            batches = _uniform_batches(cfg.master_seed, "block", cfg.K, 0, B - 1, trials)
+            batches = uniform_batches(cfg.master_seed, "block", cfg.K, 0, B - 1, trials)
             parts = [_block_batch(run, msgs, seed) for msgs, seed in batches]
             return [np.concatenate([p[i] for p in parts]) for i in (0, 1)]
 
@@ -623,7 +707,7 @@ def block_success(cfg):
     tail = np.array([0.5 * math.erfc(g / (2 * math.sqrt(2 * cfg.variance))) for g in gaps])[which]
     stay = 1 - np.append(tail, 0.0) - np.insert(tail, 0, 0.0)
     p = []
-    for msgs, seed in _uniform_batches(cfg.master_seed, "block", cfg.K, 0, cbs[0].B - 1, cfg.trials):
+    for msgs, seed in uniform_batches(cfg.master_seed, "block", cfg.K, 0, cbs[0].B - 1, cfg.trials):
         v = np.stack([encode(cb, msgs[:, k], seed) for k, cb in enumerate(cbs)], axis=-1)
         x = v.reshape(-1, cfg.K) @ run.coefs
         pos = np.searchsorted(pts, x - gaps[0] / 2)  # the one point within d_min/2
@@ -713,7 +797,7 @@ class TestLeakageRun:
         )
         rep = run_leakage(cfg)
         assert not rep.exhaustive
-        v = np.concatenate([v for v, _ in _uniform_batches(4, "leakage", 3, -rep.Q, rep.Q, 2000)])
+        v = np.concatenate([v for v, _ in uniform_batches(4, "leakage", 3, -rep.Q, rep.Q, 2000)])
         _, counts = np.unique(v.sum(axis=1), return_counts=True)
         assert rep.mi_bits == pytest.approx(entropy_bits(counts / 2000), abs=1e-12)
 
