@@ -16,7 +16,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .constellation import normal_tail
 from .errors import ParameterError
 from .rng import stream
 
@@ -144,6 +143,11 @@ def effective_power(gains: ChannelGains, P: float) -> float:
     if not 0 < P < math.inf:
         raise ParameterError(f"P must be positive and finite, got {P}")
     return min(he * he for he in gains.h_e) * P
+
+
+def normal_tail(x: float) -> float:
+    """Phi_bar(x) = P(Z > x) for a standard normal Z; it underflows to 0 near x = 38.5."""
+    return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
 def tail_normals(rng: np.random.Generator, size: int, t: float) -> np.ndarray:

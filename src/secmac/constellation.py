@@ -15,14 +15,12 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
+from .channel import NormalizedGains, normal_tail
 from .errors import ParameterError, SizeCapError
-
-if TYPE_CHECKING:  # channel's sampler imports normal_tail from here
-    from .channel import NormalizedGains
 
 ENUMERATION_CAP = 10_000_000
 SUSPECT_REL_GAP = 1e-9
@@ -260,11 +258,6 @@ def received_constellation(
     if gamma is GammaStatus.HOLDS and d_min == 0:
         raise ParameterError(f"the minimum gap underflows float64 at A = {A}")
     return ReceivedConstellation(K=K, Q=Q, points=points, index=order, gamma=gamma, d_min=d_min)
-
-
-def normal_tail(x: float) -> float:
-    """Phi_bar(x) = P(Z > x) for a standard normal Z; it underflows to 0 near x = 38.5."""
-    return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
 def pe_upper_bound(d_min: float) -> tuple[float, float]:

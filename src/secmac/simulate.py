@@ -1,25 +1,24 @@
 """Seeded Monte Carlo engine: power sweeps, block trials, leakage runs.
 
 Every random draw is keyed by (master seed, purpose, grid index, batch
-index) in batches of ``TRIAL_BATCH[command]`` trials, so reports are
-bit-identical across runs and do not depend on how trials might be
-distributed over workers.  Sweep, block and leakage share one batch
-generator, which gives each batch's size, input stream and noise seed.
-Block draws its messages and leakage its tuples as uniform integers from
-the input stream; the sweep draws its far-trial count and their sorted
-point positions there, as only trials whose noise leaves the safe radius
-of ``_far_tail`` can err.  All three observe a sample in one step: a
-noiseless received value goes through ``transmit``, which adds the
-batch's noise (none at variance 0; for the sweep, beyond the radius).  With inputs x_k = A*v_k/h_{k,e}, the eavesdropper
-receives the aligned sum A*sum_k v_k, and the intended receiver, with
-the sign of the last ratio s divided out, the point A*|s|*sum_k g_k v_k
-of the received constellation.  The sweep sends its drawn point and
-tests the sample with hard decoding's ``codec.nearer``, block sends each
-channel use's point and hard-decodes the samples, and leakage sends each
-tuple's aligned sum, formed exactly, and bins the samples.  Each
-report's ``.meta`` holds the run's ``SimConfig`` with its gains
-resolved, under the config-file keys, so that those lines rerun it
-(sampled gains included), and names its ``stream_layout``.
+index), so reports are bit-identical across runs and independent of any
+split of the trials over workers.  Sweep, block and leakage share one
+batch generator, ``_batches``: a batch holds ``BATCH_USES`` channel uses
+(a sweep trial or leakage sample is one, a block trial n) and has one
+input stream and one noise seed.  From the input stream block draws its
+messages, leakage its tuples and the sweep its far-trial count and sorted
+point positions (of the trials whose noise can leave ``_far_tail``'s safe
+radius).  All three then send a noiseless received value through
+``transmit``, which adds the batch's noise.  With inputs
+x_k = A*v_k/h_{k,e}, the eavesdropper receives the aligned sum
+A*sum_k v_k, and the intended receiver, with the sign of the last ratio s
+divided out, the point A*|s|*sum_k g_k v_k of the received constellation:
+the sweep sends its drawn point and tests the sample with
+``codec.nearer``, block sends each channel use's point and hard-decodes
+the samples, and leakage sends each tuple's aligned sum, formed exactly,
+and bins the samples.  Each report's ``.meta`` holds the run's
+``SimConfig`` with its gains resolved, under the config-file keys, so
+those lines rerun it, and names its ``stream_layout``.
 """
 
 from __future__ import annotations
@@ -30,13 +29,19 @@ from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from .channel import ChannelGains, effective_power, normalize_gains, sample_gains, transmit
+from .channel import (
+    ChannelGains,
+    effective_power,
+    normal_tail,
+    normalize_gains,
+    sample_gains,
+    transmit,
+)
 from .codec import Codebook, build_codebook, encode, hard_decode, nearer
 from .constellation import (
     ENUMERATION_CAP,
     ReceivedConstellation,
     mixed_radix_digits,
-    normal_tail,
     pe_upper_bound,
     received_constellation,
     select_params,
@@ -53,26 +58,24 @@ from .secrecy import (
     sum_rate_lower_bound,
 )
 
-# Trials per batch, part of the stream layout.  A block trial holds n*K
-# symbols and decode temporaries, so block keeps the smaller batch.
-TRIAL_BATCH = {"sweep": 65_536, "block": 8192, "leakage": 65_536}
+BATCH_USES = 65_536  # channel uses per batch (a block trial is n), part of the stream layout
 WILSON_Z = 1.959963984540054  # two-sided 95%
 # Version of each command's random stream layout, recorded in .meta; it
 # changes whenever a stream key, a draw order or a batch shape changes.
-STREAM_LAYOUT = {"sweep": 4, "block": 4, "leakage": 3}
+STREAM_LAYOUT = {"sweep": 4, "block": 5, "leakage": 3}
 TABLE_CAP = 65_536  # max codebook sequences per user in block runs
 TRIAL_CAP = 10**8  # max trials of a sweep (over all grid points) or a block run
 
 
-def _batches(seed: int, command: str, total: int, *grid):
-    """(size, input stream, noise seed) of each batch of ``total`` trials:
-    batch bi of ``TRIAL_BATCH[command]`` trials draws its inputs from the
-    (seed, f"{command}/input", *grid, bi) stream and gives the
-    (seed, f"{command}/noise", *grid, bi) substream."""
-    for bi, b0 in enumerate(range(0, total, TRIAL_BATCH[command])):
-        bs = min(TRIAL_BATCH[command], total - b0)
+def _batches(seed: int, command: str, total: int, *grid, uses: int = 1):
+    """(size, input stream, noise seed) of each batch of ``total`` trials of
+    ``uses`` channel uses each: batch bi of max(1, ``BATCH_USES`` // uses)
+    trials draws its inputs from the (seed, f"{command}/input", *grid, bi)
+    stream and gives the (seed, f"{command}/noise", *grid, bi) substream."""
+    size = max(1, BATCH_USES // uses)
+    for bi, b0 in enumerate(range(0, total, size)):
         draw = stream(seed, f"{command}/input", *grid, bi)
-        yield bs, draw, substream(seed, f"{command}/noise", *grid, bi)
+        yield min(size, total - b0), draw, substream(seed, f"{command}/noise", *grid, bi)
 
 
 def wilson_interval(errors: int, trials: int, z: float = WILSON_Z) -> tuple[float, float]:
@@ -323,9 +326,9 @@ def run_symbol_sweep(cfg: SimConfig) -> SweepReport:
     (the point of a uniform symbol tuple, as gamma must hold) and noise
     conditioned on |Z| > t.  The error count keeps its Binomial(trials, P_e)
     law; without noise, or once p_far underflows, nothing is drawn.  Any
-    failing grid point aborts the sweep with
-    the offending P in the message; a P <= 1, where eta and the S-DoF fit
-    divide by log2 P, is refused before any gain is drawn.
+    failing grid point aborts the sweep with the offending P in the message;
+    a P <= 1, where eta and the S-DoF fit divide by log2 P, is refused
+    before any gain is drawn.
     """
     if cfg.P_grid[0] <= 1:  # the grid is increasing
         raise ParameterError(f"a sweep needs P > 1 for eta_running [grid point P={cfg.P_grid[0]}]")
@@ -379,10 +382,10 @@ def derive_code_sizes(cfg: SimConfig, Q: int) -> tuple[int, int]:
             f"block length n = {cfg.n} needs over 2^62 bins or {JOINT_TABLE_CAP} table cells"
         )
     B = 2 ** math.ceil(cfg.n * r_user)
-    # max_table <= TABLE_CAP = 2^16, so larger powers change neither min
+    # x < 2^m <= (2Q+1)^m at m = x.bit_length(): larger powers change neither min
     budget_bits = cfg.n * (math.log2(2 * Q + 1) - r_user)
-    L = 2 ** min(max(0, math.ceil(budget_bits)), 17)
-    space = (2 * Q + 1) ** min(cfg.n, 24)  # (2Q+1)^24 >= 3^24 > 256 * TABLE_CAP
+    L = 2 ** min(max(0, math.ceil(budget_bits)), TABLE_CAP.bit_length())
+    space = (2 * Q + 1) ** min(cfg.n, (256 * TABLE_CAP).bit_length())
     max_table = min(TABLE_CAP, space // 256)
     L = max(1, min(L, max_table // B))
     return B, L
@@ -439,17 +442,17 @@ def run_block_trials(cfg: SimConfig) -> BlockReport:
     """Full encode/transmit/decode pipeline at the top of the power grid.
 
     A trial errs when any user's recovered bin differs from its message
-    (a sequence missing from the table counts as an error too).  Trials
-    run in batches of ``TRIAL_BATCH["block"]``: each draws its (bs, K) messages
-    on [0, B-1] from its input stream (``_batches``) and its slots and noise
-    from its seed (``_block_batch``), so no stream is derived per trial.
+    (a sequence missing from the table counts as an error too).  A trial
+    is n channel uses, so a batch holds max(1, BATCH_USES // n) trials: it
+    draws their messages from its input stream (``_batches``) and their
+    slots and noise from its seed (``_block_batch``), no stream per trial.
     Every draw is a prefix of the full batch's, so a trial's flags never
     depend on the trial count.
     """
     run = _block_setup(cfg)
     cb0 = run.codebooks[0]
     errors = failures = 0
-    for bs, draw, seed in _batches(cfg.master_seed, "block", cfg.trials):
+    for bs, draw, seed in _batches(cfg.master_seed, "block", cfg.trials, uses=cfg.n):
         err, fail = _block_batch(run, draw.integers(0, cb0.B, size=(bs, cfg.K)), seed)
         errors += int(np.count_nonzero(err))
         failures += int(np.count_nonzero(fail))
@@ -514,11 +517,10 @@ def run_leakage(cfg: SimConfig) -> LeakageRunReport:
     gains = cfg.resolve_gains()
     point = _grid_point(cfg, gains, cfg.P_grid[-1])
     Q, A = point.Q, point.A
-    if cfg.K * Q >= 2**63:  # the tuples and their noiseless sums are int64
-        raise SizeCapError(f"symbol bound Q = {Q} overflows the int64 input draw")
+    # sum_entropy's cap, before any draw, keeps K*Q < 2.5e6: the tuples and sums fit int64
+    h_sum, h_in = sum_entropy(cfg.K, Q), cfg.K * math.log2(2 * Q + 1)
     width = cfg.bin_width if cfg.bin_width is not None else A / 10.0
     M = (2 * Q + 1) ** cfg.K
-    h_sum, h_in = sum_entropy(cfg.K, Q), cfg.K * math.log2(2 * Q + 1)  # its cap, before any draw
 
     exhaustive = cfg.variance == 0 and M <= cfg.leakage_samples
     if exhaustive:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from secmac import ParameterError, __version__, cli
+from secmac import ParameterError, __version__, cli, select_params
 from secmac.cli import comma_list, main, parse_gain_token
 from secmac.keyvalue import key_values, read_text
 
@@ -309,7 +309,7 @@ class TestBlockAndLeakage:
         assert float(row["mi_bits"]) == pytest.approx(float(row["sum_entropy_bits"]))
 
 
-    @pytest.mark.parametrize("command,layout", [("sweep", 4), ("block", 4), ("leakage", 3)])
+    @pytest.mark.parametrize("command,layout", [("sweep", 4), ("block", 5), ("leakage", 3)])
     def test_meta_records_stream_layout(self, tmp_path, capsys, command, layout):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(SWEEP_CONFIG + "n = 4\n")
@@ -915,10 +915,21 @@ class TestInputFileContract:
     def test_entropy_work_cap(self):
         self.check(["entropy", "--k", "1000000", "--q", "1"], 3)
 
-    def test_leakage_symbol_bound_past_int64(self, tmp_path):
+    def test_leakage_symbol_bound_past_int64(self, tmp_path, monkeypatch):
+        # K*Q passes 2^63, past the int64 tuples; the exact entropy's
+        # composition cap refuses it before any sample is drawn
+        def no_transmit(*args, **kwargs):
+            raise AssertionError("samples were transmitted")
+
+        monkeypatch.setattr("secmac.simulate.transmit", no_transmit)
         cfg = tmp_path / "leak.cfg"
         cfg.write_text("k = 2\nepsilon = 0.1\np_grid = 1e308\nh = 1.5,1\nh_e = 1,1\n")
-        self.check(["leakage", "--config", str(cfg)], 3)
+        code, _, err, _ = run_quietly(["leakage", "--config", str(cfg)])
+        Q = select_params(1e308, 2, 0.1).Q
+        assert code == 3 and 2 * Q >= 2**63
+        assert err == (
+            f"error: composition counts need K * (2KQ+1) = {2 * (4 * Q + 1)} cells, cap 10000000\n"
+        )
 
     def test_leakage_sum_entropy_cap_before_the_draw(self, tmp_path, monkeypatch):
         def no_transmit(*args, **kwargs):

@@ -44,11 +44,11 @@ FILES = {
         "h_e = 1,1\n"
         "master_seed = 11\n"
     ),
-    "block_batches.cfg": (  # past one block batch of 8,192 trials
+    "block_batches.cfg": (  # past one block batch of 65,536 // 5 = 13,107 trials
         "k = 2\n"
         "epsilon = 0.3\n"
         "p_grid = 1e4\n"
-        "trials = 8300\n"
+        "trials = 13407\n"
         "n = 5\n"
         "h = 1.4142135623730951,1\n"
         "h_e = 1,1\n"
@@ -126,7 +126,7 @@ GOLDEN = {
         ["block", "--config", "block_batches.cfg"],
         (
             "P,P_tilde,Q,A,n,B,L,rate_bits_per_user,trials,block_errors,bler,bler_ci_low,bler_ci_high,decode_failures,cross_bin_duplicates\n"
-            "10000,10000,4,24.620924014946269,5,16,14,0.80000000000000004,8300,2105,0.2536144578313253,0.24436987096493537,0.26308700664013651,2105,0\n"
+            "10000,10000,4,24.620924014946269,5,16,14,0.80000000000000004,13407,3353,0.25009323487730289,0.2428349640198422,0.2574946744613763,3353,0\n"
         ),
     ),
     "leakage_noisy": (
@@ -257,7 +257,7 @@ GOLDEN_META = {
         "h = 1.4142135623730951,1\n"
         "h_e = 1,1\n"
         "leakage_samples = 100000\n"
-        "stream_layout = 4\n"
+        "stream_layout = 5\n"
     ),
     "block_batches": (
         "# secmac metadata v1\n"
@@ -266,14 +266,14 @@ GOLDEN_META = {
         "k = 2\n"
         "epsilon = 0.29999999999999999\n"
         "p_grid = 10000\n"
-        "trials = 8300\n"
+        "trials = 13407\n"
         "n = 5\n"
         "master_seed = 17\n"
         "variance = 1\n"
         "h = 1.4142135623730951,1\n"
         "h_e = 1,1\n"
         "leakage_samples = 100000\n"
-        "stream_layout = 4\n"
+        "stream_layout = 5\n"
     ),
     "leakage_noisy": (
         "# secmac metadata v1\n"

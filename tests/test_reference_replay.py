@@ -51,7 +51,7 @@ def reference(workload):
 
 REPLAY_DIGESTS = {
     "campaign": "701760a553c10e209b07abdc1e8e0a7907d42ceff9572f04e9f1411f295de284",
-    "block": "221c1af9cd62af43d84f1baa0b75e176f95657b57b186e13c48bcdd1f72c70ca",
+    "block": "e2dda4d1274b36393802699fa225e219254c65c4d03192385a95965df187162d",
     "analysis": "6f0eccd5b816582e3a15df683ba9dfe255ba1bdfaf3ae36baa757167b7616bf2",
 }
 

@@ -3,6 +3,8 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from secmac import (
     ParameterError,
@@ -29,8 +31,8 @@ from secmac.constellation import (
 from secmac.errors import AmbiguityError
 from secmac.secrecy import JOINT_TABLE_CAP, composition_counts, entropy_bits
 from secmac.simulate import (
+    BATCH_USES,
     TABLE_CAP,
-    TRIAL_BATCH,
     WILSON_Z,
     _batches,
     _block_batch,
@@ -111,10 +113,11 @@ NOISELESS_DUPLICATE_CFGS = (
 )
 
 
-def uniform_batches(seed, command, K, low, high, total, *grid):
-    """(draws, noise seed) of each batch: the (bs, K) integers on [low, high]
-    that block and leakage draw from the batch's input stream."""
-    for bs, draw, noise in _batches(seed, command, total, *grid):
+def uniform_batches(seed, command, K, low, high, total, *grid, uses=1):
+    """(draws, noise seed) of each batch of trials of ``uses`` channel uses:
+    the (bs, K) integers on [low, high] that block (uses = n) and leakage
+    (uses = 1) draw from the batch's input stream."""
+    for bs, draw, noise in _batches(seed, command, total, *grid, uses=uses):
         yield draw.integers(low, high + 1, size=(bs, K)), noise
 
 
@@ -288,7 +291,7 @@ class TestSymbolSweep:
         # the decision-cell count against a full hard decode of the same
         # draws: each batch's far trials (stream layout 4), their uniform
         # sorted positions' points sent through transmit beyond the safe radius
-        cfg = SimConfig(**cfg, trials=TRIAL_BATCH["sweep"] + 500)
+        cfg = SimConfig(**cfg, trials=BATCH_USES + 500)
         gains = cfg.resolve_gains()
         g = normalize_gains(gains)
         want = []
@@ -416,8 +419,9 @@ def test_uniform_batches_do_not_depend_on_the_total(command, grid):
     # boundaries, share their full first batch of draws and received samples:
     # the sweep's far trials (sorted positions on [0, M-1], their points
     # sent), leakage's tuples on [-Q, Q], whose aligned sums A*sum(v) are
-    # sent, and block's messages on [0, B-1], sent here as tuples through
-    # the received point's coefficients A*|s|*g.  Leakage and block trials
+    # sent, and block's messages on [0, B-1] for n = 5 channel uses a trial,
+    # sent here as tuples through the received point's coefficients A*|s|*g,
+    # in batches of BATCH_USES // 5 trials.  Leakage and block trials
     # match one for one in the short last batch too; the sweep draws its
     # far-trial count there on the batch size, so its last batches differ
     g = normalize_gains(ChannelGains(h=(S2, S3, 1.0), h_e=(1.3, 0.7, 1.1)))
@@ -434,10 +438,11 @@ def test_uniform_batches_do_not_depend_on_the_total(command, grid):
             cfg = SimConfig(K=3, epsilon=0.5, P_grid=(1e4,), trials=total, variance=2.0,
                             master_seed=7)
             return list(sweep_far_draws(cfg, rc, *grid))
-        batches = uniform_batches(7, command, K, low, high, total)
+        batches = uniform_batches(7, command, K, low, high, total, uses=uses)
         return [(v, transmit(received(v), 2.0, s)) for v, s in batches]
 
-    batch = TRIAL_BATCH[command]
+    uses = 5 if command == "block" else 1
+    batch = BATCH_USES // uses
     (v, y), (v_end, y_end) = draw(batch + 300)
     (v_long, y_long), (v_long_end, y_long_end) = draw(2 * batch + 300)[:2]
     assert np.array_equal(v, v_long) and np.array_equal(y, y_long)
@@ -481,7 +486,8 @@ def test_samples_are_the_physical_channel_outputs(monkeypatch, K, seed, negate):
     ulps = 4 * np.finfo(float).eps
 
     run = _block_setup(cfg)
-    msgs, batch_seed = next(uniform_batches(5, "block", K, 0, run.codebooks[0].B - 1, 500))
+    B = run.codebooks[0].B
+    msgs, batch_seed = next(uniform_batches(5, "block", K, 0, B - 1, 500, uses=cfg.n))
     _block_batch(run, msgs, batch_seed)
     v = np.stack([encode(cb, msgs[:, k], batch_seed) for k, cb in enumerate(run.codebooks)], -1)
     v = v.reshape(-1, K)
@@ -507,6 +513,16 @@ def code_sizes_oracle(cfg, Q):
     return B, max(1, min(L, max_table // B))
 
 
+def code_sizes_literal_caps(cfg, Q):
+    """derive_code_sizes' rule with its power caps written as the literals 17
+    and 24, as they were before ``TABLE_CAP`` gave them."""
+    r = sum_rate_lower_bound(cfg.K, Q, 0.0) / cfg.K
+    B = 2 ** math.ceil(cfg.n * r)
+    L = 2 ** min(max(0, math.ceil(cfg.n * (math.log2(2 * Q + 1) - r))), 17)
+    max_table = min(TABLE_CAP, (2 * Q + 1) ** min(cfg.n, 24) // 256)
+    return B, max(1, min(L, max_table // B))
+
+
 class TestCodeSizes:
     @pytest.mark.parametrize("K", [2, 3, 4])
     @pytest.mark.parametrize("eps", [0.1, 0.3, 0.5])
@@ -516,6 +532,20 @@ class TestCodeSizes:
             for Q in (1, 2, 3, 4, 7, 12, 30, 94, 1000):
                 if n * sum_rate_lower_bound(K, Q, 0.0) / K <= 62:
                     assert derive_code_sizes(cfg, Q) == code_sizes_oracle(cfg, Q), (n, Q)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        K=st.integers(2, 6),
+        eps=st.floats(0.01, 0.99),
+        log_p=st.floats(0.0, 40.0),
+        n=st.integers(1, 300),
+    )
+    def test_caps_from_table_cap_match_the_literals(self, K, eps, log_p, n):
+        P = 10.0**log_p
+        Q = select_params(P, K, eps).Q
+        assume(n * sum_rate_lower_bound(K, Q, 0.0) / K <= 62)
+        cfg = SimConfig(K=K, epsilon=eps, P_grid=(P,), n=n)
+        assert derive_code_sizes(cfg, Q) == code_sizes_literal_caps(cfg, Q)
 
     @pytest.mark.parametrize("n", [JOINT_TABLE_CAP + 1, 10**30, 10**400], ids=["cap", "e30", "e400"])
     def test_huge_block_length_refused_at_once(self, n):
@@ -609,26 +639,33 @@ class TestBlockTrials:
         with pytest.raises(SizeCapError, match=f"B = {B} bins per user, cap is 65536"):
             run_block_trials(cfg)
 
-    def test_flags_do_not_depend_on_trial_count(self):
-        # the first T trials of a run with T + TRIAL_BATCH["block"] trials
-        # are the trials of a run with T, across a batch boundary
-        cfg = SimConfig(**ORACLE_CFGS[0], trials=1)
-        run = _block_setup(cfg)
-        assert run.codebooks[0].L > 1  # the slot draws take part
+    @pytest.mark.parametrize(
+        "n,epsilon,variance", [(1, 0.3, 1.0), (5, 0.3, 1.0), (40, 0.5, 2.0)], ids=["1", "5", "40"]
+    )
+    def test_flags_do_not_depend_on_trial_count(self, n, epsilon, variance):
+        # the first T trials of a run with T + b trials, b = BATCH_USES // n
+        # the batch size, are the trials of a run with T, across a batch boundary
+        c = ORACLE_CFGS[0] | dict(n=n, epsilon=epsilon, variance=variance)
+        run = _block_setup(SimConfig(**c, trials=1))
+        # the slot draws take part, but for n = 1, whose bins hold one row
+        assert (run.codebooks[0].L > 1) == (n > 1)
 
         def flags(trials):
             B = run.codebooks[0].B
-            batches = uniform_batches(cfg.master_seed, "block", cfg.K, 0, B - 1, trials)
+            batches = uniform_batches(
+                run.cfg.master_seed, "block", run.cfg.K, 0, B - 1, trials, uses=n
+            )
             parts = [_block_batch(run, msgs, seed) for msgs, seed in batches]
             return [np.concatenate([p[i] for p in parts]) for i in (0, 1)]
 
-        T = TRIAL_BATCH["block"] + 300
+        batch = BATCH_USES // n
+        T = batch + 300
         err, fail = flags(T)
-        err_long, fail_long = flags(T + TRIAL_BATCH["block"])
+        err_long, fail_long = flags(T + batch)
         assert np.array_equal(err, err_long[:T])
         assert np.array_equal(fail, fail_long[:T])
         assert 0 < fail.sum() <= err.sum() < T
-        rep = run_block_trials(SimConfig(**ORACLE_CFGS[0], trials=T))
+        rep = run_block_trials(SimConfig(**c, trials=T))
         assert (rep.block_errors, rep.decode_failures) == (err.sum(), fail.sum())
 
     def test_block_length_past_int64_keys(self):
@@ -707,7 +744,10 @@ def block_success(cfg):
     tail = np.array([0.5 * math.erfc(g / (2 * math.sqrt(2 * cfg.variance))) for g in gaps])[which]
     stay = 1 - np.append(tail, 0.0) - np.insert(tail, 0, 0.0)
     p = []
-    for msgs, seed in uniform_batches(cfg.master_seed, "block", cfg.K, 0, cbs[0].B - 1, cfg.trials):
+    batches = uniform_batches(
+        cfg.master_seed, "block", cfg.K, 0, cbs[0].B - 1, cfg.trials, uses=cfg.n
+    )
+    for msgs, seed in batches:
         v = np.stack([encode(cb, msgs[:, k], seed) for k, cb in enumerate(cbs)], axis=-1)
         x = v.reshape(-1, cfg.K) @ run.coefs
         pos = np.searchsorted(pts, x - gaps[0] / 2)  # the one point within d_min/2
