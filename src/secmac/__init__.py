@@ -31,12 +31,10 @@ from .constellation import (
 )
 from .diophantine import (
     KGProfile,
-    LinearFormResult,
     kg_profile,
     min_linear_form,
 )
 from .errors import (
-    AmbiguityError,
     ParameterError,
     SizeCapError,
 )

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constellation import ReceivedConstellation, mixed_radix_digits, mixed_radix_index
-from .errors import AmbiguityError, ParameterError
+from .errors import ParameterError
 from .rng import stream
 
 
@@ -150,7 +150,7 @@ def hard_decode(y: np.ndarray, rc: ReceivedConstellation) -> np.ndarray:
     if rc.index is None:
         raise ParameterError("cannot hard-decode: the constellation has no tuple index")
     if not rc.gamma_holds:
-        raise AmbiguityError(f"cannot hard-decode: gamma status is {rc.gamma.value}")
+        raise ParameterError(f"cannot hard-decode: gamma status is {rc.gamma.value}")
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if np.isnan(y).any():
         raise ParameterError("cannot hard-decode a NaN sample")

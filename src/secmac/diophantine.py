@@ -2,10 +2,11 @@
 
 The quality of a gain tuple g = (g_1, ..., g_m) is measured by how small
 |p + q_1 g_1 + ... + q_m g_m| can get over integer q with |q|_inf <= N.
-Exhaustive search keeps every result exact and checkable; no lattice
-reduction is used.  The Khintchine-Groshev profile normalizes those
-minima by N^(m+eps) to expose the empirical constant c_hat that lower
-bounds the linear form for almost every real tuple.
+Exhaustive search, with no lattice reduction, returns the minimum alone
+and no witness (q, p); the tests check it against a brute-force search.
+The Khintchine-Groshev profile normalizes those minima by N^(m+eps) to
+expose the empirical constant c_hat that lower bounds the linear form
+for almost every real tuple.
 """
 
 from __future__ import annotations
@@ -16,26 +17,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .constellation import mixed_radix_digits, tuple_sums
+from .constellation import tuple_sums
 from .errors import ParameterError, SizeCapError
 
 SEARCH_CAP = 100_000_000
 _BLOCK_CELLS = 1 << 20  # floats per evaluated block of q_j rows
-
-
-@dataclass(frozen=True)
-class LinearFormResult:
-    """Minimum |p + q . g| over nonzero |q|_inf <= N with optimal p.
-
-    q is canonical: its first nonzero entry is positive, and among exact
-    ties the lexicographically smallest q is reported.  p is the nearest
-    integer to -q . g (ties to even).
-    """
-
-    value: float
-    p: int
-    q: tuple[int, ...]
-    N: int
 
 
 @dataclass(frozen=True)
@@ -46,8 +32,8 @@ class KGProfile:
     c_hat: float
 
 
-def min_linear_form(g: Sequence[float], N: int) -> LinearFormResult:
-    """Exhaustive minimum of |p + q . g| over canonical nonzero q, |q|_inf <= N."""
+def min_linear_form(g: Sequence[float], N: int) -> float:
+    """Exhaustive minimum of |p + q . g| over integer p and nonzero |q|_inf <= N."""
     g = [float(x) for x in g]
     m = len(g)
     if m < 1:
@@ -60,39 +46,24 @@ def min_linear_form(g: Sequence[float], N: int) -> LinearFormResult:
     if space > SEARCH_CAP:
         raise SizeCapError(f"search space {space} exceeds cap {SEARCH_CAP}")
 
-    best_val = math.inf
-    best_q: tuple[int, ...] | None = None
-    best_s = 0.0
-
-    # Canonical region j: q_j > 0 for the first nonzero coordinate j, the
-    # coordinates before it zero and the rest free.  Regions run j = m-1 ... 0
-    # and a block holds consecutive q_j in row-major order over (q_j, tail
-    # index), so q is visited in ascending lexicographic order and the first
-    # strict minimum (argmin's first hit in its block) is the smallest tied q.
-    for j in reversed(range(m)):
-        tail = g[j + 1 :]
+    best = math.inf
+    # q and -q give the same value, so only canonical q are searched: in
+    # region j, q_j > 0 is the first nonzero coordinate and the rest are free.
+    for j in range(m):
         with np.errstate(over="ignore", invalid="ignore"):  # overflowed rows are skipped below
-            inner = tuple_sums(tail, N)
+            inner = tuple_sums(g[j + 1 :], N)
         rows = max(1, _BLOCK_CELLS // inner.size)
         for lo in range(1, N + 1, rows):
             qs = np.arange(lo, min(lo + rows, N + 1))
             with np.errstate(over="ignore", invalid="ignore"):
                 s = (qs * g[j])[:, None] + inner
                 vals = np.abs(s - np.rint(s))
-            k = int(vals.argmin())
-            if math.isnan(vals.flat[k]):  # a row with an overflowed s is skipped whole
+            v = float(vals.min())
+            if math.isnan(v):  # a row with an overflowed s is skipped whole
                 vals[np.isnan(vals).any(axis=1)] = math.inf
-                k = int(vals.argmin())
-            v = float(vals.flat[k])
-            if v >= best_val:
-                continue
-            row, idx = divmod(k, inner.size)
-            best_val, best_s = v, float(s[row, idx])
-            best_q = (0,) * j + (int(qs[row]),) + tuple(mixed_radix_digits(idx, len(tail), N).tolist())
-
-    assert best_q is not None
-    p = int(np.rint(-best_s))
-    return LinearFormResult(value=best_val, p=p, q=best_q, N=N)
+                v = float(vals.min())
+            best = min(best, v)
+    return best
 
 
 def kg_profile(g: Sequence[float], epsilon: float, N_list: Sequence[int]) -> KGProfile:
@@ -107,7 +78,7 @@ def kg_profile(g: Sequence[float], epsilon: float, N_list: Sequence[int]) -> KGP
     exponent = len(g) + epsilon
     rows = []
     for N in N_list:
-        m_val = min_linear_form(g, N).value
+        m_val = min_linear_form(g, N)
         try:
             scale = float(N) ** exponent
         except OverflowError:

@@ -1,8 +1,7 @@
 """Exception types shared across the toolkit.
 
-The CLI maps two classes to exit code 2: ParameterError, and its subclass
-AmbiguityError, which lets a library caller catch a gamma refusal on its
-own.  SizeCapError maps to exit code 3.
+The CLI maps ParameterError, which also covers a gamma refusal, to exit
+code 2 and SizeCapError to exit code 3.
 """
 
 
@@ -12,7 +11,3 @@ class ParameterError(ValueError):
 
 class SizeCapError(RuntimeError):
     """A computation would exceed its tractability cap."""
-
-
-class AmbiguityError(ParameterError):
-    """Unique decomposability fails, so the requested lookup is ill-posed."""

@@ -182,9 +182,14 @@ def composition_counts(K: int, Q: int) -> list[int]:
 
 
 def sum_entropy(K: int, Q: int) -> float:
-    """Exact entropy in bits of the sum of K i.i.d. uniforms on [-Q, Q].
+    """Entropy in bits of the sum of K i.i.d. uniforms on [-Q, Q].
 
-    The only rounding is in the final log2 of the exact composition counts.
+    The composition counts are exact, but each c log2 c term is rounded,
+    summed in float and subtracted from log2 T.  Against 60-digit mpmath
+    over the 53 (K, Q) of the ``entropy`` commands in
+    perfbench/reference/analysis.json (K <= 12, Q <= 77) the error is
+    within 96 ulps (median 9.1, worst 86.7 at K = 12, Q = 72); it grows
+    with the number of terms.
     """
     counts = composition_counts(K, Q)
     total = (2 * Q + 1) ** K

@@ -46,7 +46,7 @@ from .constellation import (
     received_constellation,
     select_params,
 )
-from .errors import AmbiguityError, ParameterError, SizeCapError
+from .errors import ParameterError, SizeCapError
 from .rng import stream, substream
 from .secrecy import (
     JOINT_TABLE_CAP,
@@ -249,11 +249,11 @@ def _grid_point(cfg: SimConfig, gains: ChannelGains, P: float) -> GridPoint:
 
 def _constellation(g, point: GridPoint, *, index: bool = True) -> ReceivedConstellation:
     """The receiver's constellation at ``point``, amplitude A*|s|; only a
-    decoding caller needs its ``index``.  Raises ``AmbiguityError`` unless
+    decoding caller needs its ``index``.  Raises ``ParameterError`` unless
     gamma holds, as hard decoding needs each tuple to have its own point."""
     rc = received_constellation(g, point.Q, point.A * abs(g.scale), index=index)
     if not rc.gamma_holds:
-        raise AmbiguityError(f"cannot hard-decode: gamma status is {rc.gamma.value}")
+        raise ParameterError(f"cannot hard-decode: gamma status is {rc.gamma.value}")
     return rc
 
 

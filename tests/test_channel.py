@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -42,6 +43,20 @@ class TestNormalizeGains:
     def test_zero_eavesdropper_gain_names_index(self):
         with pytest.raises(ParameterError, match=r"h_e\[1\]"):
             ChannelGains(h=(1, 1), h_e=(1, 0))
+
+    @pytest.mark.parametrize(
+        "h,h_e,why",
+        [((1.0, 2.0), (1.0,), "gain vectors differ in length: 2 vs 1"),
+         ((), (), "at least one user required")],
+        ids=["length-mismatch", "no-users"],
+    )
+    def test_malformed_gain_vectors_rejected(self, h, h_e, why):
+        with pytest.raises(ParameterError, match=re.escape(why)):
+            ChannelGains(h=h, h_e=h_e)
+
+    def test_empty_normalized_gains_rejected(self):
+        with pytest.raises(ParameterError, match="empty gain vector"):
+            NormalizedGains(g=())
 
     def test_zero_last_main_gain(self):
         with pytest.raises(ParameterError, match=r"h\[1\]"):

@@ -68,6 +68,15 @@ class TestParams:
         assert code == 2
         assert "infeasible" in err
 
+    @pytest.mark.parametrize(
+        "extra", [("--p", "10"), ("--h-e", "1.5,4"), ("--p", "10", "--h-e", "1.5,4")],
+        ids=["p", "h-e", "both"],
+    )
+    def test_p_tilde_with_p_or_h_e_exits_2(self, capsys, extra):
+        code, out, err = run(capsys, "params", "--p-tilde", "1e6", *extra, "--k", "2", "--eps", "0.1")
+        assert code == 2 and out == ""
+        assert err == "error: give either --p-tilde or (--p and --h-e), not both\n"
+
     def test_from_p_and_gains(self, capsys):
         code, out, _ = run(
             capsys, "params", "--p", "10", "--h-e", "1.5,4", "--k", "2", "--eps", "0.1"
@@ -603,6 +612,13 @@ class TestCheck:
     def test_missing_file_exits_2(self, capsys):
         code, _, _ = run(capsys, "check", "/nonexistent/file.csv")
         assert code == 2
+
+    def test_empty_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "empty.csv"
+        path.write_bytes(b"")
+        code, out, err = run(capsys, "check", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: {path} is empty\n"
 
 
 @pytest.mark.parametrize(

@@ -97,6 +97,18 @@ class TestSelectParams:
             with pytest.raises(ParameterError, match="finite"):
                 select_params(bad, 2, 0.1)
 
+    @pytest.mark.parametrize(
+        "K,eps,why",
+        [(1, 0.1, "K must be >= 2, got 1"),
+         (2, 0.0, r"epsilon must be in \(0,1\), got 0\.0"),
+         (2, 1.0, r"epsilon must be in \(0,1\), got 1\.0"),
+         (2, math.nan, r"epsilon must be in \(0,1\), got nan")],
+        ids=["k1", "eps0", "eps1", "eps-nan"],
+    )
+    def test_users_and_epsilon_outside_their_range(self, K, eps, why):
+        with pytest.raises(ParameterError, match=why):
+            select_params(1e4, K, eps)
+
     @pytest.mark.parametrize("K", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("eps", [0.01, 0.1, 0.5])
     def test_power_feasibility(self, K, eps):

@@ -1,7 +1,11 @@
+import json
 import math
+import re
 import warnings
 from itertools import product
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -22,6 +26,7 @@ from secmac import (
     sum_entropy,
     sum_rate_lower_bound,
 )
+from secmac import secrecy
 from secmac.cli import main as cli_main
 from secmac.constellation import mixed_radix_index
 from secmac.secrecy import entropy_bits
@@ -170,11 +175,55 @@ class TestMutualInformation:
         with pytest.raises(ParameterError):
             mutual_information(np.array([[1.1, -0.1]]))
 
+    @pytest.mark.parametrize("shape", [(4,), (2, 2, 1)])
+    def test_table_not_two_dimensional(self, shape):
+        with pytest.raises(ParameterError, match=f"must be 2-D, got {len(shape)}-D"):
+            mutual_information(np.full(shape, 0.25))
+
     def test_nan_entry(self):
         # NaN fails every comparison: the sum test alone let this table through,
         # and its NaN cells dropped out of the entropies (0.0 bits came back)
         with pytest.raises(ParameterError, match="non-finite"):
             mutual_information(np.array([[np.nan, 0.5], [0.25, 0.25]]))
+
+
+class TestDiscreteMACSpec:
+    @pytest.mark.parametrize(
+        "change,why",
+        [(dict(K=0, p_u=(), p_x_given_u=()), "K must be >= 1, got 0"),
+         (dict(p_u=(np.array([0.5, 0.5]),)), "need one P(u_k) and one P(x_k|u_k) per user"),
+         (dict(p_x_given_u=(np.eye(2),)), "need one P(u_k) and one P(x_k|u_k) per user"),
+         (dict(p_yz_given_x=np.full((2, 2, 3), 1 / 3)),
+          "channel table must have 4 axes (x_1..x_K, y, z)"),
+         (dict(p_x_given_u=(np.eye(3), np.eye(2))), "P(x_1|u_1) shape mismatch"),
+         (dict(p_x_given_u=(np.eye(2), np.array([0.5, 0.5]))), "P(x_2|u_2) shape mismatch"),
+         (dict(p_x_given_u=(np.eye(2), np.full((2, 4), 0.25))),
+          "channel axis 1 does not match |X_2|")],
+        ids=["k0", "p_u-count", "p_x_given_u-count", "channel-axes", "p_x_given_u-rows",
+             "p_x_given_u-1d", "channel-axis-size"],
+    )
+    def test_malformed_spec_rejected(self, change, why):
+        adder = adder_spec()
+        parts = dict(K=2, p_u=adder.p_u, p_x_given_u=adder.p_x_given_u,
+                     p_yz_given_x=adder.p_yz_given_x)
+        with pytest.raises(ParameterError, match=re.escape(why)):
+            DiscreteMACSpec(**{**parts, **change})
+
+    def test_channel_table_past_cap_rejected(self, monkeypatch):
+        # the adder's channel table has 2 * 2 * 3 * 1 = 12 entries
+        monkeypatch.setattr(secrecy, "JOINT_TABLE_CAP", 11)
+        with pytest.raises(SizeCapError, match="channel table has 12 entries, cap 11"):
+            adder_spec()
+
+    def test_joint_table_past_cap_rejected(self):
+        # 2048 auxiliary values per user: a 12-entry channel, but a joint
+        # P(u_1, u_2, y, z) of 2048^2 * 3 > 10^7 entries
+        p_u = np.full(2048, 1 / 2048)
+        p_xu = np.tile([1.0, 0.0], (2048, 1))
+        spec = DiscreteMACSpec(K=2, p_u=(p_u, p_u), p_x_given_u=(p_xu, p_xu),
+                               p_yz_given_x=adder_spec().p_yz_given_x)
+        with pytest.raises(SizeCapError, match="joint table needs 12582912 entries, cap 10000000"):
+            spec.joint_uyz()
 
 
 class TestAchievableRegion:
@@ -291,7 +340,29 @@ class TestCompositionCounts:
         assert sum_entropy(K, Q).hex() == loop_sum_entropy(K, Q).hex()
 
 
+def reference_entropy_configs():
+    """The distinct (K, Q) of the benchmark reference's ``entropy`` commands."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "analysis.json"
+    argvs = [c["argv"] for c in json.loads(path.read_text())["commands"].values()]
+    return sorted({(int(a[a.index("--k") + 1]), int(a[a.index("--q") + 1]))
+                   for a in argvs if a[0] == "entropy"})
+
+
 class TestSumEntropy:
+    def test_within_documented_ulps_of_a_60_digit_oracle(self):
+        configs = reference_entropy_configs()
+        assert len(configs) == 53
+        worst = 0.0
+        with mpmath.workdps(60):
+            for K, Q in configs:
+                counts, total = composition_counts(K, Q), (2 * Q + 1) ** K
+                exact = mpmath.log(total, 2) - mpmath.fsum(
+                    c * mpmath.log(c, 2) for c in counts if c > 1) / total
+                ulps = abs(mpmath.mpf(sum_entropy(K, Q)) - exact) / math.ulp(float(exact))
+                worst = max(worst, float(ulps))
+        assert worst <= 96  # the bound sum_entropy's docstring states
+        assert worst > 80  # measured 86.7 (K=12, Q=72): the oracle sees the rounding
+
     def test_single_user(self):
         for Q in (1, 3, 10):
             assert sum_entropy(1, Q) == pytest.approx(math.log2(2 * Q + 1), rel=1e-14)
@@ -335,6 +406,13 @@ class TestSumRateLowerBound:
         assert got == pytest.approx(want, rel=1e-14)
         assert got == pytest.approx(5.654644955902938, rel=1e-12)
 
+    def test_fano_penalty_reads_the_joint_alphabet(self):
+        # P_e = 1/4 takes a quarter of K log2(2Q+1) = 2 log2 201, not of log2 201
+        want = 0.75 * 2 * math.log2(201) - math.log2(401) - 1
+        got = sum_rate_lower_bound(2, 100, 0.25)
+        assert got == pytest.approx(want, rel=1e-14)
+        assert got == pytest.approx(1.8291191103134726, rel=1e-12)
+
     def test_fano_dominates(self):
         assert sum_rate_lower_bound(2, 100, 1.0) == 0.0
 
@@ -343,6 +421,8 @@ class TestSumRateLowerBound:
             sum_rate_lower_bound(2, 0, 0.0)
         with pytest.raises(ParameterError):
             sum_rate_lower_bound(2, 5, 1.5)
+        with pytest.raises(ParameterError, match="K must be >= 1, got 0"):
+            sum_rate_lower_bound(0, 5, 0.0)
 
 
 class TestSdof:
@@ -362,6 +442,22 @@ class TestSdof:
     def test_fit_constant(self):
         fit = sdof_fit([(10.0, 1.0), (100.0, 1.0), (1000.0, 1.0)])
         assert fit.slope == pytest.approx(0.0, abs=1e-14)
+
+    @pytest.mark.parametrize(
+        "K,eps,why",
+        [(1, 0.1, "K must be >= 2, got 1"),
+         (2, -0.1, r"epsilon must be in \[0,1\), got -0\.1"),
+         (2, 1.0, r"epsilon must be in \[0,1\), got 1\.0")],
+        ids=["k1", "eps-negative", "eps1"],
+    )
+    def test_limit_bad_args(self, K, eps, why):
+        with pytest.raises(ParameterError, match=why):
+            sdof_limit(K, eps)
+
+    @pytest.mark.parametrize("points", [[], [(10.0, 1.0)]], ids=["none", "one"])
+    def test_fit_needs_two_points(self, points):
+        with pytest.raises(ParameterError, match=f"need at least 2 points, got {len(points)}"):
+            sdof_fit(points)
 
     def test_fit_degenerate(self):
         with pytest.raises(ParameterError):
@@ -434,6 +530,15 @@ class TestLeakageEstimate:
             warnings.simplefilter("error")
             with pytest.raises(ParameterError, match="int64"):
                 leakage_estimate(tuples, z, bin_width, 1)
+
+    @pytest.mark.parametrize(
+        "tuples_shape,z_shape",
+        [((1200,), (1200,)), ((1200, 2), (1200, 1)), ((1200, 2), (1199,))],
+        ids=["flat-tuples", "2d-z", "lengths-differ"],
+    )
+    def test_misaligned_shapes_rejected(self, tuples_shape, z_shape):
+        with pytest.raises(ParameterError, match=r"need \(n, K\) tuples aligned with n observations"):
+            leakage_estimate(np.zeros(tuples_shape, dtype=int), np.zeros(z_shape), 1.0, 1)
 
     def test_bad_bin_width(self):
         tuples = self.exhaustive_tuples(2, 1, 120)

@@ -28,7 +28,6 @@ from secmac.constellation import (
     pe_upper_bound,
     received_constellation,
 )
-from secmac.errors import AmbiguityError
 from secmac.secrecy import JOINT_TABLE_CAP, composition_counts, entropy_bits
 from secmac.simulate import (
     BATCH_USES,
@@ -152,6 +151,8 @@ class TestWilson:
     def test_bad_counts(self):
         with pytest.raises(ParameterError):
             wilson_interval(2, 1)
+        with pytest.raises(ParameterError, match="trials must be >= 1, got 0"):
+            wilson_interval(0, 0)
 
     @pytest.mark.parametrize("z", [-2.0, 0.0, math.nan, math.inf, -math.inf])
     def test_z_must_be_positive_and_finite(self, z):
@@ -172,6 +173,10 @@ class TestSimConfig:
     def test_grid_must_increase(self):
         with pytest.raises(ParameterError):
             SimConfig(K=2, epsilon=0.5, P_grid=(1e4, 1e2))
+
+    def test_grid_must_not_be_empty(self):
+        with pytest.raises(ParameterError, match="P grid is empty"):
+            SimConfig(K=2, epsilon=0.5, P_grid=())
 
     def test_gains_come_in_pairs(self):
         with pytest.raises(ParameterError):
@@ -215,6 +220,20 @@ class TestSymbolSweep:
         etas = [r.eta_running for r in rep.rows]
         assert etas == sorted(etas)
         assert all(e < sdof_limit(2, 0.5) for e in etas)
+
+    def test_rate_columns_read_the_row_error_rate(self):
+        # K=3 at variance 4: every row has symbol errors and a positive bound
+        cfg = SimConfig(
+            K=3, epsilon=0.3, P_grid=(1e6, 1e8), h=(S2, S3, 1.0), h_e=(1.0,) * 3,
+            master_seed=7, trials=4000, variance=4.0,
+        )
+        for r in run_symbol_sweep(cfg).rows:
+            # K log2(2Q+1) - log2(2KQ+1) - 1, less the Fano penalty P_e K log2(2Q+1)
+            per_user = math.log2(2 * r.Q + 1)
+            want = 3 * per_user - math.log2(6 * r.Q + 1) - 1 - r.pe_mc * 3 * per_user
+            assert r.pe_mc > 0 and want > 0
+            assert r.r_sum_bound_bits == pytest.approx(want, rel=1e-12)
+            assert r.eta_running == pytest.approx(want / (0.5 * math.log2(r.P)), rel=1e-12)
 
     def test_rows_echo_select_params(self):
         cfg = SimConfig(**SWEEP_CFG, trials=100, variance=0.0)
@@ -328,7 +347,7 @@ class TestSymbolSweep:
         # a tuple has a point of its own only when gamma holds
         cfg = SimConfig(K=2, epsilon=0.5, P_grid=(1e4,), h=h, h_e=(1.0, 1.0), trials=10)
         want = rf"gamma status is {status} \[grid point P=10000\.0\]$"
-        with pytest.raises(AmbiguityError, match=want):
+        with pytest.raises(ParameterError, match=want):
             run_symbol_sweep(cfg)
 
     @pytest.mark.parametrize("cfg", EXACT_PE_CFGS, ids=EXACT_PE_IDS)
